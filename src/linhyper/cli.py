@@ -32,6 +32,7 @@ from .degree_model import (
 from .errors import InvariantViolation, LinhyperError
 from .exact_oracle import (
     DEFAULT_MAX_SPACE,
+    ClassFilter,
     canonical_battery,
     enumerate_bigraphs,
     full_report,
@@ -204,21 +205,38 @@ def cmd_girth(args) -> int:
     return 0
 
 
+class _EnoughGraphs(Exception):
+    """Stops the labeled enumeration once the spot check has its graphs."""
+
+
 def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) -> int:
     """Round-trip the first applicable switch on up to ``limit`` graphs.
 
+    The graphs are the first well-behaved ones with a 4-cycle in the labeled
+    enumeration order.  The labeled enumeration runs only when the weighted
+    counts show that such a graph exists, and stops at the ``limit``-th.
     Returns the number of round trips performed; raises InvariantViolation
     if any fails to restore its graph.
     """
     found: list[BipartiteGraph] = []
 
     def visitor(graph: BipartiteGraph) -> None:
-        if len(found) < limit and graph.has_four_cycle():
+        if graph.has_four_cycle():
             cls = classify(graph, ds)
             if cls.in_bplus and cls.d >= 1:
                 found.append(graph)
+                if len(found) == limit:
+                    raise _EnoughGraphs
 
-    enumerate_bigraphs(ds, visitor=visitor, max_space=max_space)
+    bplus = enumerate_bigraphs(ds, class_filter=ClassFilter.BPLUS, max_space=max_space)
+    c0 = enumerate_bigraphs(
+        ds, class_filter=ClassFilter.NO_FOUR_CYCLE, max_space=max_space
+    )
+    if bplus > c0:
+        try:
+            enumerate_bigraphs(ds, visitor=visitor, max_space=max_space)
+        except _EnoughGraphs:
+            pass
     checks = 0
     for graph in found:
         cls = classify(graph, ds)

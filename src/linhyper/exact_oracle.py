@@ -1,14 +1,24 @@
 """Brute-force enumeration of all conforming objects at desk scale.
 
-This module is the ground truth everything else is tested against.  Two
-independent search routes are implemented:
+This module is the ground truth everything else is tested against.  Every
+search runs through one backtracker, ``_sweep``: it fills the m = M/r
+incidence columns with r-subsets of the vertices of positive residual degree,
+pruned on residual feasibility and on vertices forced into every remaining
+column.  After choosing candidate i it starts the next column at
 
-* column-by-column backtracking over ordered incidence columns (bipartite
-  route), pruned on residual degree feasibility, and
-* strictly-increasing backtracking over edge sets (hypergraph route).
+* 0 (ordered): every labeled column tuple, for ``enumerate_bigraphs`` with a
+  visitor, the one caller that needs each labeled graph;
+* i (non-decreasing): each column multiset once, weighted by its m!/prod(mult!)
+  orderings, since column order changes no count and no 4-cycle; for
+  ``full_report``, ``pattern_expectation`` and counting ``enumerate_bigraphs``;
+* i + 1 (strictly increasing): each column set, i.e. simple hypergraph, once,
+  weighted by m!; with the no-4-cycle prune, each linear hypergraph.
 
-The counting identities tying the two routes together are asserted inside
-``full_report`` and raise InvariantViolation on any mismatch, which always
+``full_report`` takes every count from one non-decreasing sweep, so
+|B0| = m! |H| and |C0| = m! |L| hold there by construction (they are still
+checked, with the inclusions between classes).  The independent check is |B|
+against ``count_b_dp``, a dynamic program over residual-degree classes that
+lists no graph.  A failed identity raises InvariantViolation, which always
 means an implementation bug rather than bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
@@ -18,25 +28,36 @@ error, never a silent truncation.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .asymptotics import mckay_upper_bound
 from .bigraph_core import (
     BipartiteGraph,
+    Hypergraph,
     _battery_from_cols,
     _bits,
     _structure_from_cols,
+    dual_failed_properties,
+    hyper_properties,
 )
 from .degree_model import DegreeSequence
 from .errors import InvariantViolation, TooLarge
 
 DEFAULT_MAX_SPACE = 16
+
+# Visiting orders of ``_sweep``: after choosing candidate i, the next column
+# starts at candidate 0 (ordered), at i + _MULTISET or at i + _SET.
+_ORDERED = None
+_MULTISET = 0
+_SET = 1
 
 
 class ClassFilter(Enum):
@@ -96,131 +117,151 @@ def check_guard(ds: DegreeSequence, max_space: int = DEFAULT_MAX_SPACE) -> None:
 
 
 def _subset_masks(n: int, r: int) -> list[int]:
-    masks = []
-    for combo in combinations(range(n), r):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        masks.append(m)
-    return masks
+    return [sum(1 << v for v in combo) for combo in combinations(range(n), r)]
 
 
-def _column_sweep(k, r, m, leaf, prefix=(), b0_prune=False, no4_prune=False):
-    """Visit every ordered column tuple conforming to (k, r).
+def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, first=None) -> None:
+    """Visit the column tuples conforming to (k, r) in the order ``step`` sets.
 
-    Columns are filled left to right, each chosen as an r-subset of the
-    vertices with positive residual degree, in lexicographic order; pruning
-    keeps max residual <= remaining columns and forces vertices whose
-    residual equals the number of remaining columns into the current column.
+    Candidates are the r-subsets of range(len(k)) in lexicographic order.
+    ``leaf(cols, weight)`` receives each tuple with the number of labeled
+    graphs it stands for: 1 when ordered, m!/prod(mult!) for a multiset, m!
+    for a set.  ``no4`` prunes columns sharing two vertices with an earlier
+    one.  ``first`` restricts the first column to that candidate index, which
+    splits a non-decreasing or strictly increasing sweep into disjoint parts.
     """
-    n = len(k)
-    cands = _subset_masks(n, r)
+    masks = _subset_masks(len(k), r)
+    fact = math.factorial(m)
     residual = list(k)
     cols: list[int] = []
-    seen: set[int] = set()
 
-    for mask in prefix:
-        for j in _bits(mask):
-            residual[j] -= 1
-            if residual[j] < 0:
-                raise ValueError("infeasible sweep prefix")
-        cols.append(mask)
-        if b0_prune:
-            seen.add(mask)
-
-    def rec(depth: int) -> None:
+    def rec(depth: int, start: int, stop: int) -> None:
         if depth == m:
-            leaf(cols)
+            weight = 1 if step is _ORDERED else fact
+            if step == _MULTISET:
+                for c in Counter(cols).values():
+                    weight //= math.factorial(c)
+            leaf(cols, weight)
             return
         remaining = m - depth
         forced = 0
         zero = 0
-        for j in range(n):
-            v = residual[j]
+        for j, v in enumerate(residual):
             if v == remaining:
                 forced |= 1 << j
             elif v == 0:
                 zero |= 1 << j
         if forced.bit_count() > r:
             return
-        for mask in cands:
-            if mask & zero:
+        for idx in range(start, stop):
+            mask = masks[idx]
+            if mask & zero or mask & forced != forced:
                 continue
-            if mask & forced != forced:
-                continue
-            if b0_prune and mask in seen:
-                continue
-            if no4_prune and any((mask & c).bit_count() >= 2 for c in cols):
+            if no4 and any((mask & c).bit_count() >= 2 for c in cols):
                 continue
             for j in _bits(mask):
                 residual[j] -= 1
-            if max(residual, default=0) <= remaining - 1:
+            if max(residual) <= remaining - 1:
                 cols.append(mask)
-                if b0_prune:
-                    seen.add(mask)
-                rec(depth + 1)
-                if b0_prune:
-                    seen.discard(mask)
+                rec(depth + 1, 0 if step is _ORDERED else idx + step, len(masks))
                 cols.pop()
             for j in _bits(mask):
                 residual[j] += 1
 
-    rec(len(prefix))
+    if first is None:
+        rec(0, 0, len(masks))
+    else:
+        rec(0, first, first + 1)
 
 
-def _first_columns(k, r, m) -> list[int]:
-    """Valid first-column choices, used to fan the sweep out across workers."""
-    first: list[int] = []
+def count_matrices_by_classes(classes: Counter, r: int, m: int) -> int:
+    """0-1 matrices with given row-sum classes (residual -> row count) and m
+    columns of sum r, counted by dynamic programming over residual classes."""
+    init = tuple(
+        sorted((res, cnt) for res, cnt in classes.items() if res > 0 and cnt > 0)
+    )
 
-    def leaf(cols):  # pragma: no cover - only reached when m == 0
-        pass
+    @lru_cache(maxsize=None)
+    def go(state, cols_left):
+        total_residual = sum(res * cnt for res, cnt in state)
+        if cols_left == 0:
+            return 1 if total_residual == 0 else 0
+        if total_residual != r * cols_left:
+            return 0
+        if max((res for res, _ in state), default=0) > cols_left:
+            return 0
+        out = 0
+        state_list = list(state)
 
-    n = len(k)
-    residual = list(k)
-    forced = 0
-    zero = 0
-    for j in range(n):
-        if residual[j] == m:
-            forced |= 1 << j
-        elif residual[j] == 0:
-            zero |= 1 << j
-    if forced.bit_count() > r:
-        return []
-    for mask in _subset_masks(n, r):
-        if mask & zero or mask & forced != forced:
-            continue
-        rem = list(residual)
-        for j in _bits(mask):
-            rem[j] -= 1
-        if max(rem, default=0) <= m - 1:
-            first.append(mask)
-    return first
+        def pick(idx, need, ways, taken_counts):
+            nonlocal out
+            if need == 0:
+                taken_all = taken_counts + [0] * (len(state_list) - len(taken_counts))
+                nxt = Counter()
+                for (res, cnt), taken in zip(state_list, taken_all):
+                    if cnt - taken > 0:
+                        nxt[res] += cnt - taken
+                    if taken and res - 1 > 0:
+                        nxt[res - 1] += taken
+                out += ways * go(tuple(sorted(nxt.items())), cols_left - 1)
+                return
+            if idx == len(state_list):
+                return
+            res, cnt = state_list[idx]
+            for take in range(min(cnt, need) + 1):
+                taken_counts.append(take)
+                pick(idx + 1, need - take, ways * math.comb(cnt, take), taken_counts)
+                taken_counts.pop()
+
+        pick(0, r, 1, [])
+        return out
+
+    return go(init, m)
+
+
+def count_b_dp(ds: DegreeSequence) -> int:
+    """|B| by the margin-class dynamic program: a route independent of the
+    column sweep, cheap far past the search guard."""
+    return count_matrices_by_classes(
+        Counter(v for v in ds.k if v > 0), ds.r, ds.edge_count()
+    )
 
 
 class _ReportCounts:
+    """Weighted class counts over the column multisets of one sweep."""
+
     def __init__(self, n_left: int, n2: int):
-        self.n_left = n_left
-        self.n2 = n2
-        self.b = 0
-        self.b0 = 0
-        self.bplus = 0
+        self.n_left, self.n2 = n_left, n2
+        self.b = self.b0 = self.bplus = self.h = self.l = 0
         self.cd = [0] * (n2 + 1)
 
-    def leaf(self, cols) -> None:
-        self.b += 1
+    def leaf(self, cols, weight: int) -> None:
         cycles, failed, in_b0 = _battery_from_cols(self.n_left, tuple(cols), self.n2)
+        self.b += weight
         if in_b0:
-            self.b0 += 1
+            self.b0 += weight
+            self.h += 1
         if not failed:
-            self.bplus += 1
-            self.cd[len(cycles)] += 1
+            self.bplus += weight
+            self.cd[len(cycles)] += weight
+            if in_b0 and not cycles:
+                self.l += 1
+
+    def add(self, other: "_ReportCounts") -> None:
+        self.b += other.b
+        self.b0 += other.b0
+        self.bplus += other.bplus
+        self.h += other.h
+        self.l += other.l
+        for d, c in enumerate(other.cd):
+            self.cd[d] += c
 
 
-def _report_branch(args):
-    k, r, m, n_left, n2, first = args
-    counts = _ReportCounts(n_left, n2)
-    _column_sweep(k, r, m, counts.leaf, prefix=(first,))
-    return counts.b, counts.b0, counts.bplus, counts.cd
+def _report_branch(args) -> _ReportCounts:
+    k, r, m, n2, first = args
+    counts = _ReportCounts(len(k), n2)
+    _sweep(k, r, m, counts.leaf, _MULTISET, first=first)
+    return counts
 
 
 def enumerate_bigraphs(
@@ -230,11 +271,15 @@ def enumerate_bigraphs(
     *,
     max_space: int = DEFAULT_MAX_SPACE,
 ) -> int:
-    """Visit every conforming labeled bipartite graph passing the filter.
+    """Count, and optionally visit, the conforming labeled bipartite graphs
+    passing the filter.
 
     Columns are labeled (ordered), so two graphs differing only in column
-    order are distinct.  Returns the number of graphs passing the filter;
-    ``visitor`` (if given) is called with each passing BipartiteGraph.
+    order are distinct.  Returns the number of graphs passing the filter.
+    Without a visitor it counts column multisets (sets for B0 and
+    NO_FOUR_CYCLE) weighted by their orderings; ``visitor``, if given, is
+    called with each passing BipartiteGraph, in lexicographic order of the
+    column tuples.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
@@ -242,104 +287,49 @@ def enumerate_bigraphs(
     n = ds.n
     count = 0
 
-    b0_prune = class_filter is ClassFilter.B0
-    no4_prune = class_filter is ClassFilter.NO_FOUR_CYCLE
+    if visitor is not None:
+        step = _ORDERED
+    elif class_filter in (ClassFilter.B0, ClassFilter.NO_FOUR_CYCLE):
+        step = _SET
+    else:
+        step = _MULTISET
 
-    def leaf(cols) -> None:
+    def leaf(cols, weight: int) -> None:
         nonlocal count
+        if class_filter is ClassFilter.B0 and len(set(cols)) < m:
+            return
         if class_filter is ClassFilter.BPLUS:
             _, failed, _ = _battery_from_cols(n, tuple(cols), n2)
             if failed:
                 return
-        count += 1
+        count += weight
         if visitor is not None:
             visitor(BipartiteGraph(n, m, list(cols)))
 
-    _column_sweep(ds.k, ds.r, m, leaf, b0_prune=b0_prune, no4_prune=no4_prune)
+    _sweep(ds.k, ds.r, m, leaf, step, no4=class_filter is ClassFilter.NO_FOUR_CYCLE)
     return count
-
-
-def _hyper_sweep(ds: DegreeSequence, leaf, linear_only: bool = False) -> None:
-    """Visit sets of m distinct r-subsets with the given degree sum.
-
-    Edges are generated in strictly increasing lexicographic order, so every
-    simple hypergraph is reached exactly once.  ``leaf`` receives
-    (edge_tuples, edge_masks, pair_count, violations) where ``violations``
-    counts repeated vertex-pair usages (zero iff the hypergraph is linear).
-    """
-    n, r = ds.n, ds.r
-    m = ds.edge_count()
-    combos = list(combinations(range(n), r))
-    masks = _subset_masks(n, r)
-    ncand = len(combos)
-    residual = list(ds.k)
-    pair_count: Counter = Counter()
-    edge_stack: list[tuple[int, ...]] = []
-    mask_stack: list[int] = []
-
-    def rec(depth: int, start: int, violations: int) -> None:
-        if depth == m:
-            leaf(edge_stack, mask_stack, pair_count, violations)
-            return
-        remaining = m - depth
-        forced = 0
-        zero = 0
-        for j in range(n):
-            v = residual[j]
-            if v == remaining:
-                forced |= 1 << j
-            elif v == 0:
-                zero |= 1 << j
-        if forced.bit_count() > r:
-            return
-        for idx in range(start, ncand):
-            mask = masks[idx]
-            if mask & zero or mask & forced != forced:
-                continue
-            combo = combos[idx]
-            for j in combo:
-                residual[j] -= 1
-            if max(residual, default=0) <= remaining - 1:
-                viol_add = 0
-                pairs = list(combinations(combo, 2))
-                for p in pairs:
-                    if pair_count[p]:
-                        viol_add += 1
-                    pair_count[p] += 1
-                if not (linear_only and violations + viol_add > 0):
-                    edge_stack.append(combo)
-                    mask_stack.append(mask)
-                    rec(depth + 1, idx + 1, violations + viol_add)
-                    edge_stack.pop()
-                    mask_stack.pop()
-                for p in pairs:
-                    pair_count[p] -= 1
-            for j in combo:
-                residual[j] += 1
-
-    rec(0, 0, 0)
 
 
 def count_hypergraphs(
     ds: DegreeSequence, *, max_space: int = DEFAULT_MAX_SPACE
 ) -> tuple[int, int]:
-    """Exact (simple, linear) hypergraph counts by direct edge-set search.
+    """Exact (simple, linear) hypergraph counts by a search over edge sets.
 
-    Entirely independent of the bipartite column sweep; the two routes are
-    reconciled in ``full_report``.
+    Linearity is tested on each whole edge set, not used to prune, so the
+    second component checks ``count_linear_hypergraphs``.
     """
-    ds.edge_count()
+    m = ds.edge_count()
     check_guard(ds, max_space)
     count_h = 0
     count_l = 0
 
-    def leaf(edges, masks, pair_count, violations):
+    def leaf(cols, weight: int) -> None:
         nonlocal count_h, count_l
         count_h += 1
-        if violations == 0:
+        if all((a & b).bit_count() < 2 for a, b in combinations(cols, 2)):
             count_l += 1
 
-    _hyper_sweep(ds, leaf)
+    _sweep(ds.k, ds.r, m, leaf, _SET)
     return count_h, count_l
 
 
@@ -351,15 +341,15 @@ def count_linear_hypergraphs(
     Much faster than ``count_hypergraphs`` when the linear fraction is small;
     must agree with its second component.
     """
-    ds.edge_count()
+    m = ds.edge_count()
     check_guard(ds, max_space)
     count = 0
 
-    def leaf(edges, masks, pair_count, violations):
+    def leaf(cols, weight: int) -> None:
         nonlocal count
         count += 1
 
-    _hyper_sweep(ds, leaf, linear_only=True)
+    _sweep(ds.k, ds.r, m, leaf, _SET, no4=True)
     return count
 
 
@@ -369,8 +359,8 @@ def hyper_class_profile(
     """Count well-behaved hypergraphs by their number of double links.
 
     Entry d is the number of simple hypergraphs with degree sequence k that
-    pass the hypergraph-side property battery and have exactly d double
-    links.  Multiplying entry d by (M/r)! must reproduce the bipartite
+    pass the hypergraph-side property battery (``dual_failed_properties``)
+    and have exactly d double links.  Multiplying entry d by (M/r)! must reproduce the bipartite
     4-cycle profile; that identity is exercised in the test-suite.
     """
     m = ds.edge_count()
@@ -378,37 +368,12 @@ def hyper_class_profile(
     n2 = ds.thresholds().n2 if ds.M >= 2 else 0
     profile = [0] * (n2 + 1)
 
-    def leaf(edges, masks, pair_count, violations):
-        doubles = [p for p, c in pair_count.items() if c == 2]
-        d = len(doubles)
-        if d > n2:
-            return
-        if any(c >= 3 for c in pair_count.values()):
-            return
-        for ma, mb in combinations(masks, 2):
-            if (ma & mb).bit_count() >= 3:
-                return
-        for mask in masks:
-            contained = 0
-            for x, y in doubles:
-                if mask >> x & 1 and mask >> y & 1:
-                    contained += 1
-                    if contained >= 2:
-                        return
-        per_vertex: Counter = Counter()
-        for x, y in doubles:
-            per_vertex[x] += 1
-            per_vertex[y] += 1
-        if any(c >= 3 for c in per_vertex.values()):
-            return
-        for v, c in per_vertex.items():
-            if c == 2:
-                for x, y in doubles:
-                    if v in (x, y) and per_vertex[x if y == v else y] != 1:
-                        return
-        profile[d] += 1
+    def leaf(masks, weight: int) -> None:
+        hg = Hypergraph(ds.n, [tuple(_bits(mask)) for mask in masks])
+        if not dual_failed_properties(hg, n2):
+            profile[len(hyper_properties(hg).double_links)] += 1
 
-    _hyper_sweep(ds, leaf)
+    _sweep(ds.k, ds.r, m, leaf, _SET)
     return tuple(profile)
 
 
@@ -418,46 +383,51 @@ def full_report(
     max_space: int = DEFAULT_MAX_SPACE,
     workers: int = 1,
 ) -> OracleReport:
-    """All exact counts in one sweep, with every internal identity asserted.
+    """All exact counts in one sweep over column multisets, with every
+    identity asserted.
 
-    With ``workers > 1`` the bipartite sweep fans out over the choices of the
-    first column; totals are merged by summation and do not depend on the
-    worker count.
+    With ``workers > 1`` the sweep fans out over the choices of the first
+    column, on at most min(workers, candidates, CPU count) processes; totals
+    are merged by summation and do not depend on the worker count.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     m = ds.edge_count()
     check_guard(ds, max_space)
     n2 = ds.thresholds().n2 if ds.M >= 2 else 0
 
-    counts = _ReportCounts(ds.n, n2)
-    if workers > 1 and m > 0:
-        firsts = _first_columns(ds.k, ds.r, m)
-        tasks = [(ds.k, ds.r, m, ds.n, n2, f) for f in firsts]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for b, b0, bplus, cd in pool.map(_report_branch, tasks):
-                counts.b += b
-                counts.b0 += b0
-                counts.bplus += bplus
-                for d, c in enumerate(cd):
-                    counts.cd[d] += c
+    # one task per first-column candidate; with no column there is no split
+    n_tasks = math.comb(ds.n, ds.r) if m > 0 else 0
+    pool_size = min(workers, n_tasks, os.cpu_count() or 1)
+    if pool_size > 1:
+        tasks = [(ds.k, ds.r, m, n2, first) for first in range(n_tasks)]
+        counts = _ReportCounts(ds.n, n2)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            for part in pool.map(_report_branch, tasks):
+                counts.add(part)
     else:
-        _column_sweep(ds.k, ds.r, m, counts.leaf)
-
-    count_h, count_l = count_hypergraphs(ds, max_space=max_space)
+        counts = _report_branch((ds.k, ds.r, m, n2, None))
 
     report = OracleReport(
         count_b=counts.b,
         count_b0=counts.b0,
         count_bplus=counts.bplus,
-        count_h=count_h,
-        count_l=count_l,
+        count_h=counts.h,
+        count_l=counts.l,
         cd_profile=tuple(counts.cd),
     )
-    _assert_report_invariants(report, m)
+    _assert_report_invariants(report, ds)
     return report
 
 
-def _assert_report_invariants(report: OracleReport, m: int) -> None:
-    fact = math.factorial(m)
+def _assert_report_invariants(report: OracleReport, ds: DegreeSequence) -> None:
+    count_b = count_b_dp(ds)
+    if report.count_b != count_b:
+        raise InvariantViolation(
+            f"|B| = {report.count_b} from the column sweep != {count_b} from "
+            f"the margin-class DP on r={ds.r}, k={ds.k}"
+        )
+    fact = math.factorial(ds.edge_count())
     if report.count_b0 != fact * report.count_h:
         raise InvariantViolation(
             f"(M/r)! * |H| = {fact}*{report.count_h} != |B0| = {report.count_b0}"
@@ -530,12 +500,12 @@ def pattern_expectation(
     total = 0
     graphs = 0
 
-    def leaf(cols):
+    def leaf(cols, weight: int) -> None:
         nonlocal total, graphs
-        graphs += 1
-        total += _occurrences_from_cols(ds.n, tuple(cols), pattern)
+        graphs += weight
+        total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
-    _column_sweep(ds.k, ds.r, m, leaf)
+    _sweep(ds.k, ds.r, m, leaf, _MULTISET)
     if graphs == 0:
         raise ValueError("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)

@@ -1,9 +1,11 @@
 """Independent reference oracles used by the tests.
 
 Everything here recomputes quantities by a route different from the library
-code it checks: naive all-pairs scans, margin-class dynamic programming,
-column-multiset enumeration, and a transformation-based counter for the
-2-regular scaling family.
+code it checks: naive all-pairs scans, column-multiset enumeration, the
+ordered column sweep and the edge-set sweep the exact oracle used before its
+symmetry-reduced sweep, and a transformation-based counter for the 2-regular
+scaling family.  The margin-class dynamic program is re-exported from the
+library, where it cross-checks every ``full_report``.
 """
 from __future__ import annotations
 
@@ -13,8 +15,20 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from linhyper import DegreeSequence
-from linhyper.bigraph_core import BipartiteGraph, _bits
+from linhyper import (
+    BipartiteGraph,
+    ClassFilter,
+    DegreeSequence,
+    OracleReport,
+    Pattern,
+)
+from linhyper.bigraph_core import _battery_from_cols, _bits
+from linhyper.exact_oracle import (  # noqa: F401  (count_b_dp is re-exported)
+    _occurrences_from_cols,
+    _subset_masks,
+    count_b_dp,
+    count_matrices_by_classes,
+)
 
 
 def naive_four_cycles(graph: BipartiteGraph) -> list[tuple[int, int, int, int]]:
@@ -80,57 +94,6 @@ def count_by_multiset(ds: DegreeSequence) -> int:
                 ways //= math.factorial(c)
             total += ways
     return total
-
-
-def count_matrices_by_classes(classes: Counter, r: int, m: int) -> int:
-    """0-1 matrices with given row-sum classes (residual -> row count) and m
-    columns of sum r, counted by dynamic programming over residual classes."""
-    init = tuple(
-        sorted((res, cnt) for res, cnt in classes.items() if res > 0 and cnt > 0)
-    )
-
-    @lru_cache(maxsize=None)
-    def go(state, cols_left):
-        total_residual = sum(res * cnt for res, cnt in state)
-        if cols_left == 0:
-            return 1 if total_residual == 0 else 0
-        if total_residual != r * cols_left:
-            return 0
-        if max((res for res, _ in state), default=0) > cols_left:
-            return 0
-        out = 0
-        state_list = list(state)
-
-        def pick(idx, need, ways, taken_counts):
-            nonlocal out
-            if need == 0:
-                taken_all = taken_counts + [0] * (len(state_list) - len(taken_counts))
-                nxt = Counter()
-                for (res, cnt), taken in zip(state_list, taken_all):
-                    if cnt - taken > 0:
-                        nxt[res] += cnt - taken
-                    if taken and res - 1 > 0:
-                        nxt[res - 1] += taken
-                out += ways * go(tuple(sorted(nxt.items())), cols_left - 1)
-                return
-            if idx == len(state_list):
-                return
-            res, cnt = state_list[idx]
-            for take in range(min(cnt, need) + 1):
-                taken_counts.append(take)
-                pick(idx + 1, need - take, ways * math.comb(cnt, take), taken_counts)
-                taken_counts.pop()
-
-        pick(0, r, 1, [])
-        return out
-
-    return go(init, m)
-
-
-def count_b_dp(ds: DegreeSequence) -> int:
-    return count_matrices_by_classes(
-        Counter(v for v in ds.k if v > 0), ds.r, ds.edge_count()
-    )
 
 
 def k32_expectation_dp(ds: DegreeSequence) -> Fraction:
@@ -267,7 +230,6 @@ def sweep_switchings(ds: DegreeSequence, spot_check_every: int = 211):
     """
     import linhyper as lh
     from linhyper import SwitchTuple, check_forward, check_reverse
-    from linhyper.bigraph_core import _battery_from_cols
 
     n2 = ds.thresholds().n2
     graphs_by_d: dict[int, list] = {}
@@ -466,3 +428,261 @@ def scaling_family_ratio(n: int) -> Fraction | None:
     if s0 == 0:
         return None
     return Fraction(s1, 2 * s0)
+
+
+# --- The exact oracle's sweeps before the symmetry reduction ---------------
+#
+# ``_column_sweep`` visits every ordered column tuple and ``_hyper_sweep``
+# every edge set, as the library did before one non-decreasing sweep
+# replaced them.  The ``reference_*`` functions below rebuild the library's
+# exact-count API on them, so the equivalence tests compare the weighted
+# sweep with full enumeration.
+
+
+def _column_sweep(k, r, m, leaf, prefix=(), b0_prune=False, no4_prune=False):
+    """Visit every ordered column tuple conforming to (k, r).
+
+    Columns are filled left to right, each chosen as an r-subset of the
+    vertices with positive residual degree, in lexicographic order; pruning
+    keeps max residual <= remaining columns and forces vertices whose
+    residual equals the number of remaining columns into the current column.
+    """
+    n = len(k)
+    cands = _subset_masks(n, r)
+    residual = list(k)
+    cols: list[int] = []
+    seen: set[int] = set()
+
+    for mask in prefix:
+        for j in _bits(mask):
+            residual[j] -= 1
+            if residual[j] < 0:
+                raise ValueError("infeasible sweep prefix")
+        cols.append(mask)
+        if b0_prune:
+            seen.add(mask)
+
+    def rec(depth: int) -> None:
+        if depth == m:
+            leaf(cols)
+            return
+        remaining = m - depth
+        forced = 0
+        zero = 0
+        for j in range(n):
+            v = residual[j]
+            if v == remaining:
+                forced |= 1 << j
+            elif v == 0:
+                zero |= 1 << j
+        if forced.bit_count() > r:
+            return
+        for mask in cands:
+            if mask & zero:
+                continue
+            if mask & forced != forced:
+                continue
+            if b0_prune and mask in seen:
+                continue
+            if no4_prune and any((mask & c).bit_count() >= 2 for c in cols):
+                continue
+            for j in _bits(mask):
+                residual[j] -= 1
+            if max(residual, default=0) <= remaining - 1:
+                cols.append(mask)
+                if b0_prune:
+                    seen.add(mask)
+                rec(depth + 1)
+                if b0_prune:
+                    seen.discard(mask)
+                cols.pop()
+            for j in _bits(mask):
+                residual[j] += 1
+
+    rec(len(prefix))
+
+
+def _hyper_sweep(ds: DegreeSequence, leaf, linear_only: bool = False) -> None:
+    """Visit sets of m distinct r-subsets with the given degree sum.
+
+    Edges are generated in strictly increasing lexicographic order, so every
+    simple hypergraph is reached exactly once.  ``leaf`` receives
+    (edge_tuples, edge_masks, pair_count, violations) where ``violations``
+    counts repeated vertex-pair usages (zero iff the hypergraph is linear).
+    """
+    n, r = ds.n, ds.r
+    m = ds.edge_count()
+    combos = list(combinations(range(n), r))
+    masks = _subset_masks(n, r)
+    ncand = len(combos)
+    residual = list(ds.k)
+    pair_count: Counter = Counter()
+    edge_stack: list[tuple[int, ...]] = []
+    mask_stack: list[int] = []
+
+    def rec(depth: int, start: int, violations: int) -> None:
+        if depth == m:
+            leaf(edge_stack, mask_stack, pair_count, violations)
+            return
+        remaining = m - depth
+        forced = 0
+        zero = 0
+        for j in range(n):
+            v = residual[j]
+            if v == remaining:
+                forced |= 1 << j
+            elif v == 0:
+                zero |= 1 << j
+        if forced.bit_count() > r:
+            return
+        for idx in range(start, ncand):
+            mask = masks[idx]
+            if mask & zero or mask & forced != forced:
+                continue
+            combo = combos[idx]
+            for j in combo:
+                residual[j] -= 1
+            if max(residual, default=0) <= remaining - 1:
+                viol_add = 0
+                pairs = list(combinations(combo, 2))
+                for p in pairs:
+                    if pair_count[p]:
+                        viol_add += 1
+                    pair_count[p] += 1
+                if not (linear_only and violations + viol_add > 0):
+                    edge_stack.append(combo)
+                    mask_stack.append(mask)
+                    rec(depth + 1, idx + 1, violations + viol_add)
+                    edge_stack.pop()
+                    mask_stack.pop()
+                for p in pairs:
+                    pair_count[p] -= 1
+            for j in combo:
+                residual[j] += 1
+
+    rec(0, 0, 0)
+
+
+def _n2(ds: DegreeSequence) -> int:
+    return ds.thresholds().n2 if ds.M >= 2 else 0
+
+
+def reference_enumerate(ds: DegreeSequence, visitor=None,
+                        class_filter: ClassFilter = ClassFilter.ALL) -> int:
+    """``enumerate_bigraphs`` by the ordered sweep: one leaf per labeled graph."""
+    m, n, n2 = ds.edge_count(), ds.n, _n2(ds)
+    count = 0
+
+    def leaf(cols) -> None:
+        nonlocal count
+        if class_filter is ClassFilter.BPLUS:
+            _, failed, _ = _battery_from_cols(n, tuple(cols), n2)
+            if failed:
+                return
+        count += 1
+        if visitor is not None:
+            visitor(BipartiteGraph(n, m, list(cols)))
+
+    _column_sweep(ds.k, ds.r, m, leaf, b0_prune=class_filter is ClassFilter.B0,
+                  no4_prune=class_filter is ClassFilter.NO_FOUR_CYCLE)
+    return count
+
+
+def reference_hypergraph_counts(ds: DegreeSequence) -> tuple[int, int]:
+    """(|H|, |L|) by the edge-set sweep, linearity read from its pair counts."""
+    counts = [0, 0]
+
+    def leaf(edges, masks, pair_count, violations) -> None:
+        counts[0] += 1
+        if violations == 0:
+            counts[1] += 1
+
+    _hyper_sweep(ds, leaf)
+    return counts[0], counts[1]
+
+
+def reference_linear_count(ds: DegreeSequence) -> int:
+    """|L| by the edge-set sweep with linearity as a prune."""
+    count = 0
+
+    def leaf(edges, masks, pair_count, violations) -> None:
+        nonlocal count
+        count += 1
+
+    _hyper_sweep(ds, leaf, linear_only=True)
+    return count
+
+
+def reference_class_profile(ds: DegreeSequence) -> tuple[int, ...]:
+    """``hyper_class_profile`` by the edge-set sweep, with the hypergraph-side
+    battery written out on the sweep's pair counts."""
+    n2 = _n2(ds)
+    profile = [0] * (n2 + 1)
+
+    def leaf(edges, masks, pair_count, violations):
+        doubles = [p for p, c in pair_count.items() if c == 2]
+        d = len(doubles)
+        if d > n2:
+            return
+        if any(c >= 3 for c in pair_count.values()):
+            return
+        for ma, mb in combinations(masks, 2):
+            if (ma & mb).bit_count() >= 3:
+                return
+        for mask in masks:
+            contained = 0
+            for x, y in doubles:
+                if mask >> x & 1 and mask >> y & 1:
+                    contained += 1
+                    if contained >= 2:
+                        return
+        per_vertex: Counter = Counter()
+        for x, y in doubles:
+            per_vertex[x] += 1
+            per_vertex[y] += 1
+        if any(c >= 3 for c in per_vertex.values()):
+            return
+        for v, c in per_vertex.items():
+            if c == 2:
+                for x, y in doubles:
+                    if v in (x, y) and per_vertex[x if y == v else y] != 1:
+                        return
+        profile[d] += 1
+
+    _hyper_sweep(ds, leaf)
+    return tuple(profile)
+
+
+def reference_report(ds: DegreeSequence) -> OracleReport:
+    """``full_report`` by the ordered sweep plus the edge-set sweep, with no
+    identity asserted."""
+    m, n, n2 = ds.edge_count(), ds.n, _n2(ds)
+    b = b0 = bplus = 0
+    cd = [0] * (n2 + 1)
+
+    def leaf(cols) -> None:
+        nonlocal b, b0, bplus
+        b += 1
+        cycles, failed, in_b0 = _battery_from_cols(n, tuple(cols), n2)
+        if in_b0:
+            b0 += 1
+        if not failed:
+            bplus += 1
+            cd[len(cycles)] += 1
+
+    _column_sweep(ds.k, ds.r, m, leaf)
+    count_h, count_l = reference_hypergraph_counts(ds)
+    return OracleReport(b, b0, bplus, count_h, count_l, tuple(cd))
+
+
+def reference_pattern_expectation(ds: DegreeSequence, pattern: Pattern) -> Fraction:
+    """``pattern_expectation`` by the ordered sweep."""
+    total = graphs = 0
+
+    def leaf(cols) -> None:
+        nonlocal total, graphs
+        graphs += 1
+        total += _occurrences_from_cols(ds.n, tuple(cols), pattern)
+
+    _column_sweep(ds.k, ds.r, ds.edge_count(), leaf)
+    return Fraction(total, graphs)

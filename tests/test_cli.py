@@ -130,3 +130,24 @@ def test_verify_ratio_check_columns(capsys):
 def test_verify_empty_battery_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--max-space", "2")
     assert code == 2 and "empty" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(capsys, workers):
+    code, _, err = run_cli(capsys, "exact", "-r", "3", "-k", "1,1,1,1,1,1",
+                           "--workers", workers)
+    assert code == 2 and "workers" in err
+    code, _, err = run_cli(capsys, "verify", "--max-space", "9", "--workers", workers)
+    assert code == 2 and "workers" in err
+
+
+def test_verify_spot_check_counts_pinned(capsys):
+    # the spot check skips instances with no well-behaved graph carrying a
+    # 4-cycle and stops at its tenth graph; neither may change the count
+    for argv, want in (
+        (("-r", "3", "--ratio-check"), 8),
+        (("-r", "3"), 8),
+        (("-r", "4"), 0),
+    ):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0 and json.loads(out)["involution_spot_checks"] == want

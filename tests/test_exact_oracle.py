@@ -18,10 +18,35 @@ from linhyper import (
     pattern_upper_bound,
     random_guarded_instances,
 )
-from linhyper.errors import NotDivisible, PreconditionFailed, TooLarge
+from linhyper import exact_oracle
+from linhyper.cli import main
+from linhyper.errors import (
+    InvariantViolation,
+    NotDivisible,
+    PreconditionFailed,
+    TooLarge,
+)
 from linhyper.exact_oracle import _occurrences_from_cols
 
-from support import count_b_dp, count_by_multiset, k32_expectation_dp
+from support import (
+    count_b_dp,
+    count_by_multiset,
+    k32_expectation_dp,
+    reference_class_profile,
+    reference_enumerate,
+    reference_hypergraph_counts,
+    reference_linear_count,
+    reference_pattern_expectation,
+    reference_report,
+)
+
+# The symmetry-reduced sweep against the ordered and edge-set sweeps it
+# replaced: the full battery plus a random stream for the cheap comparisons,
+# a smaller set where the reference visits every labeled graph many times.
+GATE_INSTANCES = canonical_battery() + random_guarded_instances(50, seed=20261018)
+SMALL_GATE_INSTANCES = canonical_battery(max_space=12) + random_guarded_instances(
+    20, seed=20261018, max_space=12
+)
 
 
 def test_enumerate_counts():
@@ -116,6 +141,84 @@ def test_count_linear_fast_path_agrees():
 def test_workers_do_not_change_totals():
     ds = new_degree_sequence((2, 3, 1, 2, 2, 2), 3)
     assert full_report(ds, workers=2) == full_report(ds)
+
+
+def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the tasks in-process and records the requested pool size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(exact_oracle, "ProcessPoolExecutor", RecordingPool)
+    ds = new_degree_sequence((3, 3, 3, 3), 3)  # 4 first-column candidates
+    serial = full_report(ds)
+    for cpus, workers in ((3, 64), (64, 64), (64, 2), (None, 64), (64, 1)):
+        monkeypatch.setattr(exact_oracle.os, "cpu_count", lambda: cpus)
+        assert full_report(ds, workers=workers) == serial
+    # min(workers, tasks, cpus); one process (or an unknown CPU count) runs
+    # the sweep in-process
+    assert sizes == [3, 4, 2]
+
+
+def test_workers_below_one_rejected():
+    ds = new_degree_sequence((1,) * 6, 3)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            full_report(ds, workers=workers)
+
+
+def test_full_report_matches_ordered_sweep():
+    for ds in GATE_INSTANCES:
+        assert full_report(ds) == reference_report(ds), ds
+
+
+def test_enumerate_matches_ordered_sweep():
+    for ds in SMALL_GATE_INSTANCES:
+        for class_filter in ClassFilter:
+            assert enumerate_bigraphs(ds, class_filter=class_filter) == (
+                reference_enumerate(ds, class_filter=class_filter)
+            ), (ds, class_filter)
+            seen, want = [], []
+            enumerate_bigraphs(ds, seen.append, class_filter)
+            reference_enumerate(ds, want.append, class_filter)
+            assert seen == want, (ds, class_filter)
+
+
+def test_hypergraph_counts_match_edge_set_sweep():
+    for ds in GATE_INSTANCES:
+        assert count_hypergraphs(ds) == reference_hypergraph_counts(ds), ds
+        assert count_linear_hypergraphs(ds) == reference_linear_count(ds), ds
+        assert hyper_class_profile(ds) == reference_class_profile(ds), ds
+
+
+def test_pattern_expectation_matches_ordered_sweep():
+    for ds in SMALL_GATE_INSTANCES:
+        if count_b_dp(ds) == 0:
+            continue
+        for pattern in Pattern:
+            assert pattern_expectation(ds, pattern) == (
+                reference_pattern_expectation(ds, pattern)
+            ), (ds, pattern)
+
+
+def test_wrong_margin_dp_is_an_identity_violation(monkeypatch, capsys):
+    monkeypatch.setattr(exact_oracle, "count_b_dp", lambda ds: count_b_dp(ds) + 1)
+    with pytest.raises(InvariantViolation, match="margin-class DP"):
+        full_report(new_degree_sequence((2, 3, 1, 2, 2, 2), 3))
+    assert main(["exact", "-r", "3", "-k", "1,1,1,1,1,1"]) == 1
+    assert "margin-class DP" in capsys.readouterr().err
 
 
 def test_pattern_expectation_examples():
