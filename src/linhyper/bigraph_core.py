@@ -15,8 +15,10 @@ sequence:
   (iv)  any three distinct 4-cycles involve at least five left vertices,
   (v)   the number of 4-cycles is at most the cap n2.
 
-A conforming graph passing all five is "well-behaved"; the corresponding
-hypergraph is then simple and has exactly one double link per 4-cycle.
+A conforming graph with distinct columns passing all five is "well-behaved";
+its hypergraph is then simple with exactly one double link per 4-cycle.  For
+r >= 3, (i) already forces distinct columns; for r = 2 two equal columns form
+one 4-cycle that passes all five.
 """
 from __future__ import annotations
 
@@ -40,7 +42,8 @@ def _bits(mask: int):
 
 @dataclass(frozen=True)
 class FourCycle:
-    """An unordered copy of the complete 2x2 bipartite subgraph."""
+    """An unordered copy of the complete 2x2 bipartite subgraph; ``left_pair``
+    and ``right_pair`` are ascending."""
 
     left_pair: tuple[int, int]
     right_pair: tuple[int, int]
@@ -150,35 +153,16 @@ class BipartiteGraph:
         return BipartiteGraph(self.n_left, self.n_right, cols)
 
     def four_cycles(self) -> tuple[FourCycle, ...]:
-        """All copies of the complete 2x2 subgraph, in lexicographic order.
-
-        Enumerated by bucketing right-vertex pairs over the wedges at each
-        left vertex, which is linear in the wedge count rather than quadratic
-        in the number of right vertices.
-        """
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for j, row in enumerate(self.rows):
-            nbrs = list(_bits(row))
-            for pair in combinations(nbrs, 2):
-                buckets.setdefault(pair, []).append(j)
-        cycles = []
-        for (i1, i2), lefts in buckets.items():
-            if len(lefts) >= 2:
-                for j1, j2 in combinations(lefts, 2):
-                    cycles.append(FourCycle((j1, j2), (i1, i2)))
-        cycles.sort(key=lambda c: (c.left_pair, c.right_pair))
-        return tuple(cycles)
+        """All copies of the complete 2x2 subgraph, in lexicographic order."""
+        rows = (list(_bits(row)) for row in self.rows)
+        return tuple(
+            FourCycle((j1, j2), (i1, i2))
+            for j1, j2, i1, i2 in _four_cycles_of_rows(rows)
+        )
 
     def has_four_cycle(self) -> bool:
         """Early-exit 4-cycle test used by the samplers."""
-        seen = set()
-        for row in self.rows:
-            nbrs = list(_bits(row))
-            for pair in combinations(nbrs, 2):
-                if pair in seen:
-                    return True
-                seen.add(pair)
-        return False
+        return _has_four_cycle_rows(list(_bits(row)) for row in self.rows)
 
     def has_copy(self, a: int, b: int) -> bool:
         """True iff some a left and b right vertices induce a subgraph that
@@ -342,36 +326,57 @@ def from_hypergraph(hg: Hypergraph) -> BipartiteGraph:
     return BipartiteGraph(hg.n, len(cols), cols)
 
 
+def _four_cycles_of_rows(rows) -> list[tuple[int, int, int, int]]:
+    """All 4-cycles as the sorted list of (j1, j2, i1, i2), j1 < j2, i1 < i2.
+
+    ``rows[j]`` is the ascending list of right neighbours of left vertex j.
+    Left vertices are bucketed by the right pairs of their wedges, which is
+    linear in the wedge count rather than quadratic in the right vertices.
+    """
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for j, nbrs in enumerate(rows):
+        for pair in combinations(nbrs, 2):
+            buckets.setdefault(pair, []).append(j)
+    cycles = [
+        (j1, j2, i1, i2)
+        for (i1, i2), lefts in buckets.items()
+        if len(lefts) > 1
+        for j1, j2 in combinations(lefts, 2)
+    ]
+    cycles.sort()
+    return cycles
+
+
+def _has_four_cycle_rows(rows) -> bool:
+    """True iff two left vertices share a right pair; ``rows`` as for
+    ``_four_cycles_of_rows``, read only up to the first repeated pair."""
+    seen = set()
+    for nbrs in rows:
+        for pair in combinations(nbrs, 2):
+            if pair in seen:
+                return True
+            seen.add(pair)
+    return False
+
+
 def _structure_from_cols(n_left: int, cols: tuple[int, ...]):
     """One-pass structural scan: 4-cycles plus the 3x2 / 2x3 pattern flags.
 
     Returns (cycles, has_k32, has_k23) where cycles is the sorted list of
     (j1, j2, i1, i2) tuples.
     """
-    rows: dict[int, list[int]] = {}
+    rows: list[list[int]] = [[] for _ in range(n_left)]
     for i, c in enumerate(cols):
         for j in _bits(c):
-            rows.setdefault(j, []).append(i)
-
-    right_pair_lefts: dict[tuple[int, int], list[int]] = {}
-    for j, nbrs in rows.items():
-        for pair in combinations(nbrs, 2):
-            right_pair_lefts.setdefault(pair, []).append(j)
-
+            rows[j].append(i)
+    cycles = _four_cycles_of_rows(rows)
+    # three left vertices on one right pair give two cycles on that pair
+    has_k32 = len({(i1, i2) for _, _, i1, i2 in cycles}) < len(cycles)
     left_pair_count: Counter = Counter()
     for c in cols:
         for pair in combinations(tuple(_bits(c)), 2):
             left_pair_count[pair] += 1
-
-    has_k32 = any(len(ls) >= 3 for ls in right_pair_lefts.values())
     has_k23 = any(v >= 3 for v in left_pair_count.values())
-
-    cycles = []
-    for (i1, i2), lefts in right_pair_lefts.items():
-        if len(lefts) >= 2:
-            for j1, j2 in combinations(lefts, 2):
-                cycles.append((j1, j2, i1, i2))
-    cycles.sort()
     return cycles, has_k32, has_k23
 
 
@@ -416,14 +421,15 @@ def classify(graph: BipartiteGraph, ds: DegreeSequence) -> Classification:
             f"graph degrees {graph.left_degrees()}/{graph.right_degrees()} "
             f"do not conform to r={ds.r}, k={ds.k}"
         )
-    n2 = ds.thresholds().n2 if ds.M >= 2 else 0
-    cycles, failed, in_b0 = _battery_from_cols(graph.n_left, graph.cols, n2)
+    cycles, failed, in_b0 = _battery_from_cols(
+        graph.n_left, graph.cols, ds.four_cycle_cap
+    )
     four = tuple(FourCycle((j1, j2), (i1, i2)) for j1, j2, i1, i2 in cycles)
     return Classification(
         four_cycles=four,
         d=len(four),
         in_b0=in_b0,
-        in_bplus=not failed,
+        in_bplus=in_b0 and not failed,
         failed_properties=frozenset(failed),
     )
 

@@ -105,6 +105,11 @@ class DegreeSequence:
         )
         return Thresholds(n2=3 * q1, q1=q1, q2=q2, sparsity_indicator=sparsity)
 
+    @cached_property
+    def four_cycle_cap(self) -> int:
+        """The well-behaved cap on 4-cycles: ``thresholds().n2``, 0 if M < 2."""
+        return self.thresholds().n2 if self.M >= 2 else 0
+
     def to_json_dict(self) -> dict:
         return {"r": self.r, "k": list(self.k)}
 

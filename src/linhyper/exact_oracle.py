@@ -241,10 +241,10 @@ class _ReportCounts:
         if in_b0:
             self.b0 += weight
             self.h += 1
-        if not failed:
+        if in_b0 and not failed:
             self.bplus += weight
             self.cd[len(cycles)] += weight
-            if in_b0 and not cycles:
+            if not cycles:
                 self.l += 1
 
     def add(self, other: "_ReportCounts") -> None:
@@ -283,7 +283,7 @@ def enumerate_bigraphs(
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
-    n2 = ds.thresholds().n2 if ds.M >= 2 else 0
+    n2 = ds.four_cycle_cap
     n = ds.n
     count = 0
 
@@ -299,8 +299,8 @@ def enumerate_bigraphs(
         if class_filter is ClassFilter.B0 and len(set(cols)) < m:
             return
         if class_filter is ClassFilter.BPLUS:
-            _, failed, _ = _battery_from_cols(n, tuple(cols), n2)
-            if failed:
+            _, failed, in_b0 = _battery_from_cols(n, tuple(cols), n2)
+            if failed or not in_b0:
                 return
         count += weight
         if visitor is not None:
@@ -365,7 +365,7 @@ def hyper_class_profile(
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
-    n2 = ds.thresholds().n2 if ds.M >= 2 else 0
+    n2 = ds.four_cycle_cap
     profile = [0] * (n2 + 1)
 
     def leaf(masks, weight: int) -> None:
@@ -394,7 +394,7 @@ def full_report(
         raise ValueError("workers must be >= 1")
     m = ds.edge_count()
     check_guard(ds, max_space)
-    n2 = ds.thresholds().n2 if ds.M >= 2 else 0
+    n2 = ds.four_cycle_cap
 
     # one task per first-column candidate; with no column there is no split
     n_tasks = math.comb(ds.n, ds.r) if m > 0 else 0

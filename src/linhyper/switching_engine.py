@@ -18,12 +18,13 @@ are bit-identical.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bigraph_core import BipartiteGraph, Classification, classify
+from .bigraph_core import BipartiteGraph, Classification, _has_four_cycle_rows, classify
 from .degree_model import DegreeSequence
 from .errors import (
     NoFourCycle,
@@ -280,6 +281,16 @@ def _stub_arrays(ds: DegreeSequence, m: int):
     return left_owner, right_owner
 
 
+def _simple_pairing(rng, left_owner, right_owner, m: int, budget: int):
+    """Draw pairings until one has no repeated edge, at most ``budget``
+    rejections; returns (perm, rejections), perm[s] the right end of stub s."""
+    for rejections in range(budget + 1):
+        perm = rng.permutation(right_owner)
+        if np.unique(left_owner * m + perm).size == perm.size:
+            return perm, rejections
+    raise RetryLimitExceeded(f"no simple pairing found in {budget + 1} draws")
+
+
 def pairing_sample(
     ds: DegreeSequence, rng: np.random.Generator, max_retries: int = 10_000
 ) -> PairingResult:
@@ -295,19 +306,11 @@ def pairing_sample(
     if ds.M < 1:
         raise PreconditionFailed("pairing sample requires at least one half-edge")
     left_owner, right_owner = _stub_arrays(ds, m)
-    rejections = 0
-    for _ in range(max_retries + 1):
-        perm = rng.permutation(right_owner)
-        keys = left_owner * m + perm
-        if np.unique(keys).size == ds.M:
-            cols = [0] * m
-            for j, i in zip(left_owner.tolist(), perm.tolist()):
-                cols[i] |= 1 << j
-            return PairingResult(BipartiteGraph(ds.n, m, cols), rejections)
-        rejections += 1
-    raise RetryLimitExceeded(
-        f"no simple pairing found in {max_retries} retries"
-    )
+    perm, rejections = _simple_pairing(rng, left_owner, right_owner, m, max_retries)
+    cols = [0] * m
+    for j, i in zip(left_owner.tolist(), perm.tolist()):
+        cols[i] |= 1 << j
+    return PairingResult(BipartiteGraph(ds.n, m, cols), rejections)
 
 
 def sample_no4cycle(
@@ -386,39 +389,16 @@ def _girth_worker(args) -> tuple[int, int]:
     rng = np.random.default_rng(child)
     left_owner, right_owner = _stub_arrays(ds, m)
     offsets = np.concatenate(([0], np.cumsum(ds.k))).tolist()
+    spans = list(zip(offsets, offsets[1:]))
     hits = 0
     rejections = 0
     for _ in range(trials):
-        while True:
-            perm = rng.permutation(right_owner)
-            keys = left_owner * m + perm
-            if np.unique(keys).size == ds.M:
-                break
-            rejections += 1
-            if rejections > max_retries:
-                raise RetryLimitExceeded(
-                    f"no simple pairing found within {max_retries} rejections"
-                )
+        perm, rejected = _simple_pairing(
+            rng, left_owner, right_owner, m, max_retries - rejections
+        )
+        rejections += rejected
         rights = perm.tolist()
-        seen = set()
-        cycle = False
-        for j in range(ds.n):
-            lo, hi = offsets[j], offsets[j + 1]
-            if hi - lo < 2:
-                continue
-            nbrs = sorted(rights[lo:hi])
-            for a in range(len(nbrs) - 1):
-                for b in range(a + 1, len(nbrs)):
-                    key = nbrs[a] * m + nbrs[b]
-                    if key in seen:
-                        cycle = True
-                        break
-                    seen.add(key)
-                if cycle:
-                    break
-            if cycle:
-                break
-        if not cycle:
+        if not _has_four_cycle_rows(sorted(rights[lo:hi]) for lo, hi in spans):
             hits += 1
     return hits, rejections
 
@@ -435,7 +415,9 @@ def monte_carlo_girth(
     Counts 4-cycle-free pairing samples; the normal-approximation 95% CI
     half-width and the closed-form prediction are included in the result.
     Replay with identical (seed, workers) is bit-identical; changing the
-    worker count changes the substream split and hence the estimate.
+    worker count changes the substream split and hence the estimate.  The
+    substreams run on at most min(workers, tasks, CPU count) processes, and
+    in-process when that is 1.
     """
     if trials < 1:
         raise PreconditionFailed(f"trials must be >= 1, got {trials}")
@@ -449,16 +431,14 @@ def monte_carlo_girth(
         for w in range(workers)
         if base + (1 if w < extra else 0) > 0
     ]
-    hits = 0
-    rejections = 0
-    if workers == 1:
-        results = [_girth_worker(tasks[0])]
+    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    if pool_size == 1:
+        results = [_girth_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_girth_worker, tasks))
-    for h, rej in results:
-        hits += h
-        rejections += rej
+    hits = sum(h for h, _ in results)
+    rejections = sum(rej for _, rej in results)
     p_hat = hits / trials
     ci = _Z95 * (p_hat * (1.0 - p_hat) / trials) ** 0.5
     return GirthEstimate(

@@ -235,8 +235,8 @@ def sweep_switchings(ds: DegreeSequence, spot_check_every: int = 211):
     graphs_by_d: dict[int, list] = {}
 
     def collect(graph):
-        cycles, failed, _ = _battery_from_cols(graph.n_left, graph.cols, n2)
-        if not failed:
+        cycles, failed, in_b0 = _battery_from_cols(graph.n_left, graph.cols, n2)
+        if in_b0 and not failed:
             graphs_by_d.setdefault(len(cycles), []).append((graph, cycles))
 
     lh.enumerate_bigraphs(ds, visitor=collect)
@@ -563,21 +563,17 @@ def _hyper_sweep(ds: DegreeSequence, leaf, linear_only: bool = False) -> None:
     rec(0, 0, 0)
 
 
-def _n2(ds: DegreeSequence) -> int:
-    return ds.thresholds().n2 if ds.M >= 2 else 0
-
-
 def reference_enumerate(ds: DegreeSequence, visitor=None,
                         class_filter: ClassFilter = ClassFilter.ALL) -> int:
     """``enumerate_bigraphs`` by the ordered sweep: one leaf per labeled graph."""
-    m, n, n2 = ds.edge_count(), ds.n, _n2(ds)
+    m, n, n2 = ds.edge_count(), ds.n, ds.four_cycle_cap
     count = 0
 
     def leaf(cols) -> None:
         nonlocal count
         if class_filter is ClassFilter.BPLUS:
-            _, failed, _ = _battery_from_cols(n, tuple(cols), n2)
-            if failed:
+            _, failed, in_b0 = _battery_from_cols(n, tuple(cols), n2)
+            if failed or not in_b0:
                 return
         count += 1
         if visitor is not None:
@@ -616,7 +612,7 @@ def reference_linear_count(ds: DegreeSequence) -> int:
 def reference_class_profile(ds: DegreeSequence) -> tuple[int, ...]:
     """``hyper_class_profile`` by the edge-set sweep, with the hypergraph-side
     battery written out on the sweep's pair counts."""
-    n2 = _n2(ds)
+    n2 = ds.four_cycle_cap
     profile = [0] * (n2 + 1)
 
     def leaf(edges, masks, pair_count, violations):
@@ -656,7 +652,7 @@ def reference_class_profile(ds: DegreeSequence) -> tuple[int, ...]:
 def reference_report(ds: DegreeSequence) -> OracleReport:
     """``full_report`` by the ordered sweep plus the edge-set sweep, with no
     identity asserted."""
-    m, n, n2 = ds.edge_count(), ds.n, _n2(ds)
+    m, n, n2 = ds.edge_count(), ds.n, ds.four_cycle_cap
     b = b0 = bplus = 0
     cd = [0] * (n2 + 1)
 
@@ -666,7 +662,7 @@ def reference_report(ds: DegreeSequence) -> OracleReport:
         cycles, failed, in_b0 = _battery_from_cols(n, tuple(cols), n2)
         if in_b0:
             b0 += 1
-        if not failed:
+        if in_b0 and not failed:
             bplus += 1
             cd[len(cycles)] += 1
 

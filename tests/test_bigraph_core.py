@@ -99,6 +99,21 @@ def test_four_cycles_match_naive_scan():
         assert sorted(got) == sorted(naive_four_cycles(g))
         assert g.has_four_cycle() == bool(got)
 
+    # classify reports the same 4-cycles, pairs ascending, in the same order;
+    # in this graph left vertex 5 enters a column before left vertex 1
+    g = BipartiteGraph(6, 3, [0b110001, 0b100110, 0b101010])
+    ds = new_degree_sequence(g.left_degrees(), 3)
+    assert classify(g, ds).four_cycles == g.four_cycles()
+    assert [c.left_pair for c in g.four_cycles()] == [(1, 5)]
+    for _ in range(120):
+        n = rng.randint(2, 8)
+        r = rng.randint(2, n)
+        m = rng.randint(1, 8)
+        cols = [sum(1 << j for j in rng.sample(range(n), r)) for _ in range(m)]
+        g = BipartiteGraph(n, m, cols)
+        ds = new_degree_sequence(g.left_degrees(), r)
+        assert classify(g, ds).four_cycles == g.four_cycles()
+
 
 def test_has_copy(demo_graph):
     assert not demo_graph.has_copy(3, 2)

@@ -108,6 +108,18 @@ def test_girth_replay_and_seed_report(capsys):
     assert payload["seed"] == 11 and payload["trials"] == 300
     assert 0 <= payload["p_hat"] <= 1
     assert payload["predicted"] == pytest.approx(2.718281828459045 ** -1, rel=1e-12)
+    # pinned replay: the (seed, workers) substream split and the random stream
+    # of the pairing draws are part of the output contract
+    k12 = ",".join(["2"] * 12)
+    for workers, p_hat, rejections in (
+        ("1", 0.23333333333333334, 558),
+        ("3", 0.30333333333333334, 594),
+    ):
+        code, out, _ = run_cli(capsys, "girth", "-r", "3", "-k", k12, "--seed", "11",
+                               "--trials", "300", "--workers", workers)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["p_hat"], payload["rejections"]) == (p_hat, rejections)
 
 
 def test_verify_default_battery(capsys):
@@ -151,3 +163,19 @@ def test_verify_spot_check_counts_pinned(capsys):
     ):
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0 and json.loads(out)["involution_spot_checks"] == want
+
+
+@pytest.mark.parametrize("k", ["2,2", "1,1,2,2"])
+def test_exact_r2_equal_columns_are_not_well_behaved(capsys, k):
+    # for r = 2 two equal columns form one 4-cycle passing properties (i)-(v);
+    # well-behaved also requires distinct columns, so |B+| <= |B0| holds
+    code, out, _ = run_cli(capsys, "exact", "-r", "2", "-k", k)
+    payload = json.loads(out)
+    assert code == 0
+    assert int(payload["count_bplus"]) <= int(payload["count_b0"])
+    assert payload["count_bplus"] == payload["cd_profile"][0]
+
+
+def test_verify_r2_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "verify", "-r", "2")
+    assert code == 0 and json.loads(out)["identities"] == "ok"

@@ -70,6 +70,8 @@ def test_thresholds_examples():
 
     with pytest.raises(DegenerateM):
         new_degree_sequence((1,), 3).thresholds()
+    assert new_degree_sequence((1,), 3).four_cycle_cap == 0
+    assert new_degree_sequence((2,) * 10, 3).four_cycle_cap == 24
 
 
 def test_threshold_invariants():

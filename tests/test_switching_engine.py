@@ -304,3 +304,39 @@ def test_monte_carlo_worker_split_is_deterministic():
     assert a.predicted == pytest.approx(
         float(np.exp(-1.0)), rel=1e-12
     )
+
+
+def test_girth_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
+    from linhyper import switching_engine
+
+    sizes = []
+
+    class RecordingPool:
+        """Runs the tasks in-process and records the requested pool size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(switching_engine, "ProcessPoolExecutor", RecordingPool)
+    ds = new_degree_sequence((2,) * 12, 3)
+    for cpus, workers, trials in ((3, 64, 40), (64, 64, 3), (64, 2, 40),
+                                  (None, 4, 40), (1, 4, 40), (64, 1, 40)):
+        monkeypatch.setattr(switching_engine.os, "cpu_count", lambda: cpus)
+        est = monte_carlo_girth(ds, seed=5, trials=trials, workers=workers)
+        # the substream split follows ``workers``, not the pool size
+        sizes_before = list(sizes)
+        monkeypatch.setattr(switching_engine.os, "cpu_count", lambda: 1)
+        assert monte_carlo_girth(ds, seed=5, trials=trials, workers=workers) == est
+        assert sizes == sizes_before
+    # min(workers, tasks, cpus); one process (or an unknown CPU count) runs
+    # every task in-process
+    assert sizes == [3, 3, 2]
