@@ -161,7 +161,7 @@ class BipartiteGraph:
         )
 
     def has_four_cycle(self) -> bool:
-        """Early-exit 4-cycle test used by the samplers."""
+        """4-cycle test that stops at the first repeated right pair."""
         return _has_four_cycle_rows(list(_bits(row)) for row in self.rows)
 
     def has_copy(self, a: int, b: int) -> bool:

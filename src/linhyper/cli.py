@@ -61,6 +61,12 @@ def _add_ds_args(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _resolve_ds(args) -> DegreeSequence:
     if args.k is not None:
         if args.r is None:
@@ -337,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="sample a 4-cycle-free graph")
     _add_ds_args(p_sample)
-    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.add_argument("--seed", type=non_negative_int, default=None)
     p_sample.set_defaults(func=cmd_sample)
 
     p_girth = sub.add_parser("girth", help="Monte Carlo girth-6 probability")
     _add_ds_args(p_girth)
-    p_girth.add_argument("--seed", type=int, default=None)
+    p_girth.add_argument("--seed", type=non_negative_int, default=None)
     p_girth.add_argument("--trials", type=int, default=1000)
     p_girth.add_argument("--workers", type=int, default=1)
     p_girth.add_argument("--format", choices=("json", "csv"), default="json")

@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bigraph_core import BipartiteGraph, Classification, _has_four_cycle_rows, classify
+from .bigraph_core import BipartiteGraph, Classification, classify
 from .degree_model import DegreeSequence
 from .errors import (
     NoFourCycle,
@@ -275,19 +275,48 @@ def check_reverse(graph: BipartiteGraph, t: SwitchTuple) -> LegalityVerdict:
     )
 
 
-def _stub_arrays(ds: DegreeSequence, m: int):
-    left_owner = np.repeat(np.arange(ds.n, dtype=np.int64), ds.k)
-    right_owner = np.repeat(np.arange(m, dtype=np.int64), ds.r)
-    return left_owner, right_owner
+class _PairingKernel:
+    """Stub arrays and sort-based tests for pairings of one degree sequence;
+    ``blocks`` holds, per left degree d >= 2, the (n_d, d) stub indices of its
+    vertices and the column pairs a < b of a row."""
+
+    def __init__(self, ds: DegreeSequence):
+        self.m = m = ds.edge_count()
+        self.left_owner = np.repeat(np.arange(ds.n, dtype=np.int64), ds.k)
+        self.right_owner = np.repeat(np.arange(m, dtype=np.int64), ds.r)
+        self.edge_keys = self.left_owner * m
+        k = np.asarray(ds.k, dtype=np.int64)
+        starts = np.cumsum(k) - k
+        self.blocks = [(starts[k == d][:, None] + np.arange(d), *np.triu_indices(d, 1))
+                       for d in sorted(set(ds.k) - {0, 1})]
+
+    def sort_rows(self, perm):
+        """(rows, simple): ``perm`` with each left vertex's right ends in
+        ascending order, read off the sorted edge keys j*m + perm[s], and
+        whether no key repeats (no repeated edge)."""
+        keys = np.sort(self.edge_keys + perm)
+        return keys - self.edge_keys, not (keys[1:] == keys[:-1]).any()
+
+    def has_four_cycle(self, rows) -> bool:
+        """Rows of a simple pairing: is a right pair i1 < i2 in two rows?"""
+        keys = [np.empty(0, dtype=np.int64)]
+        for idx, a, b in self.blocks:
+            block = rows[idx]
+            keys.append((block[:, a] * self.m + block[:, b]).ravel())
+        keys = np.sort(np.concatenate(keys))
+        return bool((keys[1:] == keys[:-1]).any())
 
 
-def _simple_pairing(rng, left_owner, right_owner, m: int, budget: int):
+def _simple_pairing(rng, kernel: _PairingKernel, budget: int):
     """Draw pairings until one has no repeated edge, at most ``budget``
-    rejections; returns (perm, rejections), perm[s] the right end of stub s."""
+    rejections; returns (rows, rejections), rows as from ``sort_rows``.
+    Each draw is one ``rng.permutation``, tested by sorting its edge keys and
+    comparing neighbours: the random stream and every accept or reject are
+    those of counting the distinct keys."""
     for rejections in range(budget + 1):
-        perm = rng.permutation(right_owner)
-        if np.unique(left_owner * m + perm).size == perm.size:
-            return perm, rejections
+        rows, simple = kernel.sort_rows(rng.permutation(kernel.right_owner))
+        if simple:
+            return rows, rejections
     raise RetryLimitExceeded(f"no simple pairing found in {budget + 1} draws")
 
 
@@ -302,15 +331,14 @@ def pairing_sample(
     The expected number of rejections per acceptance grows with the loop
     exponent (r-1) M_2 / (2M) of the instance.
     """
-    m = ds.edge_count()
     if ds.M < 1:
         raise PreconditionFailed("pairing sample requires at least one half-edge")
-    left_owner, right_owner = _stub_arrays(ds, m)
-    perm, rejections = _simple_pairing(rng, left_owner, right_owner, m, max_retries)
-    cols = [0] * m
-    for j, i in zip(left_owner.tolist(), perm.tolist()):
+    kernel = _PairingKernel(ds)
+    rows, rejections = _simple_pairing(rng, kernel, max_retries)
+    cols = [0] * kernel.m
+    for j, i in zip(kernel.left_owner.tolist(), rows.tolist()):
         cols[i] |= 1 << j
-    return PairingResult(BipartiteGraph(ds.n, m, cols), rejections)
+    return PairingResult(BipartiteGraph(ds.n, kernel.m, cols), rejections)
 
 
 def sample_no4cycle(
@@ -383,23 +411,13 @@ def sample_no4cycle(
 
 def _girth_worker(args) -> tuple[int, int]:
     r, k, seed, worker_index, workers, trials, max_retries = args
-    ds = DegreeSequence(r=r, k=k)
-    m = ds.edge_count()
-    child = np.random.SeedSequence(seed).spawn(workers)[worker_index]
-    rng = np.random.default_rng(child)
-    left_owner, right_owner = _stub_arrays(ds, m)
-    offsets = np.concatenate(([0], np.cumsum(ds.k))).tolist()
-    spans = list(zip(offsets, offsets[1:]))
-    hits = 0
-    rejections = 0
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(workers)[worker_index])
+    kernel = _PairingKernel(DegreeSequence(r=r, k=k))
+    hits = rejections = 0
     for _ in range(trials):
-        perm, rejected = _simple_pairing(
-            rng, left_owner, right_owner, m, max_retries - rejections
-        )
+        rows, rejected = _simple_pairing(rng, kernel, max_retries - rejections)
         rejections += rejected
-        rights = perm.tolist()
-        if not _has_four_cycle_rows(sorted(rights[lo:hi]) for lo, hi in spans):
-            hits += 1
+        hits += not kernel.has_four_cycle(rows)
     return hits, rejections
 
 
@@ -414,8 +432,10 @@ def monte_carlo_girth(
 
     Counts 4-cycle-free pairing samples; the normal-approximation 95% CI
     half-width and the closed-form prediction are included in the result.
-    Replay with identical (seed, workers) is bit-identical; changing the
-    worker count changes the substream split and hence the estimate.  The
+    A trial finds a 4-cycle by sorting the right-pair keys of all drawn rows;
+    these sort-based tests leave the random stream unchanged.  Replay with
+    identical (seed, workers) is bit-identical; changing the worker count
+    changes the substream split and hence the estimate.  The
     substreams run on at most min(workers, tasks, CPU count) processes, and
     in-process when that is 1.
     """
@@ -424,28 +444,17 @@ def monte_carlo_girth(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     predicted = girth6_probability(ds).value
-    base = trials // workers
-    extra = trials % workers
-    tasks = [
-        (ds.r, ds.k, seed, w, workers, base + (1 if w < extra else 0), max_retries)
-        for w in range(workers)
-        if base + (1 if w < extra else 0) > 0
-    ]
+    base, extra = divmod(trials, workers)
+    tasks = [(ds.r, ds.k, seed, w, workers, share, max_retries)
+             for w in range(workers) if (share := base + (w < extra)) > 0]
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size == 1:
         results = [_girth_worker(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_girth_worker, tasks))
-    hits = sum(h for h, _ in results)
-    rejections = sum(rej for _, rej in results)
+    hits, rejections = map(sum, zip(*results))
     p_hat = hits / trials
     ci = _Z95 * (p_hat * (1.0 - p_hat) / trials) ** 0.5
-    return GirthEstimate(
-        p_hat=p_hat,
-        ci_halfwidth=ci,
-        trials=trials,
-        predicted=predicted,
-        seed=seed,
-        rejections=rejections,
-    )
+    return GirthEstimate(p_hat=p_hat, ci_halfwidth=ci, trials=trials,
+                         predicted=predicted, seed=seed, rejections=rejections)

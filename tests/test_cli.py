@@ -153,6 +153,13 @@ def test_workers_below_one_exit_2(capsys, workers):
     assert code == 2 and "workers" in err
 
 
+@pytest.mark.parametrize("command", ["girth", "sample"])
+def test_negative_seed_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-r", "3", "-k", "2,2,2,2,2,2", "--seed", "-1"])
+    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+
+
 def test_verify_spot_check_counts_pinned(capsys):
     # the spot check skips instances with no well-behaved graph carrying a
     # 4-cycle and stops at its tenth graph; neither may change the count

@@ -340,3 +340,47 @@ def test_girth_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
     # min(workers, tasks, cpus); one process (or an unknown CPU count) runs
     # every task in-process
     assert sizes == [3, 3, 2]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_pairing_kernel_matches_unique_count_and_graph_scan(r):
+    # the sort-based tests against a distinct-key count and the graph's own
+    # 4-cycle scan, on every draw over mixed degrees (0 and 1 included)
+    from linhyper.switching_engine import _PairingKernel
+
+    rng = np.random.default_rng(70 + r)
+    outcomes = set()
+    for _ in range(40):
+        k = [0, 1] + rng.integers(0, 5, size=int(rng.integers(3, 10))).tolist()
+        k += [1] * (-sum(k) % r)
+        ds = new_degree_sequence(k, r)
+        kernel = _PairingKernel(ds)
+        m = ds.edge_count()
+        starts = np.cumsum(k) - np.asarray(k)
+        for _ in range(25):
+            perm = rng.permutation(kernel.right_owner)
+            rows, simple = kernel.sort_rows(perm)
+            assert simple == (np.unique(kernel.left_owner * m + perm).size == perm.size)
+            if not simple:
+                outcomes.add("rejected")
+                continue
+            lefts = kernel.left_owner.tolist()
+            graph = BipartiteGraph.from_edges(ds.n, m, zip(lefts, perm.tolist()))
+            # the rows hold the same edges, each left vertex's in ascending order
+            assert BipartiteGraph.from_edges(ds.n, m, zip(lefts, rows.tolist())) == graph
+            assert all(rows[lo:hi].tolist() == sorted(perm[lo:hi].tolist())
+                       for lo, hi in zip(starts, starts + np.asarray(k)))
+            assert kernel.has_four_cycle(rows) == graph.has_four_cycle(), (k, perm)
+            outcomes.add(graph.has_four_cycle())
+    assert outcomes == {"rejected", True, False}
+
+
+def test_girth_stream_pinned_on_mixed_degrees():
+    # degrees 0-4 in no order: the pinned (p_hat, rejections) fix the random
+    # stream, the accept rule and the 4-cycle test beyond all-degree-2 rows
+    k = (3, 3, 2, 2, 1, 1, 0, 2, 3, 2, 3, 3, 3, 2, 0, 4, 1,
+         2, 2, 2, 1, 2, 3, 3, 3, 1, 2, 3, 2, 2, 1, 4, 2, 2)
+    ds = new_degree_sequence(k, 3)
+    for workers, p_hat, rejections in ((1, 0.0525, 1632), (2, 0.0725, 1647)):
+        est = monte_carlo_girth(ds, seed=2024, trials=400, workers=workers)
+        assert (est.p_hat, est.rejections) == (p_hat, rejections)
