@@ -67,6 +67,16 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
+class PositiveInt(argparse.Action):
+    """Int option that must be >= 1; a smaller value is a ValueError naming the
+    option, which ``main`` returns as exit 2 (not the parser's SystemExit)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            raise ValueError(f"argument {option_string}: must be a positive integer, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _resolve_ds(args) -> DegreeSequence:
     if args.k is not None:
         if args.r is None:
@@ -328,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="exact counts by exhaustive search")
     _add_ds_args(p_exact)
     p_exact.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
-    p_exact.add_argument("--workers", type=int, default=1)
+    p_exact.add_argument("--workers", type=int, default=1, action=PositiveInt)
     p_exact.add_argument("--format", choices=("json", "csv"), default="json")
     p_exact.set_defaults(func=cmd_exact)
 
@@ -349,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_girth = sub.add_parser("girth", help="Monte Carlo girth-6 probability")
     _add_ds_args(p_girth)
     p_girth.add_argument("--seed", type=non_negative_int, default=None)
-    p_girth.add_argument("--trials", type=int, default=1000)
-    p_girth.add_argument("--workers", type=int, default=1)
+    p_girth.add_argument("--trials", type=int, default=1000, action=PositiveInt)
+    p_girth.add_argument("--workers", type=int, default=1, action=PositiveInt)
     p_girth.add_argument("--format", choices=("json", "csv"), default="json")
     p_girth.set_defaults(func=cmd_girth)
 
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("-r", type=int, default=None)
     p_verify.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=int, default=1, action=PositiveInt)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--ratio-check", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
@@ -369,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except InvariantViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)

@@ -19,7 +19,11 @@ are bit-identical.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, islice
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -166,30 +170,68 @@ def apply_reverse(graph: BipartiteGraph, t: SwitchTuple) -> BipartiteGraph:
     )
 
 
+def _orientations(cyc):
+    """The four (u1, u2, f1, f2) readings of a 4-cycle, in candidate order."""
+    (a, b), (x, y) = cyc.left_pair, cyc.right_pair
+    return (a, b, x, y), (a, b, y, x), (b, a, x, y), (b, a, y, x)
+
+
+class _CandidateIndex:
+    """The tuples of ``forward_candidates`` as a counted, indexed view: per
+    4-cycle left pair {a, b}, the edges E of w-g with w not in {a, b} and g on
+    no 4-cycle.  An edge (w1, g1) has |E| - deg(w1) - deg(g1) + 1 partners in
+    E sharing neither end; ``index[i]`` bisects prefix sums of these counts."""
+
+    def __init__(self, graph: BipartiteGraph, cls: Classification):
+        if cls.d == 0:
+            raise NoFourCycle("graph has no 4-cycle to dissolve")
+        on_cycles = {i for c in cls.four_cycles for i in c.right_pair}
+        free = [(w, g) for w, g in graph.edges() if g not in on_cycles]
+        self.cycles = cls.four_cycles
+        self.pairs = {}
+        self.starts = [0]
+        for cyc in self.cycles:
+            if cyc.left_pair not in self.pairs:
+                edges = [(w, g) for w, g in free if w not in cyc.left_pair]
+                dw, dg = Counter(w for w, _ in edges), Counter(g for _, g in edges)
+                self.pairs[cyc.left_pair] = edges, list(accumulate(
+                    (len(edges) - dw[w] - dg[g] + 1 for w, g in edges), initial=0))
+            self.starts.append(self.starts[-1] + 4 * self.pairs[cyc.left_pair][1][-1])
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, i: int) -> SwitchTuple:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        c = bisect_right(self.starts, i) - 1
+        edges, cum = self.pairs[self.cycles[c].left_pair]
+        block, i = divmod(i - self.starts[c], cum[-1])
+        e = bisect_right(cum, i) - 1
+        w1, g1 = edges[e]
+        partners = ((w, g) for w, g in edges if w != w1 and g != g1)
+        w2, g2 = next(islice(partners, i - cum[e], None))
+        u1, u2, f1, f2 = _orientations(self.cycles[c])[block]
+        return SwitchTuple(u1, u2, w1, w2, f1, f2, g1, g2)
+
+
 def forward_candidates(graph: BipartiteGraph, cls: Classification):
     """Yield the forward 8-tuples considered by the counting argument.
 
     These are the suitable tuples with a 4-cycle on {u1,u2} x {f1,f2} (each
     cycle in all four vertex orderings), edges w1-g1 and w2-g2 present, and
-    neither g1 nor g2 on any 4-cycle.  Order is deterministic.  A yielded
-    tuple may still fail the apply_forward preconditions (an edge to be
-    created may exist); callers deciding legality must handle that.
+    neither g1 nor g2 on any 4-cycle, in the order of ``_CandidateIndex``.  A
+    yielded tuple may still fail the apply_forward preconditions (an edge to
+    be created may exist); callers deciding legality must handle that.
     """
-    if cls.d == 0:
-        raise NoFourCycle("graph has no 4-cycle to dissolve")
-    rights_on_cycles = {i for c in cls.four_cycles for i in c.right_pair}
-    edge_list = graph.edges()
-    for cyc in cls.four_cycles:
-        a, b = cyc.left_pair
-        x, y = cyc.right_pair
-        for u1, u2, f1, f2 in ((a, b, x, y), (a, b, y, x), (b, a, x, y), (b, a, y, x)):
-            for w1, g1 in edge_list:
-                if g1 in rights_on_cycles or w1 in (u1, u2):
-                    continue
-                for w2, g2 in edge_list:
-                    if g2 in rights_on_cycles or g2 == g1 or w2 in (u1, u2, w1):
-                        continue
-                    yield SwitchTuple(u1, u2, w1, w2, f1, f2, g1, g2)
+    index = _CandidateIndex(graph, cls)
+    for cyc in index.cycles:
+        edges, _ = index.pairs[cyc.left_pair]
+        for u1, u2, f1, f2 in _orientations(cyc):
+            for w1, g1 in edges:
+                for w2, g2 in edges:
+                    if w2 != w1 and g2 != g1:
+                        yield SwitchTuple(u1, u2, w1, w2, f1, f2, g1, g2)
 
 
 def _dist_le(graph: BipartiteGraph, x, y, limit: int) -> bool:
@@ -276,19 +318,23 @@ def check_reverse(graph: BipartiteGraph, t: SwitchTuple) -> LegalityVerdict:
 
 
 class _PairingKernel:
-    """Stub arrays and sort-based tests for pairings of one degree sequence;
-    ``blocks`` holds, per left degree d >= 2, the (n_d, d) stub indices of its
-    vertices and the column pairs a < b of a row."""
+    """Stub arrays and sort-based tests for pairings of one degree sequence."""
 
     def __init__(self, ds: DegreeSequence):
+        self.ds = ds
         self.m = m = ds.edge_count()
         self.left_owner = np.repeat(np.arange(ds.n, dtype=np.int64), ds.k)
         self.right_owner = np.repeat(np.arange(m, dtype=np.int64), ds.r)
         self.edge_keys = self.left_owner * m
-        k = np.asarray(ds.k, dtype=np.int64)
+
+    @cached_property
+    def blocks(self):
+        """Per left degree d >= 2, the (n_d, d) stub indices of its vertices and
+        the column pairs a < b of a row; built by the first 4-cycle test."""
+        k = np.asarray(self.ds.k, dtype=np.int64)
         starts = np.cumsum(k) - k
-        self.blocks = [(starts[k == d][:, None] + np.arange(d), *np.triu_indices(d, 1))
-                       for d in sorted(set(ds.k) - {0, 1})]
+        return [(starts[k == d][:, None] + np.arange(d), *np.triu_indices(d, 1))
+                for d in sorted(set(self.ds.k) - {0, 1})]
 
     def sort_rows(self, perm):
         """(rows, simple): ``perm`` with each left vertex's right ends in
@@ -350,7 +396,9 @@ def sample_no4cycle(
     """Sample a well-behaved graph, then rewire 4-cycles away one at a time.
 
     Draws pairing samples until one is well-behaved, then repeatedly applies
-    a uniformly chosen legal forward switch until no 4-cycle remains.  The
+    a uniformly chosen legal forward switch until no 4-cycle remains.  Each
+    step decodes, from a counted ``_CandidateIndex``, only the tuples it tries
+    in ``rng.permutation`` order: the stream of the full candidate list.  The
     output is *approximately* uniform over the 4-cycle-free graphs: the
     switching walk is a generator here, not an exactly-uniform sampler, and
     the residual bias is not quantified.  Step counts and the 4-cycle-count
@@ -376,7 +424,7 @@ def sample_no4cycle(
             if steps >= max_steps:
                 raise StepLimit(f"step budget {max_steps} exhausted")
             steps += 1
-            candidates = list(forward_candidates(graph, cls))
+            candidates = _CandidateIndex(graph, cls)
             applied = False
             if candidates:
                 for idx in rng.permutation(len(candidates)):

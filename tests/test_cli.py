@@ -186,3 +186,17 @@ def test_exact_r2_equal_columns_are_not_well_behaved(capsys, k):
 def test_verify_r2_exits_0(capsys):
     code, out, _ = run_cli(capsys, "verify", "-r", "2")
     assert code == 0 and json.loads(out)["identities"] == "ok"
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("girth", "-r", "3", "-k", "2,2,2,2,2,2", "--trials"),
+    ("girth", "-r", "3", "-k", "2,2,2,2,2,2", "--workers"),
+    ("exact", "-r", "3", "-k", "1,1,1,1,1,1", "--workers"),
+    ("verify", "--max-space", "9", "--workers"),
+], ids=["girth-trials", "girth-workers", "exact-workers", "verify-workers"])
+def test_positive_options_exit_2(capsys, argv, value):
+    # rejected while parsing, before any work, with the option named
+    code, out, err = run_cli(capsys, *argv, value)
+    assert code == 2 and out == ""
+    assert f"argument {argv[-1]}: must be a positive integer, got {value}" in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -384,3 +386,67 @@ def test_girth_stream_pinned_on_mixed_degrees():
     for workers, p_hat, rejections in ((1, 0.0525, 1632), (2, 0.0725, 1647)):
         est = monte_carlo_girth(ds, seed=2024, trials=400, workers=workers)
         assert (est.p_hat, est.rejections) == (p_hat, rejections)
+
+
+@pytest.mark.parametrize("r, k, count", [
+    (3, (3,) * 30, 2),
+    (3, (2,) * 90, 2),
+    (3, (3, 3, 2, 2, 1, 1, 0, 2, 3, 2, 3, 3, 3, 2, 0, 4, 1,
+         2, 2, 2, 1, 2, 3, 3, 3, 1, 2, 3, 2, 2, 1, 4, 2, 2), 4),
+    (4, (2,) * 16 + (4,) * 4, 4),
+], ids=["3^30", "2^90", "mixed-r3", "r4"])
+def test_candidate_index_matches_generator(r, k, count):
+    # the walk draws from the counted view; it must be the generator's
+    # sequence, element by element (all of it, or 2,000 random positions)
+    from linhyper.switching_engine import _CandidateIndex
+
+    ds = new_degree_sequence(k, r)
+    rng = np.random.default_rng(sum(k) + r)
+    while count:
+        graph = pairing_sample(ds, rng).graph
+        cls = classify(graph, ds)
+        if not cls.in_bplus or cls.d == 0:
+            continue
+        count -= 1
+        index = _CandidateIndex(graph, cls)
+        size = len(index)
+        picks = set(range(size)) if size <= 2000 else set(
+            rng.integers(0, size, 2000).tolist())
+        seen = 0
+        for i, t in enumerate(forward_candidates(graph, cls)):
+            if i in picks:
+                assert index[i] == t, (k, graph.cols, i)
+            seen += 1
+        assert seen == size > 0
+        with pytest.raises(IndexError):
+            index[size]
+
+
+def test_candidate_index_empty_and_no_cycle(demo_graph, demo_ds):
+    from linhyper.switching_engine import _CandidateIndex
+
+    # every right vertex lies on a 4-cycle: no g1, g2 can be chosen
+    assert len(_CandidateIndex(demo_graph, classify(demo_graph, demo_ds))) == 0
+    g = BipartiteGraph(6, 2, [0b000111, 0b111000])
+    ds = new_degree_sequence((1,) * 6, 3)
+    with pytest.raises(NoFourCycle):
+        _CandidateIndex(g, classify(g, ds))
+
+
+@pytest.mark.parametrize("k, seed, steps, trajectory, digest", [
+    ((3,) * 30, 0, 4, (4, 3, 2, 1, 0),
+     "30623284adf611f4507efc67d9339bb11fb309b004e9c3540050503e8aaa900b"),
+    ((3,) * 30, 1, 7, (7, 6, 5, 4, 3, 2, 1, 0),
+     "6cffa5bcad54a2af44f2ba3f21a4c3969cedb8deefbe368262c79ce2b22bae61"),
+    ((2,) * 90, 3, 4, (4, 3, 2, 1, 0),
+     "f455b764c3e27170e5317c4e33856c36a612f6d02726ddfb5bd33568eddf5b51"),
+    ((2,) * 90, 4, 3, (3, 2, 1, 0),
+     "96f18c472807089c5df5d929407e39bf4dcfdc5747832c0500e2722d1b4afe20"),
+])
+def test_sample_no4cycle_outputs_pinned(k, seed, steps, trajectory, digest):
+    # seeded walks starting at d >= 2: the random stream, the candidate order
+    # and every accept or reject are part of the output contract
+    res = sample_no4cycle(new_degree_sequence(k, 3), np.random.default_rng(seed))
+    assert (res.steps, res.d_trajectory, res.restarts) == (steps, trajectory, 0)
+    edges = repr(sorted(res.graph.edges())).encode()
+    assert hashlib.sha256(edges).hexdigest() == digest
