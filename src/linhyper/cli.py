@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import secrets
@@ -32,9 +33,8 @@ from .degree_model import (
 from .errors import InvariantViolation, LinhyperError
 from .exact_oracle import (
     DEFAULT_MAX_SPACE,
-    ClassFilter,
+    _first_switchable,
     canonical_battery,
-    enumerate_bigraphs,
     full_report,
 )
 from .switching_engine import (
@@ -221,40 +221,24 @@ def cmd_girth(args) -> int:
     return 0
 
 
-class _EnoughGraphs(Exception):
-    """Stops the labeled enumeration once the spot check has its graphs."""
-
-
 def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) -> int:
     """Round-trip the first applicable switch on up to ``limit`` graphs.
 
-    The graphs are the first well-behaved ones with a 4-cycle in the labeled
-    enumeration order.  The labeled enumeration runs only when the weighted
-    counts show that such a graph exists, and stops at the ``limit``-th.
-    Returns the number of round trips performed; raises InvariantViolation
-    if any fails to restore its graph.
+    The graphs are the first ``limit`` well-behaved labeled graphs with a
+    4-cycle in ``enumerate_bigraphs``' visiting order, the lexicographic order
+    of their columns' candidate indices.  They are taken without a labeled
+    enumeration: one sweep over column multisets keeps those passing the
+    battery with d >= 1, and the wanted graphs are the smallest orderings of
+    them (``exact_oracle._first_switchable``).  One graph per multiset would
+    check other graphs, and fewer: 5 rather than 8 on k=(3,2,2,2,2,1), r=3,
+    the only r=3 battery instance where a switch applies.  Returns the
+    number of round trips performed; raises InvariantViolation if any fails
+    to restore its graph.
     """
-    found: list[BipartiteGraph] = []
-
-    def visitor(graph: BipartiteGraph) -> None:
-        if graph.has_four_cycle():
-            cls = classify(graph, ds)
-            if cls.in_bplus and cls.d >= 1:
-                found.append(graph)
-                if len(found) == limit:
-                    raise _EnoughGraphs
-
-    bplus = enumerate_bigraphs(ds, class_filter=ClassFilter.BPLUS, max_space=max_space)
-    c0 = enumerate_bigraphs(
-        ds, class_filter=ClassFilter.NO_FOUR_CYCLE, max_space=max_space
-    )
-    if bplus > c0:
-        try:
-            enumerate_bigraphs(ds, visitor=visitor, max_space=max_space)
-        except _EnoughGraphs:
-            pass
+    m = ds.edge_count()
     checks = 0
-    for graph in found:
+    for cols in _first_switchable(ds, limit, max_space):
+        graph = BipartiteGraph(ds.n, m, cols)
         cls = classify(graph, ds)
         for t in forward_candidates(graph, cls):
             try:
@@ -325,7 +309,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="linhyper",
         description=(

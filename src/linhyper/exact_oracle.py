@@ -10,7 +10,8 @@ column.  After choosing candidate i it starts the next column at
   visitor, the one caller that needs each labeled graph;
 * i (non-decreasing): each column multiset once, weighted by its m!/prod(mult!)
   orderings, since column order changes no count and no 4-cycle; for
-  ``full_report``, ``pattern_expectation`` and counting ``enumerate_bigraphs``;
+  ``full_report``, ``pattern_expectation``, counting ``enumerate_bigraphs``
+  and ``_first_switchable``, which picks labeled graphs without listing them;
 * i + 1 (strictly increasing): each column set, i.e. simple hypergraph, once,
   weighted by m!; with the no-4-cycle prune, each linear hypergraph.
 
@@ -27,6 +28,7 @@ error, never a silent truncation.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import random
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
 from .asymptotics import mckay_upper_bound
 from .bigraph_core import (
@@ -120,6 +122,12 @@ def _subset_masks(n: int, r: int) -> list[int]:
     return [sum(1 << v for v in combo) for combo in combinations(range(n), r)]
 
 
+def _shares_pair(col: int, others) -> bool:
+    """Whether column ``col`` shares two left vertices (a 4-cycle) with any
+    of ``others``."""
+    return any((col & c).bit_count() >= 2 for c in others)
+
+
 def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, first=None) -> None:
     """Visit the column tuples conforming to (k, r) in the order ``step`` sets.
 
@@ -157,7 +165,7 @@ def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, first=None) -> None:
             mask = masks[idx]
             if mask & zero or mask & forced != forced:
                 continue
-            if no4 and any((mask & c).bit_count() >= 2 for c in cols):
+            if no4 and _shares_pair(mask, cols):
                 continue
             for j in _bits(mask):
                 residual[j] -= 1
@@ -172,6 +180,17 @@ def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, first=None) -> None:
         rec(0, 0, len(masks))
     else:
         rec(0, first, first + 1)
+
+
+def _first_orderings(sets, limit: int) -> list[tuple[int, ...]]:
+    """The ``limit`` lexicographically smallest tuples among the orderings of
+    the given increasing tuples, smallest first.
+
+    The tuples hold distinct entries, so ``permutations`` yields each one's
+    orderings lazily and in lexicographic order: the merge draws one ordering
+    per tuple plus ``limit`` more, not the m! of each.
+    """
+    return list(islice(heapq.merge(*map(permutations, sets)), limit))
 
 
 def count_matrices_by_classes(classes: Counter, r: int, m: int) -> int:
@@ -310,6 +329,34 @@ def enumerate_bigraphs(
     return count
 
 
+def _first_switchable(
+    ds: DegreeSequence, limit: int, max_space: int = DEFAULT_MAX_SPACE
+) -> list[list[int]]:
+    """Columns of the first ``limit`` well-behaved graphs with a 4-cycle, in
+    the order ``enumerate_bigraphs`` visits labeled graphs.
+
+    That order is lexicographic in the candidate indices of the columns.
+    Conformity and the property battery ignore column order, so one
+    non-decreasing sweep finds every qualifying multiset, and the labeled
+    graphs wanted are the ``limit`` smallest of their orderings.  Well-behaved
+    graphs have distinct columns, so each multiset is a set.
+    """
+    m = ds.edge_count()
+    check_guard(ds, max_space)
+    n2 = ds.four_cycle_cap
+    masks = _subset_masks(ds.n, ds.r)
+    index = {mask: i for i, mask in enumerate(masks)}
+    found: list[tuple[int, ...]] = []
+
+    def leaf(cols, weight: int) -> None:
+        cycles, failed, in_b0 = _battery_from_cols(ds.n, tuple(cols), n2)
+        if cycles and in_b0 and not failed:
+            found.append(tuple(index[c] for c in cols))
+
+    _sweep(ds.k, ds.r, m, leaf, _MULTISET)
+    return [[masks[i] for i in t] for t in _first_orderings(found, limit)]
+
+
 def count_hypergraphs(
     ds: DegreeSequence, *, max_space: int = DEFAULT_MAX_SPACE
 ) -> tuple[int, int]:
@@ -326,7 +373,7 @@ def count_hypergraphs(
     def leaf(cols, weight: int) -> None:
         nonlocal count_h, count_l
         count_h += 1
-        if all((a & b).bit_count() < 2 for a, b in combinations(cols, 2)):
+        if not any(_shares_pair(c, cols[:i]) for i, c in enumerate(cols)):
             count_l += 1
 
     _sweep(ds.k, ds.r, m, leaf, _SET)

@@ -682,3 +682,35 @@ def reference_pattern_expectation(ds: DegreeSequence, pattern: Pattern) -> Fract
 
     _column_sweep(ds.k, ds.r, ds.edge_count(), leaf)
     return Fraction(total, graphs)
+
+
+class _EnoughGraphs(Exception):
+    """Stops the labeled enumeration once ``reference_spot_graphs`` has its
+    graphs."""
+
+
+def reference_spot_graphs(ds: DegreeSequence, limit: int) -> list[list[int]]:
+    """Columns of the graphs ``_involution_spot_check`` round-trips, by the
+    labeled enumeration it used before the multiset sweep: the first
+    ``limit`` well-behaved graphs with a 4-cycle in visiting order, run only
+    when the weighted counts show that one exists."""
+    import linhyper as lh
+
+    found: list[list[int]] = []
+
+    def visitor(graph: BipartiteGraph) -> None:
+        if graph.has_four_cycle():
+            cls = lh.classify(graph, ds)
+            if cls.in_bplus and cls.d >= 1:
+                found.append(list(graph.cols))
+                if len(found) == limit:
+                    raise _EnoughGraphs
+
+    bplus = lh.enumerate_bigraphs(ds, class_filter=ClassFilter.BPLUS)
+    c0 = lh.enumerate_bigraphs(ds, class_filter=ClassFilter.NO_FOUR_CYCLE)
+    if bplus > c0:
+        try:
+            lh.enumerate_bigraphs(ds, visitor=visitor)
+        except _EnoughGraphs:
+            pass
+    return found

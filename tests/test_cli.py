@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from linhyper.cli import main
+from linhyper import exact_oracle
+from linhyper.cli import _involution_spot_check, build_parser, main
+from linhyper.exact_oracle import (
+    DEFAULT_MAX_SPACE,
+    _first_switchable,
+    canonical_battery,
+    random_guarded_instances,
+)
+from support import reference_spot_graphs
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +178,62 @@ def test_verify_spot_check_counts_pinned(capsys):
     ):
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0 and json.loads(out)["involution_spot_checks"] == want
+
+
+def test_spot_check_graphs_match_labeled_enumeration():
+    # the spot check's graphs are those the labeled enumeration visits first,
+    # in the same order, whatever the limit
+    instances = canonical_battery(rs=(2, 3, 4)) + random_guarded_instances(
+        41, seed=20261018, max_space=12
+    )
+    for ds in instances:
+        for limit in (1, 3, 10):
+            assert _first_switchable(ds, limit) == reference_spot_graphs(ds, limit), (
+                ds, limit
+            )
+
+
+def test_spot_check_runs_one_multiset_sweep(monkeypatch, capsys):
+    # one non-decreasing sweep per instance: no labeled (ordered) enumeration
+    # and no separate counting sweeps
+    steps = []
+    sweep = exact_oracle._sweep
+
+    def recording(k, r, m, leaf, step=exact_oracle._ORDERED, **kwargs):
+        steps.append(step)
+        sweep(k, r, m, leaf, step, **kwargs)
+
+    monkeypatch.setattr(exact_oracle, "_sweep", recording)
+    battery = canonical_battery(rs=(3,))
+    for ds in battery:
+        steps.clear()
+        _involution_spot_check(ds, DEFAULT_MAX_SPACE)
+        assert len(steps) <= 1 and exact_oracle._ORDERED not in steps, ds
+    steps.clear()
+    code, out, _ = run_cli(capsys, "verify", "-r", "3")
+    assert code == 0 and json.loads(out)["involution_spot_checks"] == 8
+    # at most one sweep for full_report and one for the spot check, per instance
+    assert exact_oracle._ORDERED not in steps
+    assert len(steps) <= 2 * len(battery)
+
+
+def test_cached_parser_matches_fresh_parser(capsys):
+    # main() reuses one parser per process; outputs and exit codes must be
+    # those of a parser built for the call
+    runs = [
+        ("exact", "-r", "3", "-k", "1,1,1,1,1,1"),
+        ("sample", "-r", "3", "-k", "2,2,2,2,2,2", "--seed", "7"),
+        ("exact", "-r", "3", "-k", "1,1,1,1,1,1", "--workers", "0"),
+    ]
+    build_parser.cache_clear()
+    cached = [run_cli(capsys, *argv) for argv in runs]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 2]
 
 
 @pytest.mark.parametrize("k", ["2,2", "1,1,2,2"])
