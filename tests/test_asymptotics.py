@@ -208,16 +208,25 @@ def test_sum_bounds_preconditions_reported():
         sum_bounds([0], [0], 0.1)
 
 
+def c_upper_bound(a, i, c_hat):
+    """Largest C(i) the generators may draw: below c_hat, and (i-1)C(i) <= A(i)
+    in floating point, not only in exact arithmetic (A(i)/(i-1) can round up)."""
+    hi = c_hat * 0.999
+    if i >= 2:
+        hi = min(hi, a[i - 1] / (i - 1))
+        while (i - 1) * hi > a[i - 1]:
+            hi = math.nextafter(hi, -math.inf)
+    return hi
+
+
 def random_sum_bounds_case(rng):
     n_terms = rng.randint(2, 40)
     c_hat = rng.uniform(0.02, 0.33)
     a = [rng.uniform(0, c_hat * n_terms * 0.999) for _ in range(n_terms)]
-    c = []
-    for i in range(1, n_terms + 1):
-        hi = c_hat * 0.999
-        if i >= 2:
-            hi = min(hi, a[i - 1] / (i - 1))
-        c.append(rng.uniform(-c_hat * 0.999, hi))
+    c = [
+        rng.uniform(-c_hat * 0.999, c_upper_bound(a, i, c_hat))
+        for i in range(1, n_terms + 1)
+    ]
     return a, c, c_hat
 
 
@@ -240,11 +249,11 @@ def test_sum_bounds_sandwich_property(data):
             max_size=n_terms,
         )
     )
-    c = []
-    for i in range(1, n_terms + 1):
-        hi = c_hat * 0.999
-        if i >= 2:
-            hi = min(hi, a[i - 1] / (i - 1))
-        c.append(data.draw(st.floats(min_value=-c_hat * 0.999, max_value=hi)))
+    c = [
+        data.draw(
+            st.floats(min_value=-c_hat * 0.999, max_value=c_upper_bound(a, i, c_hat))
+        )
+        for i in range(1, n_terms + 1)
+    ]
     s1, s2, n = sum_bounds(a, c, c_hat)
     assert s1 <= math.fsum(n) <= s2
