@@ -1,9 +1,10 @@
 """Command-line front end producing machine-readable reports.
 
-Exit codes: 0 on success, 1 when an internal counting identity fails (a bug,
-not bad input), 2 on user or input errors.  Randomized commands embed the
-effective seed in their output; replaying with the same seed and worker count
-reproduces the report byte for byte.
+Exit codes: 0 on success, 2 on user or input errors (any library error but
+an identity violation), 1 for a bug: an internal counting identity that
+fails, or any other exception, reported as an internal error.  Randomized
+commands embed the effective seed in their output; replaying with the same
+seed and worker count reproduces the report byte for byte.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import io
 import json
 import secrets
 import sys
+import traceback
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .degree_model import (
     degree_sequence_from_json,
     new_degree_sequence,
 )
-from .errors import InvariantViolation, LinhyperError
+from .errors import InputError, InvariantViolation, LinhyperError
 from .exact_oracle import (
     DEFAULT_MAX_SPACE,
     _first_switchable,
@@ -67,26 +69,58 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
-class PositiveInt(argparse.Action):
-    """Int option that must be >= 1; a smaller value is a ValueError naming the
-    option, which ``main`` returns as exit 2 (not the parser's SystemExit)."""
+class NonNegativeInt(argparse.Action):
+    """Int option that must be >= 0; a smaller value is an InputError naming
+    the option, which ``main`` returns as exit 2 (not the parser's SystemExit)."""
+
+    minimum, wanted = 0, "non-negative"
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            raise ValueError(f"argument {option_string}: must be a positive integer, got {value}")
+        if value < self.minimum:
+            raise InputError(
+                f"argument {option_string}: must be a {self.wanted} integer, got {value}"
+            )
         setattr(namespace, self.dest, value)
+
+
+class PositiveInt(NonNegativeInt):
+    """Int option that must be >= 1, rejected like ``NonNegativeInt``."""
+
+    minimum, wanted = 1, "positive"
+
+
+def _inline_ds(args) -> DegreeSequence:
+    """The degree sequence given by ``-r`` and ``-k``."""
+    if args.r is None:
+        raise InputError("-r is required when -k is given")
+    try:
+        k = [int(part) for part in args.k.split(",") if part.strip() != ""]
+    except ValueError:
+        raise InputError(
+            f"argument -k: expected comma-separated integers, got {args.k!r}"
+        ) from None
+    return new_degree_sequence(k, args.r)
+
+
+def _read_json(path: str, parse):
+    """``parse`` applied to the JSON document in the file at ``path``.  A
+    document that does not parse, or does not fit the schema ``parse``
+    reads, is an InputError; a file that cannot be read stays an OSError."""
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(
+                f"invalid input file {path}: {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 def _resolve_ds(args) -> DegreeSequence:
     if args.k is not None:
-        if args.r is None:
-            raise ValueError("-r is required when -k is given")
-        k = [int(part) for part in args.k.split(",") if part.strip() != ""]
-        return new_degree_sequence(k, args.r)
+        return _inline_ds(args)
     if args.input:
-        with open(args.input) as fh:
-            return degree_sequence_from_json(json.load(fh))
-    raise ValueError("provide a degree sequence with -r/-k or --input")
+        return _read_json(args.input, degree_sequence_from_json)
+    raise InputError("provide a degree sequence with -r/-k or --input")
 
 
 def _emit_json(obj) -> None:
@@ -104,7 +138,7 @@ def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
 def cmd_exact(args) -> int:
     ds = _resolve_ds(args)
     if args.format == "csv":
-        raise ValueError("exact emits JSON only")
+        raise InputError("exact emits JSON only")
     report = full_report(ds, max_space=args.max_space, workers=args.workers)
     out = {"r": ds.r, "k": list(ds.k)}
     out.update(report.to_json_dict())
@@ -139,17 +173,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_classify(args) -> int:
     if not args.input:
-        raise ValueError("classify requires --input with a bipartite-graph JSON file")
-    with open(args.input) as fh:
-        graph = BipartiteGraph.from_json_dict(json.load(fh))
-    if args.k is not None:
-        if args.r is None:
-            raise ValueError("-r is required when -k is given")
-        ds = new_degree_sequence(
-            [int(p) for p in args.k.split(",") if p.strip() != ""], args.r
-        )
-    else:
-        ds = derive_degree_sequence(graph)
+        raise InputError("classify requires --input with a bipartite-graph JSON file")
+    graph = _read_json(args.input, BipartiteGraph.from_json_dict)
+    ds = _inline_ds(args) if args.k is not None else derive_degree_sequence(graph)
     cls = classify(graph, ds)
     _emit_json(
         {
@@ -257,9 +283,11 @@ def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) 
 
 def cmd_verify(args) -> int:
     r = args.r if args.r is not None else 3
+    if r < 2:
+        raise InputError(f"edge size r must be >= 2, got {r}")
     battery = canonical_battery(rs=(r,), max_space=args.max_space)
     if not battery:
-        raise ValueError(
+        raise InputError(
             f"verification battery is empty for r={r}, max_space={args.max_space}"
         )
     rows = []
@@ -324,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact counts by exhaustive search")
     _add_ds_args(p_exact)
-    p_exact.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
+    p_exact.add_argument(
+        "--max-space", type=int, default=DEFAULT_MAX_SPACE, action=NonNegativeInt
+    )
     p_exact.add_argument("--workers", type=int, default=1, action=PositiveInt)
     p_exact.add_argument("--format", choices=("json", "csv"), default="json")
     p_exact.set_defaults(func=cmd_exact)
@@ -355,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the small-instance identity battery"
     )
     p_verify.add_argument("-r", type=int, default=None)
-    p_verify.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
+    p_verify.add_argument(
+        "--max-space", type=int, default=DEFAULT_MAX_SPACE, action=NonNegativeInt
+    )
     p_verify.add_argument("--workers", type=int, default=1, action=PositiveInt)
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.add_argument("--ratio-check", action="store_true")
@@ -372,9 +404,14 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 1
-    except (LinhyperError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (LinhyperError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # not an input the library rejects, so a bug: keep its traceback
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,10 @@ class LinhyperError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(LinhyperError):
+    """A command-line argument or input file is malformed or inconsistent."""
+
+
 class NegativeDegree(LinhyperError):
     """A degree sequence entry is negative."""
 

@@ -10,17 +10,24 @@ column.  After choosing candidate i it starts the next column at
   visitor, the one caller that needs each labeled graph;
 * i (non-decreasing): each column multiset once, weighted by its m!/prod(mult!)
   orderings, since column order changes no count and no 4-cycle; for
-  ``full_report``, ``pattern_expectation``, counting ``enumerate_bigraphs``
-  and ``_first_switchable``, which picks labeled graphs without listing them;
+  counting ``enumerate_bigraphs`` and ``_first_switchable``, which picks
+  labeled graphs without listing them;
 * i + 1 (strictly increasing): each column set, i.e. simple hypergraph, once,
   weighted by m!; with the no-4-cycle prune, each linear hypergraph.
 
-``full_report`` takes every count from one non-decreasing sweep, so
-|B0| = m! |H| and |C0| = m! |L| hold there by construction (they are still
-checked, with the inclusions between classes).  The independent check is |B|
-against ``count_b_dp``, a dynamic program over residual-degree classes that
-lists no graph.  A failed identity raises InvariantViolation, which always
-means an implementation bug rather than bad input.
+``full_report``, ``pattern_expectation`` and ``hyper_class_profile`` also use
+that relabeling equal-degree vertices changes none of their counts.  Their
+sweep is rooted: it fixes the first column to one r-subset per orbit under
+those relabelings (``_orbit_roots``), weighted by the orbit's size
+prod C(|class|, t_class), and sweeps the other m - 1 columns as a multiset
+from candidate 0.  On a single degree class that is one first column instead
+of C(n, r).  A labeled graph with distinct columns stands for one hypergraph
+per m! orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide
+either is an identity violation, and so is a failed inclusion between
+classes.  The independent check is |B| against ``count_b_dp``, a dynamic
+program over residual-degree classes that lists no graph, so a wrong orbit
+weight is caught at run time.  A failed identity raises InvariantViolation,
+which always means an implementation bug rather than bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
 to 16 and up to 10 vertices of positive degree.  Exceeding the guard is an
@@ -128,27 +135,63 @@ def _shares_pair(col: int, others) -> bool:
     return any((col & c).bit_count() >= 2 for c in others)
 
 
-def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, first=None) -> None:
+def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
+    """One first column per orbit of the r-subsets of positive-degree vertices
+    under permutations of equal-degree vertices, as (candidate index, orbit
+    size), in candidate order.
+
+    A subset's orbit is fixed by how many of its vertices lie in each degree
+    class, t_class, and holds prod C(|class|, t_class) subsets; the root is
+    the orbit's first candidate.
+    """
+    class_sizes = Counter(v for v in k if v > 0)
+    seen = set()
+    roots = []
+    for idx, combo in enumerate(combinations(range(len(k)), r)):
+        taken = Counter(k[j] for j in combo)
+        key = frozenset(taken.items())
+        if 0 in taken or key in seen:
+            continue
+        seen.add(key)
+        size = math.prod(math.comb(class_sizes[d], t) for d, t in taken.items())
+        roots.append((idx, size))
+    return roots
+
+
+def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, roots=None) -> None:
     """Visit the column tuples conforming to (k, r) in the order ``step`` sets.
 
     Candidates are the r-subsets of range(len(k)) in lexicographic order.
     ``leaf(cols, weight)`` receives each tuple with the number of labeled
     graphs it stands for: 1 when ordered, m!/prod(mult!) for a multiset, m!
     for a set.  ``no4`` prunes columns sharing two vertices with an earlier
-    one.  ``first`` restricts the first column to that candidate index, which
-    splits a non-decreasing or strictly increasing sweep into disjoint parts.
+    one.
+
+    ``roots``, a list of (candidate index, orbit size) pairs for m >= 1,
+    fixes the first column to each root in turn and sweeps the other m - 1
+    columns from candidate 0 in the order ``step`` sets; a leaf's weight then
+    counts the orderings of those m - 1 columns, times the orbit size.  Counts
+    invariant under relabeling equal-degree vertices come out as over the
+    whole sweep when the roots are ``_orbit_roots``.  A root passes the
+    feasibility tests of any column: one leaving a residual above m - 1
+    (at m = 1, any residual) is skipped.
     """
     masks = _subset_masks(len(k), r)
-    fact = math.factorial(m)
+    facts = [math.factorial(i) for i in range(m + 1)]
     residual = list(k)
     cols: list[int] = []
+    # columns before ``free`` are fixed by a root; a leaf's weight is
+    # ``scale`` times the orderings of the others
+    free, scale = 0, 1
 
     def rec(depth: int, start: int, stop: int) -> None:
         if depth == m:
-            weight = 1 if step is _ORDERED else fact
+            weight = scale
+            if step is not _ORDERED:
+                weight *= facts[m - free]
             if step == _MULTISET:
-                for c in Counter(cols).values():
-                    weight //= math.factorial(c)
+                for c in Counter(cols[free:]).values():
+                    weight //= facts[c]
             leaf(cols, weight)
             return
         remaining = m - depth
@@ -171,15 +214,18 @@ def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, first=None) -> None:
                 residual[j] -= 1
             if max(residual) <= remaining - 1:
                 cols.append(mask)
-                rec(depth + 1, 0 if step is _ORDERED else idx + step, len(masks))
+                nxt = 0 if step is _ORDERED or depth < free else idx + step
+                rec(depth + 1, nxt, len(masks))
                 cols.pop()
             for j in _bits(mask):
                 residual[j] += 1
 
-    if first is None:
+    if roots is None:
         rec(0, 0, len(masks))
-    else:
-        rec(0, first, first + 1)
+        return
+    free = 1
+    for idx, scale in roots:
+        rec(0, idx, idx + 1)
 
 
 def _first_orderings(sets, limit: int) -> list[tuple[int, ...]]:
@@ -247,11 +293,11 @@ def count_b_dp(ds: DegreeSequence) -> int:
 
 
 class _ReportCounts:
-    """Weighted class counts over the column multisets of one sweep."""
+    """Weighted class counts over the leaves of one sweep."""
 
     def __init__(self, n_left: int, n2: int):
         self.n_left, self.n2 = n_left, n2
-        self.b = self.b0 = self.bplus = self.h = self.l = 0
+        self.b = self.b0 = self.bplus = 0
         self.cd = [0] * (n2 + 1)
 
     def leaf(self, cols, weight: int) -> None:
@@ -259,28 +305,38 @@ class _ReportCounts:
         self.b += weight
         if in_b0:
             self.b0 += weight
-            self.h += 1
         if in_b0 and not failed:
             self.bplus += weight
             self.cd[len(cycles)] += weight
-            if not cycles:
-                self.l += 1
 
     def add(self, other: "_ReportCounts") -> None:
         self.b += other.b
         self.b0 += other.b0
         self.bplus += other.bplus
-        self.h += other.h
-        self.l += other.l
         for d, c in enumerate(other.cd):
             self.cd[d] += c
 
 
 def _report_branch(args) -> _ReportCounts:
-    k, r, m, n2, first = args
+    k, r, m, n2, roots = args
     counts = _ReportCounts(len(k), n2)
-    _sweep(k, r, m, counts.leaf, _MULTISET, first=first)
+    _sweep(k, r, m, counts.leaf, _MULTISET, roots=roots)
     return counts
+
+
+def _roots(ds: DegreeSequence):
+    """``_sweep``'s roots for an instance: None (the plain sweep, whose one
+    leaf is the empty graph) when it has no column."""
+    return _orbit_roots(ds.k, ds.r) if ds.edge_count() > 0 else None
+
+
+def _per_hypergraph(count: int, fact: int, what: str) -> int:
+    """``count`` labeled graphs with distinct columns as hypergraphs: each
+    one stands for ``fact`` = m! column orders."""
+    quotient, rest = divmod(count, fact)
+    if rest:
+        raise InvariantViolation(f"(M/r)! = {fact} does not divide {what} = {count}")
+    return quotient
 
 
 def enumerate_bigraphs(
@@ -408,7 +464,9 @@ def hyper_class_profile(
     Entry d is the number of simple hypergraphs with degree sequence k that
     pass the hypergraph-side property battery (``dual_failed_properties``)
     and have exactly d double links.  Multiplying entry d by (M/r)! must reproduce the bipartite
-    4-cycle profile; that identity is exercised in the test-suite.
+    4-cycle profile; that identity is exercised in the test-suite.  The
+    rooted sweep of ``full_report`` visits the hypergraphs as labeled graphs
+    with distinct columns; their weights sum to (M/r)! per hypergraph.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
@@ -416,12 +474,18 @@ def hyper_class_profile(
     profile = [0] * (n2 + 1)
 
     def leaf(masks, weight: int) -> None:
+        if len(set(masks)) < m:
+            return
         hg = Hypergraph(ds.n, [tuple(_bits(mask)) for mask in masks])
         if not dual_failed_properties(hg, n2):
-            profile[len(hyper_properties(hg).double_links)] += 1
+            profile[len(hyper_properties(hg).double_links)] += weight
 
-    _sweep(ds.k, ds.r, m, leaf, _SET)
-    return tuple(profile)
+    _sweep(ds.k, ds.r, m, leaf, _MULTISET, roots=_roots(ds))
+    fact = math.factorial(m)
+    return tuple(
+        _per_hypergraph(c, fact, f"the weight of class C_{d}")
+        for d, c in enumerate(profile)
+    )
 
 
 def full_report(
@@ -430,12 +494,13 @@ def full_report(
     max_space: int = DEFAULT_MAX_SPACE,
     workers: int = 1,
 ) -> OracleReport:
-    """All exact counts in one sweep over column multisets, with every
-    identity asserted.
+    """All exact counts in one orbit-rooted sweep (see the module docstring),
+    with every identity asserted.
 
-    With ``workers > 1`` the sweep fans out over the choices of the first
-    column, on at most min(workers, candidates, CPU count) processes; totals
-    are merged by summation and do not depend on the worker count.
+    With ``workers > 1`` the sweep fans out over the first-column orbits
+    (``_orbit_roots``), on at most min(workers, orbits, CPU count)
+    processes; totals are merged by summation and do not depend on the
+    worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -443,24 +508,25 @@ def full_report(
     check_guard(ds, max_space)
     n2 = ds.four_cycle_cap
 
-    # one task per first-column candidate; with no column there is no split
-    n_tasks = math.comb(ds.n, ds.r) if m > 0 else 0
-    pool_size = min(workers, n_tasks, os.cpu_count() or 1)
+    # one task per root; with no column there is no split
+    roots = _roots(ds)
+    pool_size = min(workers, len(roots or ()), os.cpu_count() or 1)
     if pool_size > 1:
-        tasks = [(ds.k, ds.r, m, n2, first) for first in range(n_tasks)]
+        tasks = [(ds.k, ds.r, m, n2, [root]) for root in roots]
         counts = _ReportCounts(ds.n, n2)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for part in pool.map(_report_branch, tasks):
                 counts.add(part)
     else:
-        counts = _report_branch((ds.k, ds.r, m, n2, None))
+        counts = _report_branch((ds.k, ds.r, m, n2, roots))
 
+    fact = math.factorial(m)
     report = OracleReport(
         count_b=counts.b,
         count_b0=counts.b0,
         count_bplus=counts.bplus,
-        count_h=counts.h,
-        count_l=counts.l,
+        count_h=_per_hypergraph(counts.b0, fact, "|B0|"),
+        count_l=_per_hypergraph(counts.cd[0], fact, "|C0|"),
         cd_profile=tuple(counts.cd),
     )
     _assert_report_invariants(report, ds)
@@ -474,17 +540,8 @@ def _assert_report_invariants(report: OracleReport, ds: DegreeSequence) -> None:
             f"|B| = {report.count_b} from the column sweep != {count_b} from "
             f"the margin-class DP on r={ds.r}, k={ds.k}"
         )
-    fact = math.factorial(ds.edge_count())
-    if report.count_b0 != fact * report.count_h:
-        raise InvariantViolation(
-            f"(M/r)! * |H| = {fact}*{report.count_h} != |B0| = {report.count_b0}"
-        )
     if sum(report.cd_profile) != report.count_bplus:
         raise InvariantViolation("4-cycle profile does not sum to |B+|")
-    if report.cd_profile[0] != fact * report.count_l:
-        raise InvariantViolation(
-            f"|C0| = {report.cd_profile[0]} != (M/r)! * |L| = {fact}*{report.count_l}"
-        )
     if not report.count_l <= report.count_h:
         raise InvariantViolation("|L| > |H|")
     if not report.count_bplus <= report.count_b0 <= report.count_b:
@@ -552,7 +609,7 @@ def pattern_expectation(
         graphs += weight
         total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
-    _sweep(ds.k, ds.r, m, leaf, _MULTISET)
+    _sweep(ds.k, ds.r, m, leaf, _MULTISET, roots=_roots(ds))
     if graphs == 0:
         raise ValueError("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)

@@ -264,3 +264,41 @@ def test_positive_options_exit_2(capsys, argv, value):
     code, out, err = run_cli(capsys, *argv, value)
     assert code == 2 and out == ""
     assert f"argument {argv[-1]}: must be a positive integer, got {value}" in err
+
+
+def test_library_value_error_is_an_internal_error(monkeypatch, capsys):
+    # a bare ValueError from the library is a bug, not bad input
+    from linhyper import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(cli, "full_report", broken)
+    code, out, err = run_cli(capsys, "exact", "-r", "3", "-k", "1,1,1,1,1,1")
+    assert code == 1 and out == ""
+    assert "internal error: ValueError: injected" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("exact", "-r", "3", "-k", "1,x,1"), "argument -k"),
+    (("exact", "-r", "3", "-k", "1,1,1", "--max-space", "-1"),
+     "argument --max-space: must be a non-negative integer, got -1"),
+    (("verify", "--max-space", "-1"),
+     "argument --max-space: must be a non-negative integer, got -1"),
+    (("verify", "-r", "0"), "edge size r must be >= 2, got 0"),
+    (("exact", "-r", "3", "-k", "1,1,1", "--format", "csv"), "JSON only"),
+    (("classify",), "requires --input"),
+], ids=["bad-k", "exact-max-space", "verify-max-space", "verify-r0", "exact-csv", "classify"])
+def test_malformed_arguments_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"r": 3, "k": [1, 1,', '{"k": [1, 2]}', '{"r": 3, "k": 5}', '[3]', '{"r": "x", "k": [1]}',
+], ids=["truncated", "no-r", "k-not-list", "not-object", "r-not-int"])
+def test_malformed_input_file_exit_2(capsys, tmp_path, text):
+    path = tmp_path / "ds.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "exact", "--input", str(path))
+    assert code == 2 and out == "" and "invalid input file" in err

@@ -1,10 +1,12 @@
 import math
+from itertools import combinations
 
 import pytest
 
 from linhyper import (
     BipartiteGraph,
     ClassFilter,
+    OracleReport,
     Pattern,
     canonical_battery,
     classify,
@@ -26,7 +28,7 @@ from linhyper.errors import (
     PreconditionFailed,
     TooLarge,
 )
-from linhyper.exact_oracle import _occurrences_from_cols
+from linhyper.exact_oracle import _occurrences_from_cols, _orbit_roots
 
 from support import (
     count_b_dp,
@@ -162,7 +164,7 @@ def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(exact_oracle, "ProcessPoolExecutor", RecordingPool)
-    ds = new_degree_sequence((3, 3, 3, 3), 3)  # 4 first-column candidates
+    ds = new_degree_sequence((3, 3, 3, 2, 1), 3)  # 4 first-column orbits
     serial = full_report(ds)
     for cpus, workers in ((3, 64), (64, 64), (64, 2), (None, 64), (64, 1)):
         monkeypatch.setattr(exact_oracle.os, "cpu_count", lambda: cpus)
@@ -170,6 +172,69 @@ def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
     # min(workers, tasks, cpus); one process (or an unknown CPU count) runs
     # the sweep in-process
     assert sizes == [3, 4, 2]
+
+
+def test_orbit_roots_partition_the_first_columns():
+    # the orbit of a first column under relabeling equal-degree vertices is
+    # fixed by its degree multiset; each root is its orbit's first candidate
+    for ds in GATE_INSTANCES:
+        orbits = {}
+        for idx, combo in enumerate(combinations(range(ds.n), ds.r)):
+            degrees = tuple(sorted(ds.k[j] for j in combo))
+            if degrees[0] > 0:
+                orbits.setdefault(degrees, [idx, 0])[1] += 1
+        roots = _orbit_roots(ds.k, ds.r)
+        assert roots == [tuple(orbit) for orbit in orbits.values()], ds
+        n_pos = sum(1 for v in ds.k if v > 0)
+        assert sum(size for _, size in roots) == math.comb(n_pos, ds.r), ds
+
+
+@pytest.mark.parametrize("k, r", [((1, 1, 1, 0), 3), ((1, 0, 1), 2), ((0, 1, 1, 1, 1), 4)])
+def test_rooted_sweep_skips_infeasible_roots_at_one_column(k, r):
+    # at m = 1 a root is the whole graph: only the candidate covering every
+    # positive-degree vertex, once each, is a leaf
+    leaves = []
+    masks = exact_oracle._subset_masks(len(k), r)
+    roots = [(idx, 1) for idx in range(len(masks))]
+    exact_oracle._sweep(k, r, 1, lambda cols, w: leaves.append((list(cols), w)),
+                        exact_oracle._MULTISET, roots=roots)
+    assert leaves == [([sum(1 << j for j, v in enumerate(k) if v)], 1)]
+
+
+def test_rooted_sweep_over_every_candidate_counts_b():
+    # each candidate as a root of orbit size 1: the roots split the labeled
+    # graphs by first column, whether or not a root is feasible
+    for ds in SMALL_GATE_INSTANCES:
+        m = ds.edge_count()
+        if m == 0:
+            continue
+        total = 0
+
+        def leaf(cols, weight):
+            nonlocal total
+            total += weight
+
+        roots = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))]
+        exact_oracle._sweep(ds.k, ds.r, m, leaf, exact_oracle._MULTISET, roots=roots)
+        assert total == count_b_dp(ds), ds
+
+
+def test_full_report_past_the_guard():
+    # M = 18 and M = 20, one orbit each, pinned to the reports of the
+    # unrooted multiset sweep (15 s and about 60 s to compute); |L| = 35,280 is
+    # the dual-graph count n!/m! x (labeled cubic graphs on 6 nodes) = 504 x 70
+    rep = full_report(new_degree_sequence((2,) * 9, 3), max_space=18)
+    assert rep == OracleReport(
+        count_b=90291600, count_b0=87998400, count_bplus=87998400,
+        count_h=122220, count_l=35280,
+        cd_profile=(25401600, 32659200, 24494400, 5443200) + (0,) * 21,
+    )
+    rep = full_report(new_degree_sequence((2,) * 10, 4), max_space=20)
+    assert rep == OracleReport(
+        count_b=56586600, count_b0=56397600, count_bplus=30844800,
+        count_h=469980, count_l=30240,
+        cd_profile=(3628800, 0, 27216000) + (0,) * 52,
+    )
 
 
 def test_workers_below_one_rejected():
