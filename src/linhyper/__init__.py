@@ -26,7 +26,6 @@ from .exact_oracle import (
     Pattern,
     canonical_battery,
     count_hypergraphs,
-    count_linear_hypergraphs,
     enumerate_bigraphs,
     full_report,
     hyper_class_profile,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .degree_model import DegreeSequence
+from .degree_model import DegreeSequence, _falling
 from .errors import InvariantViolation, PreconditionFailed
 
 
@@ -47,15 +47,6 @@ def _safe_exp(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-def _falling(a: int, t: int) -> int:
-    out = 1
-    for i in range(t):
-        out *= a - i
-        if out == 0:
-            return 0
-    return out
 
 
 def _loop_exponent(ds: DegreeSequence) -> float:

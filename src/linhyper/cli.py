@@ -63,12 +63,6 @@ def _add_ds_args(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def non_negative_int(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return int(text)
-
-
 class NonNegativeInt(argparse.Action):
     """Int option that must be >= 0; a smaller value is an InputError naming
     the option, which ``main`` returns as exit 2 (not the parser's SystemExit)."""
@@ -283,8 +277,6 @@ def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) 
 
 def cmd_verify(args) -> int:
     r = args.r if args.r is not None else 3
-    if r < 2:
-        raise InputError(f"edge size r must be >= 2, got {r}")
     battery = canonical_battery(rs=(r,), max_space=args.max_space)
     if not battery:
         raise InputError(
@@ -370,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="sample a 4-cycle-free graph")
     _add_ds_args(p_sample)
-    p_sample.add_argument("--seed", type=non_negative_int, default=None)
+    p_sample.add_argument("--seed", type=int, default=None, action=NonNegativeInt)
     p_sample.set_defaults(func=cmd_sample)
 
     p_girth = sub.add_parser("girth", help="Monte Carlo girth-6 probability")
     _add_ds_args(p_girth)
-    p_girth.add_argument("--seed", type=non_negative_int, default=None)
+    p_girth.add_argument("--seed", type=int, default=None, action=NonNegativeInt)
     p_girth.add_argument("--trials", type=int, default=1000, action=PositiveInt)
     p_girth.add_argument("--workers", type=int, default=1, action=PositiveInt)
     p_girth.add_argument("--format", choices=("json", "csv"), default="json")

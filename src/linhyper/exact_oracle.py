@@ -4,16 +4,12 @@ This module is the ground truth everything else is tested against.  Every
 search runs through one backtracker, ``_sweep``: it fills the m = M/r
 incidence columns with r-subsets of the vertices of positive residual degree,
 pruned on residual feasibility and on vertices forced into every remaining
-column.  After choosing candidate i it starts the next column at
-
-* 0 (ordered): every labeled column tuple, for ``enumerate_bigraphs`` with a
-  visitor, the one caller that needs each labeled graph;
-* i (non-decreasing): each column multiset once, weighted by its m!/prod(mult!)
-  orderings, since column order changes no count and no 4-cycle; for
-  counting ``enumerate_bigraphs`` and ``_first_switchable``, which picks
-  labeled graphs without listing them;
-* i + 1 (strictly increasing): each column set, i.e. simple hypergraph, once,
-  weighted by m!; with the no-4-cycle prune, each linear hypergraph.
+column.  After choosing candidate i it starts the next column at i, so it
+visits each column multiset once, weighted by its m!/prod(mult!) orderings:
+column order changes no count and no 4-cycle.  Callers that need labeled
+graphs in order (``enumerate_bigraphs`` with a visitor, and
+``_first_switchable``) merge the orderings of the multisets they keep
+(``_first_orderings``).
 
 ``full_report``, ``pattern_expectation`` and ``hyper_class_profile`` also use
 that relabeling equal-degree vertices changes none of their counts.  Their
@@ -45,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 
 from .asymptotics import mckay_upper_bound
 from .bigraph_core import (
@@ -58,15 +54,9 @@ from .bigraph_core import (
     hyper_properties,
 )
 from .degree_model import DegreeSequence
-from .errors import InvariantViolation, TooLarge
+from .errors import InvalidR, InvariantViolation, TooLarge
 
 DEFAULT_MAX_SPACE = 16
-
-# Visiting orders of ``_sweep``: after choosing candidate i, the next column
-# starts at candidate 0 (ordered), at i + _MULTISET or at i + _SET.
-_ORDERED = None
-_MULTISET = 0
-_SET = 1
 
 
 class ClassFilter(Enum):
@@ -158,19 +148,19 @@ def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
     return roots
 
 
-def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, roots=None) -> None:
-    """Visit the column tuples conforming to (k, r) in the order ``step`` sets.
+def _sweep(k, r, m, leaf, roots=None) -> None:
+    """Visit each column multiset conforming to (k, r) once.
 
-    Candidates are the r-subsets of range(len(k)) in lexicographic order.
-    ``leaf(cols, weight)`` receives each tuple with the number of labeled
-    graphs it stands for: 1 when ordered, m!/prod(mult!) for a multiset, m!
-    for a set.  ``no4`` prunes columns sharing two vertices with an earlier
-    one.
+    Candidates are the r-subsets of range(len(k)) in lexicographic order,
+    and the columns of a multiset come in non-decreasing candidate order
+    (after the root, if any).
+    ``leaf(cols, weight)`` receives each multiset with the number of labeled
+    graphs it stands for, m!/prod(mult!).
 
     ``roots``, a list of (candidate index, orbit size) pairs for m >= 1,
     fixes the first column to each root in turn and sweeps the other m - 1
-    columns from candidate 0 in the order ``step`` sets; a leaf's weight then
-    counts the orderings of those m - 1 columns, times the orbit size.  Counts
+    columns as a multiset from candidate 0; a leaf's weight then counts the
+    orderings of those m - 1 columns, times the orbit size.  Counts
     invariant under relabeling equal-degree vertices come out as over the
     whole sweep when the roots are ``_orbit_roots``.  A root passes the
     feasibility tests of any column: one leaving a residual above m - 1
@@ -186,12 +176,9 @@ def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, roots=None) -> None:
 
     def rec(depth: int, start: int, stop: int) -> None:
         if depth == m:
-            weight = scale
-            if step is not _ORDERED:
-                weight *= facts[m - free]
-            if step == _MULTISET:
-                for c in Counter(cols[free:]).values():
-                    weight //= facts[c]
+            weight = scale * facts[m - free]
+            for c in Counter(cols[free:]).values():
+                weight //= facts[c]
             leaf(cols, weight)
             return
         remaining = m - depth
@@ -208,14 +195,11 @@ def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, roots=None) -> None:
             mask = masks[idx]
             if mask & zero or mask & forced != forced:
                 continue
-            if no4 and _shares_pair(mask, cols):
-                continue
             for j in _bits(mask):
                 residual[j] -= 1
             if max(residual) <= remaining - 1:
                 cols.append(mask)
-                nxt = 0 if step is _ORDERED or depth < free else idx + step
-                rec(depth + 1, nxt, len(masks))
+                rec(depth + 1, 0 if depth < free else idx, len(masks))
                 cols.pop()
             for j in _bits(mask):
                 residual[j] += 1
@@ -228,15 +212,34 @@ def _sweep(k, r, m, leaf, step=_ORDERED, no4=False, roots=None) -> None:
         rec(0, idx, idx + 1)
 
 
-def _first_orderings(sets, limit: int) -> list[tuple[int, ...]]:
-    """The ``limit`` lexicographically smallest tuples among the orderings of
-    the given increasing tuples, smallest first.
+def _orderings(multiset: tuple[int, ...]):
+    """The distinct orderings of a non-decreasing tuple, lazily and in
+    lexicographic order (the next-permutation step)."""
+    seq = list(multiset)
+    while True:
+        yield tuple(seq)
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
 
-    The tuples hold distinct entries, so ``permutations`` yields each one's
-    orderings lazily and in lexicographic order: the merge draws one ordering
-    per tuple plus ``limit`` more, not the m! of each.
+
+def _first_orderings(multisets, limit: int | None = None):
+    """An iterator over the ``limit`` (default: all) lexicographically
+    smallest tuples among the distinct orderings of the given non-decreasing
+    tuples, smallest first.
+
+    Each tuple's orderings are generated lazily and in lexicographic order,
+    so the merge draws one ordering per tuple plus ``limit`` more, not the
+    m!/prod(mult!) of each.
     """
-    return list(islice(heapq.merge(*map(permutations, sets)), limit))
+    return islice(heapq.merge(*map(_orderings, multisets)), limit)
 
 
 def count_matrices_by_classes(classes: Counter, r: int, m: int) -> int:
@@ -320,7 +323,7 @@ class _ReportCounts:
 def _report_branch(args) -> _ReportCounts:
     k, r, m, n2, roots = args
     counts = _ReportCounts(len(k), n2)
-    _sweep(k, r, m, counts.leaf, _MULTISET, roots=roots)
+    _sweep(k, r, m, counts.leaf, roots=roots)
     return counts
 
 
@@ -351,27 +354,27 @@ def enumerate_bigraphs(
 
     Columns are labeled (ordered), so two graphs differing only in column
     order are distinct.  Returns the number of graphs passing the filter.
-    Without a visitor it counts column multisets (sets for B0 and
-    NO_FOUR_CYCLE) weighted by their orderings; ``visitor``, if given, is
-    called with each passing BipartiteGraph, in lexicographic order of the
-    column tuples.
+    No filter depends on column order, so each column multiset is tested
+    once and counted with its orderings.  ``visitor``, if given, is then
+    called with each passing BipartiteGraph, in lexicographic order of its
+    columns' candidate indices.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
     n2 = ds.four_cycle_cap
     n = ds.n
+    masks = _subset_masks(n, ds.r)
+    index = {mask: i for i, mask in enumerate(masks)}
     count = 0
-
-    if visitor is not None:
-        step = _ORDERED
-    elif class_filter in (ClassFilter.B0, ClassFilter.NO_FOUR_CYCLE):
-        step = _SET
-    else:
-        step = _MULTISET
+    kept: list[tuple[int, ...]] = []
 
     def leaf(cols, weight: int) -> None:
         nonlocal count
         if class_filter is ClassFilter.B0 and len(set(cols)) < m:
+            return
+        if class_filter is ClassFilter.NO_FOUR_CYCLE and any(
+            _shares_pair(c, cols[:i]) for i, c in enumerate(cols)
+        ):
             return
         if class_filter is ClassFilter.BPLUS:
             _, failed, in_b0 = _battery_from_cols(n, tuple(cols), n2)
@@ -379,9 +382,11 @@ def enumerate_bigraphs(
                 return
         count += weight
         if visitor is not None:
-            visitor(BipartiteGraph(n, m, list(cols)))
+            kept.append(tuple(index[c] for c in cols))
 
-    _sweep(ds.k, ds.r, m, leaf, step, no4=class_filter is ClassFilter.NO_FOUR_CYCLE)
+    _sweep(ds.k, ds.r, m, leaf)
+    for t in _first_orderings(kept):
+        visitor(BipartiteGraph(n, m, [masks[i] for i in t]))
     return count
 
 
@@ -392,10 +397,9 @@ def _first_switchable(
     the order ``enumerate_bigraphs`` visits labeled graphs.
 
     That order is lexicographic in the candidate indices of the columns.
-    Conformity and the property battery ignore column order, so one
-    non-decreasing sweep finds every qualifying multiset, and the labeled
-    graphs wanted are the ``limit`` smallest of their orderings.  Well-behaved
-    graphs have distinct columns, so each multiset is a set.
+    Conformity and the property battery ignore column order, so the sweep
+    finds every qualifying multiset, and the labeled graphs wanted are the
+    ``limit`` smallest of their orderings.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
@@ -409,51 +413,8 @@ def _first_switchable(
         if cycles and in_b0 and not failed:
             found.append(tuple(index[c] for c in cols))
 
-    _sweep(ds.k, ds.r, m, leaf, _MULTISET)
+    _sweep(ds.k, ds.r, m, leaf)
     return [[masks[i] for i in t] for t in _first_orderings(found, limit)]
-
-
-def count_hypergraphs(
-    ds: DegreeSequence, *, max_space: int = DEFAULT_MAX_SPACE
-) -> tuple[int, int]:
-    """Exact (simple, linear) hypergraph counts by a search over edge sets.
-
-    Linearity is tested on each whole edge set, not used to prune, so the
-    second component checks ``count_linear_hypergraphs``.
-    """
-    m = ds.edge_count()
-    check_guard(ds, max_space)
-    count_h = 0
-    count_l = 0
-
-    def leaf(cols, weight: int) -> None:
-        nonlocal count_h, count_l
-        count_h += 1
-        if not any(_shares_pair(c, cols[:i]) for i, c in enumerate(cols)):
-            count_l += 1
-
-    _sweep(ds.k, ds.r, m, leaf, _SET)
-    return count_h, count_l
-
-
-def count_linear_hypergraphs(
-    ds: DegreeSequence, *, max_space: int = DEFAULT_MAX_SPACE
-) -> int:
-    """Linear-hypergraph count with linearity used as a pruning rule.
-
-    Much faster than ``count_hypergraphs`` when the linear fraction is small;
-    must agree with its second component.
-    """
-    m = ds.edge_count()
-    check_guard(ds, max_space)
-    count = 0
-
-    def leaf(cols, weight: int) -> None:
-        nonlocal count
-        count += 1
-
-    _sweep(ds.k, ds.r, m, leaf, _SET, no4=True)
-    return count
 
 
 def hyper_class_profile(
@@ -480,7 +441,7 @@ def hyper_class_profile(
         if not dual_failed_properties(hg, n2):
             profile[len(hyper_properties(hg).double_links)] += weight
 
-    _sweep(ds.k, ds.r, m, leaf, _MULTISET, roots=_roots(ds))
+    _sweep(ds.k, ds.r, m, leaf, roots=_roots(ds))
     fact = math.factorial(m)
     return tuple(
         _per_hypergraph(c, fact, f"the weight of class C_{d}")
@@ -531,6 +492,15 @@ def full_report(
     )
     _assert_report_invariants(report, ds)
     return report
+
+
+def count_hypergraphs(
+    ds: DegreeSequence, *, max_space: int = DEFAULT_MAX_SPACE
+) -> tuple[int, int]:
+    """Exact (simple, linear) hypergraph counts, (|H|, |L|), as
+    ``full_report`` derives them from its sweep: |B0|/m! and |C0|/m!."""
+    report = full_report(ds, max_space=max_space)
+    return report.count_h, report.count_l
 
 
 def _assert_report_invariants(report: OracleReport, ds: DegreeSequence) -> None:
@@ -609,7 +579,7 @@ def pattern_expectation(
         graphs += weight
         total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
-    _sweep(ds.k, ds.r, m, leaf, _MULTISET, roots=_roots(ds))
+    _sweep(ds.k, ds.r, m, leaf, roots=_roots(ds))
     if graphs == 0:
         raise ValueError("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)
@@ -690,6 +660,12 @@ def pattern_upper_bound(ds: DegreeSequence, pattern: Pattern) -> Fraction:
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
+def _check_edge_sizes(rs) -> None:
+    for r in rs:
+        if r < 2:
+            raise InvalidR(f"edge size r must be >= 2, got {r}")
+
+
 def canonical_battery(
     max_n: int = 6,
     rs=(3, 4),
@@ -701,8 +677,9 @@ def canonical_battery(
     inside the resource guard.
 
     Counts are invariant under permuting k, so non-increasing representatives
-    cover all instances.
+    cover all instances.  An edge size below 2 raises InvalidR.
     """
+    _check_edge_sizes(rs)
     out: list[DegreeSequence] = []
 
     def vectors(prefix, max_part, length_left):
@@ -732,7 +709,9 @@ def random_guarded_instances(
     k_max: int = 3,
     max_space: int = DEFAULT_MAX_SPACE,
 ) -> list[DegreeSequence]:
-    """Seeded stream of random in-guard instances (r | M, at least one edge)."""
+    """Seeded stream of random in-guard instances (r | M, at least one edge).
+    An edge size below 2 raises InvalidR."""
+    _check_edge_sizes(rs)
     rng = random.Random(seed)
     out: list[DegreeSequence] = []
     while len(out) < count:

@@ -228,7 +228,6 @@ def sweep_switchings(ds: DegreeSequence, spot_check_every: int = 211):
     the same legal (B, B', T) triples from both ends, so matching totals per
     d are a strong correctness check.
     """
-    import linhyper as lh
     from linhyper import SwitchTuple, check_forward, check_reverse
 
     n2 = ds.thresholds().n2
@@ -239,7 +238,7 @@ def sweep_switchings(ds: DegreeSequence, spot_check_every: int = 211):
         if in_b0 and not failed:
             graphs_by_d.setdefault(len(cycles), []).append((graph, cycles))
 
-    lh.enumerate_bigraphs(ds, visitor=collect)
+    reference_enumerate(ds, collect)
 
     stats = Counter()
     legal_fwd: Counter = Counter()
@@ -691,9 +690,10 @@ class _EnoughGraphs(Exception):
 
 def reference_spot_graphs(ds: DegreeSequence, limit: int) -> list[list[int]]:
     """Columns of the graphs ``_involution_spot_check`` round-trips, by the
-    labeled enumeration it used before the multiset sweep: the first
-    ``limit`` well-behaved graphs with a 4-cycle in visiting order, run only
-    when the weighted counts show that one exists."""
+    ordered reference sweep (the labeled enumeration it used before the
+    multiset sweep): the first ``limit`` well-behaved graphs with a 4-cycle
+    in visiting order, run only when the weighted counts show that one
+    exists."""
     import linhyper as lh
 
     found: list[list[int]] = []
@@ -710,7 +710,7 @@ def reference_spot_graphs(ds: DegreeSequence, limit: int) -> list[list[int]]:
     c0 = lh.enumerate_bigraphs(ds, class_filter=ClassFilter.NO_FOUR_CYCLE)
     if bplus > c0:
         try:
-            lh.enumerate_bigraphs(ds, visitor=visitor)
+            reference_enumerate(ds, visitor)
         except _EnoughGraphs:
             pass
     return found

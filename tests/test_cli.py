@@ -163,9 +163,9 @@ def test_workers_below_one_exit_2(capsys, workers):
 
 @pytest.mark.parametrize("command", ["girth", "sample"])
 def test_negative_seed_exit_2(capsys, command):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "-r", "3", "-k", "2,2,2,2,2,2", "--seed", "-1"])
-    assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, command, "-r", "3", "-k", "2,2,2,2,2,2", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "argument --seed: must be a non-negative integer, got -1" in err
 
 
 def test_verify_spot_check_counts_pinned(capsys):
@@ -194,27 +194,25 @@ def test_spot_check_graphs_match_labeled_enumeration():
 
 
 def test_spot_check_runs_one_multiset_sweep(monkeypatch, capsys):
-    # one non-decreasing sweep per instance: no labeled (ordered) enumeration
-    # and no separate counting sweeps
-    steps = []
+    # one multiset sweep per instance: no separate counting sweeps
+    sweeps = []
     sweep = exact_oracle._sweep
 
-    def recording(k, r, m, leaf, step=exact_oracle._ORDERED, **kwargs):
-        steps.append(step)
-        sweep(k, r, m, leaf, step, **kwargs)
+    def recording(*args, **kwargs):
+        sweeps.append(args[:3])
+        sweep(*args, **kwargs)
 
     monkeypatch.setattr(exact_oracle, "_sweep", recording)
     battery = canonical_battery(rs=(3,))
     for ds in battery:
-        steps.clear()
+        sweeps.clear()
         _involution_spot_check(ds, DEFAULT_MAX_SPACE)
-        assert len(steps) <= 1 and exact_oracle._ORDERED not in steps, ds
-    steps.clear()
+        assert len(sweeps) <= 1, ds
+    sweeps.clear()
     code, out, _ = run_cli(capsys, "verify", "-r", "3")
     assert code == 0 and json.loads(out)["involution_spot_checks"] == 8
     # at most one sweep for full_report and one for the spot check, per instance
-    assert exact_oracle._ORDERED not in steps
-    assert len(steps) <= 2 * len(battery)
+    assert len(sweeps) <= 2 * len(battery)
 
 
 def test_cached_parser_matches_fresh_parser(capsys):

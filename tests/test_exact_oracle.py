@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -11,7 +11,6 @@ from linhyper import (
     canonical_battery,
     classify,
     count_hypergraphs,
-    count_linear_hypergraphs,
     enumerate_bigraphs,
     full_report,
     hyper_class_profile,
@@ -23,12 +22,13 @@ from linhyper import (
 from linhyper import exact_oracle
 from linhyper.cli import main
 from linhyper.errors import (
+    InvalidR,
     InvariantViolation,
     NotDivisible,
     PreconditionFailed,
     TooLarge,
 )
-from linhyper.exact_oracle import _occurrences_from_cols, _orbit_roots
+from linhyper.exact_oracle import _first_orderings, _occurrences_from_cols, _orbit_roots
 
 from support import (
     count_b_dp,
@@ -137,7 +137,7 @@ def test_hyper_class_profile_matches_bipartite_profile():
 
 def test_count_linear_fast_path_agrees():
     for ds in canonical_battery(max_n=5, max_space=12):
-        assert count_linear_hypergraphs(ds) == count_hypergraphs(ds)[1]
+        assert count_hypergraphs(ds)[1] == reference_linear_count(ds)
 
 
 def test_workers_do_not_change_totals():
@@ -197,7 +197,7 @@ def test_rooted_sweep_skips_infeasible_roots_at_one_column(k, r):
     masks = exact_oracle._subset_masks(len(k), r)
     roots = [(idx, 1) for idx in range(len(masks))]
     exact_oracle._sweep(k, r, 1, lambda cols, w: leaves.append((list(cols), w)),
-                        exact_oracle._MULTISET, roots=roots)
+                        roots=roots)
     assert leaves == [([sum(1 << j for j, v in enumerate(k) if v)], 1)]
 
 
@@ -215,7 +215,7 @@ def test_rooted_sweep_over_every_candidate_counts_b():
             total += weight
 
         roots = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))]
-        exact_oracle._sweep(ds.k, ds.r, m, leaf, exact_oracle._MULTISET, roots=roots)
+        exact_oracle._sweep(ds.k, ds.r, m, leaf, roots=roots)
         assert total == count_b_dp(ds), ds
 
 
@@ -237,6 +237,39 @@ def test_full_report_past_the_guard():
     )
 
 
+@pytest.mark.parametrize("multiset", [(), (4,), (2, 2, 2), (0, 1, 1, 3, 3), (0, 1, 2, 3), (5, 5, 7)])
+def test_orderings_are_the_distinct_permutations(multiset):
+    want = sorted(set(permutations(multiset)))
+    # one more than wanted, so that a generator that never stops fails here
+    assert list(_first_orderings([multiset], len(want) + 1)) == want
+
+
+def test_first_orderings_merge_multisets_lazily(monkeypatch):
+    # the merge draws one ordering per multiset plus at most ``limit`` more,
+    # never the 16! and 16!/2 orderings of these two
+    multisets = [tuple(range(16)), (1, 1) + tuple(range(2, 16))]
+    drawn = 0
+    orderings = exact_oracle._orderings
+
+    def counting(multiset):
+        nonlocal drawn
+        for t in orderings(multiset):
+            drawn += 1
+            yield t
+
+    monkeypatch.setattr(exact_oracle, "_orderings", counting)
+    assert list(_first_orderings(multisets, 3)) == list(islice(permutations(range(16)), 3))
+    assert drawn <= len(multisets) + 3
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_battery_builders_reject_r_below_2(r):
+    with pytest.raises(InvalidR, match=f"got {r}"):
+        canonical_battery(rs=(r,))
+    with pytest.raises(InvalidR, match=f"got {r}"):
+        random_guarded_instances(3, seed=1, rs=(3, r))
+
+
 def test_workers_below_one_rejected():
     ds = new_degree_sequence((1,) * 6, 3)
     for workers in (0, -1):
@@ -250,7 +283,8 @@ def test_full_report_matches_ordered_sweep():
 
 
 def test_enumerate_matches_ordered_sweep():
-    for ds in SMALL_GATE_INSTANCES:
+    # r = 2 has many multisets with repeated columns
+    for ds in SMALL_GATE_INSTANCES + canonical_battery(rs=(2,), max_space=8):
         for class_filter in ClassFilter:
             assert enumerate_bigraphs(ds, class_filter=class_filter) == (
                 reference_enumerate(ds, class_filter=class_filter)
@@ -264,7 +298,7 @@ def test_enumerate_matches_ordered_sweep():
 def test_hypergraph_counts_match_edge_set_sweep():
     for ds in GATE_INSTANCES:
         assert count_hypergraphs(ds) == reference_hypergraph_counts(ds), ds
-        assert count_linear_hypergraphs(ds) == reference_linear_count(ds), ds
+        assert count_hypergraphs(ds)[1] == reference_linear_count(ds), ds
         assert hyper_class_profile(ds) == reference_class_profile(ds), ds
 
 
