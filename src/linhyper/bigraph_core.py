@@ -363,20 +363,18 @@ def _structure_from_cols(n_left: int, cols: tuple[int, ...]):
     """One-pass structural scan: 4-cycles plus the 3x2 / 2x3 pattern flags.
 
     Returns (cycles, has_k32, has_k23) where cycles is the sorted list of
-    (j1, j2, i1, i2) tuples.
+    (j1, j2, i1, i2) tuples.  Both flags are read off the cycle list: s
+    vertices on one side sharing a pair on the other give C(s, 2) cycles on
+    that pair, so a copy of K_{3,2} (K_{2,3}) is exactly a right (left) pair
+    lying on two cycles.
     """
     rows: list[list[int]] = [[] for _ in range(n_left)]
     for i, c in enumerate(cols):
         for j in _bits(c):
             rows[j].append(i)
     cycles = _four_cycles_of_rows(rows)
-    # three left vertices on one right pair give two cycles on that pair
     has_k32 = len({(i1, i2) for _, _, i1, i2 in cycles}) < len(cycles)
-    left_pair_count: Counter = Counter()
-    for c in cols:
-        for pair in combinations(tuple(_bits(c)), 2):
-            left_pair_count[pair] += 1
-    has_k23 = any(v >= 3 for v in left_pair_count.values())
+    has_k23 = len({(j1, j2) for j1, j2, _, _ in cycles}) < len(cycles)
     return cycles, has_k32, has_k23
 
 

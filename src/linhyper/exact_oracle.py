@@ -6,10 +6,12 @@ incidence columns with r-subsets of the vertices of positive residual degree,
 pruned on residual feasibility and on vertices forced into every remaining
 column.  After choosing candidate i it starts the next column at i, so it
 visits each column multiset once, weighted by its m!/prod(mult!) orderings:
-column order changes no count and no 4-cycle.  Callers that need labeled
-graphs in order (``enumerate_bigraphs`` with a visitor, and
-``_first_switchable``) merge the orderings of the multisets they keep
-(``_first_orderings``).
+column order changes no count and no 4-cycle.  The next column, the
+smallest left, must then have the lowest vertex of positive residual as its
+smallest vertex, so the sweep tries only that range of candidates; this
+drops no leaf (see ``_sweep``).  Callers that need labeled graphs in order (``enumerate_bigraphs``
+with a visitor, and ``_first_switchable``) merge the orderings of the
+multisets they keep (``_first_orderings``).
 
 ``full_report``, ``pattern_expectation`` and ``hyper_class_profile`` also use
 that relabeling equal-degree vertices changes none of their counts.  Their
@@ -35,6 +37,7 @@ import heapq
 import math
 import os
 import random
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -157,6 +160,13 @@ def _sweep(k, r, m, leaf, roots=None) -> None:
     ``leaf(cols, weight)`` receives each multiset with the number of labeled
     graphs it stands for, m!/prod(mult!).
 
+    A non-root column must have as its smallest vertex ``low``, the lowest
+    vertex of positive residual: below ``low`` every residual is zero, and
+    if the column skipped ``low``, no later column, being no smaller in
+    candidate order, could hold it.  So the sweep tries only candidates
+    ``first[low]`` up to ``first[low + 1]``; the subtrees it skips hold no
+    leaf, and the leaves, weights and their order are unchanged.
+
     ``roots``, a list of (candidate index, orbit size) pairs for m >= 1,
     fixes the first column to each root in turn and sweeps the other m - 1
     columns as a multiset from candidate 0; a leaf's weight then counts the
@@ -166,7 +176,10 @@ def _sweep(k, r, m, leaf, roots=None) -> None:
     feasibility tests of any column: one leaving a residual above m - 1
     (at m = 1, any residual) is skipped.
     """
+    combos = list(combinations(range(len(k)), r))
     masks = _subset_masks(len(k), r)
+    # first[j]: the first candidate whose smallest vertex is j (or above)
+    first = [bisect_left(combos, (j,)) for j in range(len(k) + 2)]
     facts = [math.factorial(i) for i in range(m + 1)]
     residual = list(k)
     cols: list[int] = []
@@ -191,17 +204,23 @@ def _sweep(k, r, m, leaf, roots=None) -> None:
                 zero |= 1 << j
         if forced.bit_count() > r:
             return
+        if depth >= free:
+            # the lowest vertex of positive residual (len(k) if none)
+            low = (~zero & (zero + 1)).bit_length() - 1
+            start = max(start, first[low])
+            stop = min(stop, first[low + 1])
         for idx in range(start, stop):
             mask = masks[idx]
             if mask & zero or mask & forced != forced:
                 continue
-            for j in _bits(mask):
+            combo = combos[idx]
+            for j in combo:
                 residual[j] -= 1
             if max(residual) <= remaining - 1:
                 cols.append(mask)
                 rec(depth + 1, 0 if depth < free else idx, len(masks))
                 cols.pop()
-            for j in _bits(mask):
+            for j in combo:
                 residual[j] += 1
 
     if roots is None:

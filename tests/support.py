@@ -3,8 +3,8 @@
 Everything here recomputes quantities by a route different from the library
 code it checks: naive all-pairs scans, column-multiset enumeration, the
 ordered column sweep and the edge-set sweep the exact oracle used before its
-symmetry-reduced sweep, and a transformation-based counter for the 2-regular
-scaling family.  The margin-class dynamic program is re-exported from the
+symmetry-reduced sweep, that sweep as it was before its lowest-vertex bound,
+and a transformation-based counter for the 2-regular scaling family.  The margin-class dynamic program is re-exported from the
 library, where it cross-checks every ``full_report``.
 """
 from __future__ import annotations
@@ -714,3 +714,58 @@ def reference_spot_graphs(ds: DegreeSequence, limit: int) -> list[list[int]]:
         except _EnoughGraphs:
             pass
     return found
+
+
+# --- The exact oracle's multiset sweep before the lowest-vertex bound -------
+
+
+def reference_multiset_sweep(k, r, m, leaf, roots=None) -> None:
+    """``exact_oracle._sweep`` as it was before it clamped each free column
+    to the candidates holding the lowest vertex of positive residual: it
+    tries every candidate from ``start`` on, so it visits every dead branch
+    the bound prunes.  Its leaves, weights and their order are the ones the
+    library's sweep must reproduce."""
+    masks = _subset_masks(len(k), r)
+    facts = [math.factorial(i) for i in range(m + 1)]
+    residual = list(k)
+    cols: list[int] = []
+    # columns before ``free`` are fixed by a root; a leaf's weight is
+    # ``scale`` times the orderings of the others
+    free, scale = 0, 1
+
+    def rec(depth: int, start: int, stop: int) -> None:
+        if depth == m:
+            weight = scale * facts[m - free]
+            for c in Counter(cols[free:]).values():
+                weight //= facts[c]
+            leaf(cols, weight)
+            return
+        remaining = m - depth
+        forced = 0
+        zero = 0
+        for j, v in enumerate(residual):
+            if v == remaining:
+                forced |= 1 << j
+            elif v == 0:
+                zero |= 1 << j
+        if forced.bit_count() > r:
+            return
+        for idx in range(start, stop):
+            mask = masks[idx]
+            if mask & zero or mask & forced != forced:
+                continue
+            for j in _bits(mask):
+                residual[j] -= 1
+            if max(residual) <= remaining - 1:
+                cols.append(mask)
+                rec(depth + 1, 0 if depth < free else idx, len(masks))
+                cols.pop()
+            for j in _bits(mask):
+                residual[j] += 1
+
+    if roots is None:
+        rec(0, 0, len(masks))
+        return
+    free = 1
+    for idx, scale in roots:
+        rec(0, idx, idx + 1)

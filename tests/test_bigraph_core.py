@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from linhyper import (
@@ -12,6 +13,7 @@ from linhyper import (
     from_hypergraph,
     hyper_properties,
     new_degree_sequence,
+    pairing_sample,
     to_hypergraph,
 )
 from linhyper.errors import LoopPresent, NonConforming, WrongRightDegree
@@ -123,6 +125,34 @@ def test_has_copy(demo_graph):
     with pytest.raises(ValueError):
         demo_graph.has_copy(0, 1)
 
+
+
+def test_k32_k23_flags_match_direct_check():
+    # classify reads (i) and (ii) off the 4-cycle list; has_copy scans the
+    # column subsets directly
+    rng = random.Random(10)
+    graphs = [
+        # r = 2 with two and with three equal columns
+        BipartiteGraph(4, 3, [0b0011, 0b0011, 0b1100]),
+        BipartiteGraph(4, 4, [0b0011, 0b0011, 0b0011, 0b1100]),
+    ]
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        r = rng.choice((2, 2, rng.randint(2, n)))
+        m = rng.randint(1, 8)
+        cols = [sum(1 << j for j in rng.sample(range(n), r)) for _ in range(m)]
+        graphs.append(BipartiteGraph(n, m, cols))
+    ds30 = new_degree_sequence((3,) * 30, 3)
+    np_rng = np.random.default_rng(10)
+    graphs += [pairing_sample(ds30, np_rng).graph for _ in range(4)]
+    seen = set()
+    for g in graphs:
+        ds = new_degree_sequence(g.left_degrees(), g.cols[0].bit_count())
+        failed = classify(g, ds).failed_properties
+        flags = ("i" in failed, "ii" in failed)
+        assert flags == (g.has_copy(3, 2), g.has_copy(2, 3)), g.cols
+        seen.add(flags)
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
 
 def test_distance(demo_graph):
     assert demo_graph.distance(("v", 2), ("e", 0)) == 1

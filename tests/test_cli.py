@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from linhyper import exact_oracle
+from linhyper import cli, exact_oracle
 from linhyper.cli import _involution_spot_check, build_parser, main
 from linhyper.exact_oracle import (
     DEFAULT_MAX_SPACE,
@@ -213,6 +213,28 @@ def test_spot_check_runs_one_multiset_sweep(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["involution_spot_checks"] == 8
     # at most one sweep for full_report and one for the spot check, per instance
     assert len(sweeps) <= 2 * len(battery)
+
+
+def test_verify_spot_checks_only_switchable_instances(monkeypatch, capsys):
+    # verify sweeps for spot-check graphs only where |B+| > |C0|, that is
+    # where some well-behaved graph has a 4-cycle
+    calls = []
+
+    def recording(ds, limit, max_space=DEFAULT_MAX_SPACE):
+        calls.append(ds)
+        return _first_switchable(ds, limit, max_space)
+
+    monkeypatch.setattr(cli, "_first_switchable", recording)
+    # (r, spot checks, switchable instances of the battery's 28 and 21)
+    for r, want, n_switchable in ((3, 8, 8), (4, 0, 1)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "-r", str(r))
+        assert code == 0 and json.loads(out)["involution_spot_checks"] == want
+        switchable = [
+            ds for ds in canonical_battery(rs=(r,))
+            if (rep := exact_oracle.full_report(ds)).count_bplus > rep.cd_profile[0]
+        ]
+        assert calls == switchable and len(calls) == n_switchable, r
 
 
 def test_cached_parser_matches_fresh_parser(capsys):

@@ -28,7 +28,12 @@ from linhyper.errors import (
     PreconditionFailed,
     TooLarge,
 )
-from linhyper.exact_oracle import _first_orderings, _occurrences_from_cols, _orbit_roots
+from linhyper.exact_oracle import (
+    _first_orderings,
+    _occurrences_from_cols,
+    _orbit_roots,
+    _roots,
+)
 
 from support import (
     count_b_dp,
@@ -38,6 +43,7 @@ from support import (
     reference_enumerate,
     reference_hypergraph_counts,
     reference_linear_count,
+    reference_multiset_sweep,
     reference_pattern_expectation,
     reference_report,
 )
@@ -414,3 +420,24 @@ def test_battery_shape():
     rnd = random_guarded_instances(50, seed=1)
     assert len(rnd) == 50
     assert rnd == random_guarded_instances(50, seed=1)
+
+
+def test_sweep_leaves_match_unbounded_sweep():
+    # the lowest-vertex bound prunes only subtrees without a leaf: the same
+    # multisets reach ``leaf`` with the same weights in the same order,
+    # unrooted, rooted at the orbits, and rooted at every candidate
+    instances = canonical_battery(rs=(2, 3, 4)) + random_guarded_instances(
+        160, seed=20261019, rs=(2, 3, 4, 5)
+    )
+    assert any(ds.r == 5 for ds in instances)
+    assert any(0 in ds.k for ds in instances)
+    for ds in instances:
+        m = ds.edge_count()
+        every = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))] if m else None
+        for roots in (None, _roots(ds), every):
+            got, want = [], []
+            exact_oracle._sweep(ds.k, ds.r, m, lambda c, w: got.append((tuple(c), w)),
+                                roots=roots)
+            reference_multiset_sweep(ds.k, ds.r, m,
+                                     lambda c, w: want.append((tuple(c), w)), roots=roots)
+            assert got == want, (ds, roots)
