@@ -19,6 +19,11 @@ A conforming graph with distinct columns passing all five is "well-behaved";
 its hypergraph is then simple with exactly one double link per 4-cycle.  For
 r >= 3, (i) already forces distinct columns; for r = 2 two equal columns form
 one 4-cycle that passes all five.
+
+``classify`` runs the battery on a whole graph (``_battery_from_cols``).
+The exhaustive oracle derives the same verdict column by column as its sweep
+pushes columns (``exact_oracle._push_verdict``), and is tested against
+``_battery_from_cols``.
 """
 from __future__ import annotations
 
@@ -381,8 +386,10 @@ def _structure_from_cols(n_left: int, cols: tuple[int, ...]):
 def _battery_from_cols(n_left: int, cols: tuple[int, ...], n2: int):
     """Evaluate the property battery on raw columns.
 
-    Returns (cycles, failed, in_b0).  This is the single implementation behind
-    both the public classifier and the exhaustive oracle's hot loop.
+    Returns (cycles, failed, in_b0).  This is the classifier's battery, on
+    the 30-60 columns of a sampled graph as on a desk-scale one: wedge
+    buckets list the 4-cycles in time linear in the wedges.  It is also the
+    reference the exhaustive oracle's incremental verdict is tested against.
     """
     cycles, has_k32, has_k23 = _structure_from_cols(n_left, cols)
     failed = set()

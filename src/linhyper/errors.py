@@ -9,6 +9,12 @@ class LinhyperError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(LinhyperError, ValueError):
+    """A library call's argument is outside its domain (a worker count below
+    1, an instance with no conforming graph where one is needed); also a
+    ValueError."""
+
+
 class InputError(LinhyperError):
     """A command-line argument or input file is malformed or inconsistent."""
 

@@ -13,6 +13,17 @@ drops no leaf (see ``_sweep``).  Callers that need labeled graphs in order (``en
 with a visitor, and ``_first_switchable``) merge the orderings of the
 multisets they keep (``_first_orderings``).
 
+The sweep also carries each multiset's verdict under the property battery
+of ``bigraph_core`` down the recursion, so no leaf runs the battery: a
+pushed column is compared with each placed one (``_push_verdict``), and a
+leaf receives d, its number of 4-cycles, if it is well-behaved, else None.
+For pass or fail, (iii) (no right vertex on two 4-cycles) covers (i) and
+(ii): a K_{3,2} puts a right vertex on three 4-cycles and a K_{2,3} one on
+two.  No property recovers when a column is added, so leaves below a failed
+prefix inherit its failure, and leaves sharing a prefix share its
+4-cycles.  ``classify`` keeps the whole-graph battery,
+``_battery_from_cols``, which the verdict is tested against.
+
 ``full_report``, ``pattern_expectation`` and ``hyper_class_profile`` also use
 that relabeling equal-degree vertices changes none of their counts.  Their
 sweep is rooted: it fixes the first column to one r-subset per orbit under
@@ -50,14 +61,13 @@ from .asymptotics import mckay_upper_bound
 from .bigraph_core import (
     BipartiteGraph,
     Hypergraph,
-    _battery_from_cols,
     _bits,
     _structure_from_cols,
     dual_failed_properties,
     hyper_properties,
 )
 from .degree_model import DegreeSequence
-from .errors import InvalidR, InvariantViolation, TooLarge
+from .errors import InvalidArgument, InvalidR, InvariantViolation, TooLarge
 
 DEFAULT_MAX_SPACE = 16
 
@@ -122,12 +132,6 @@ def _subset_masks(n: int, r: int) -> list[int]:
     return [sum(1 << v for v in combo) for combo in combinations(range(n), r)]
 
 
-def _shares_pair(col: int, others) -> bool:
-    """Whether column ``col`` shares two left vertices (a 4-cycle) with any
-    of ``others``."""
-    return any((col & c).bit_count() >= 2 for c in others)
-
-
 def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
     """One first column per orbit of the r-subsets of positive-degree vertices
     under permutations of equal-degree vertices, as (candidate index, orbit
@@ -151,14 +155,62 @@ def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
     return roots
 
 
+def _push_verdict(cols, mask: int, state, n2: int):
+    """The battery state once column ``mask`` joins ``cols``.
+
+    ``state`` is (pairs, on_cycle) while ``cols`` is well-behaved: the left
+    pair of each of its 4-cycles, as a bitmask, and the bitmask of the
+    positions in ``cols`` of the columns on a 4-cycle.  The result is None
+    once the columns are not well-behaved; no property recovers when a
+    column is added.
+    """
+    pairs, on_cycle = state
+    hit = -1
+    for t, c in enumerate(cols):
+        s = (mask & c).bit_count()
+        if s >= 2:
+            # s >= 3 fails (i); a second partner, or a partner already on a
+            # 4-cycle, puts a right vertex on two 4-cycles (iii); an equal
+            # column (s = r = 2) is a repeat, never well-behaved
+            if s > 2 or hit >= 0 or on_cycle >> t & 1 or mask == c:
+                return None
+            hit = t
+    if hit < 0:
+        return state
+    pair = mask & cols[hit]
+    if len(pairs) >= n2 or any(
+        (pair | a | b).bit_count() < 5 for a, b in combinations(pairs, 2)
+    ):
+        return None
+    return pairs + (pair,), on_cycle | 1 << hit | 1 << len(cols)
+
+
 def _sweep(k, r, m, leaf, roots=None) -> None:
-    """Visit each column multiset conforming to (k, r) once.
+    """Visit each column multiset conforming to (k, r) once, with its weight
+    and its battery verdict.
 
     Candidates are the r-subsets of range(len(k)) in lexicographic order,
     and the columns of a multiset come in non-decreasing candidate order
     (after the root, if any).
-    ``leaf(cols, weight)`` receives each multiset with the number of labeled
-    graphs it stands for, m!/prod(mult!).
+    ``leaf(cols, weight, distinct, d)`` receives each multiset with the
+    number of labeled graphs it stands for, m!/prod(mult!), whether its
+    columns are pairwise distinct, and its verdict: d, the number of
+    4-cycles, if it is well-behaved (distinct columns passing (i)-(v) with
+    the cap n2 of (k, r)), else None.
+
+    The weight, the distinctness and the verdict are carried down the
+    recursion as each column is pushed.  Free columns come in non-decreasing
+    order, so a repeated free column equals the one before it; the root may
+    equal any.  ``_push_verdict`` compares the pushed column with each
+    placed one: sharing two left vertices adds one 4-cycle, sharing three
+    fails (i).  For pass or fail, (iii) covers (i) and (ii): a K_{3,2} puts
+    each of its right vertices on three 4-cycles, and a K_{2,3} each of its
+    on two.  So a push fails when a column meets two partners or one already
+    on a 4-cycle (iii), when the new 4-cycle's left pair and those of any
+    two earlier ones span fewer than five left vertices (iv), or when the
+    4-cycles outnumber n2 (v).  Every property only gets worse as columns
+    are added, so a failed prefix does no battery work below it; its
+    subtree is still swept for |B| and |B0|.
 
     A non-root column must have as its smallest vertex ``low``, the lowest
     vertex of positive residual: below ``low`` every residual is zero, and
@@ -181,18 +233,19 @@ def _sweep(k, r, m, leaf, roots=None) -> None:
     # first[j]: the first candidate whose smallest vertex is j (or above)
     first = [bisect_left(combos, (j,)) for j in range(len(k) + 2)]
     facts = [math.factorial(i) for i in range(m + 1)]
+    n2 = DegreeSequence(r=r, k=tuple(k)).four_cycle_cap
     residual = list(k)
     cols: list[int] = []
     # columns before ``free`` are fixed by a root; a leaf's weight is
     # ``scale`` times the orderings of the others
     free, scale = 0, 1
 
-    def rec(depth: int, start: int, stop: int) -> None:
+    # ``div``: prod(mult!) over the free columns so far, ``run``: the
+    # multiplicity of the last one, ``state``: see ``_push_verdict``
+    def rec(depth, start, stop, div, run, distinct, state) -> None:
         if depth == m:
-            weight = scale * facts[m - free]
-            for c in Counter(cols[free:]).values():
-                weight //= facts[c]
-            leaf(cols, weight)
+            leaf(cols, scale * facts[m - free] // div, distinct,
+                 None if state is None else len(state[0]))
             return
         remaining = m - depth
         forced = 0
@@ -217,18 +270,28 @@ def _sweep(k, r, m, leaf, roots=None) -> None:
             for j in combo:
                 residual[j] -= 1
             if max(residual) <= remaining - 1:
+                run_next = run + 1 if depth > free and mask == cols[-1] else 1
+                # a repeated free column follows its copy; the root may
+                # equal any free column
+                distinct_next = distinct and (
+                    not cols or mask != cols[-1] and mask != cols[0]
+                )
+                state_next = (
+                    None if state is None else _push_verdict(cols, mask, state, n2)
+                )
                 cols.append(mask)
-                rec(depth + 1, 0 if depth < free else idx, len(masks))
+                rec(depth + 1, 0 if depth < free else idx, len(masks),
+                    div * run_next, run_next, distinct_next, state_next)
                 cols.pop()
             for j in combo:
                 residual[j] += 1
 
     if roots is None:
-        rec(0, 0, len(masks))
+        rec(0, 0, len(masks), 1, 0, True, ((), 0))
         return
     free = 1
     for idx, scale in roots:
-        rec(0, idx, idx + 1)
+        rec(0, idx, idx + 1, 1, 0, True, ((), 0))
 
 
 def _orderings(multiset: tuple[int, ...]):
@@ -317,19 +380,17 @@ def count_b_dp(ds: DegreeSequence) -> int:
 class _ReportCounts:
     """Weighted class counts over the leaves of one sweep."""
 
-    def __init__(self, n_left: int, n2: int):
-        self.n_left, self.n2 = n_left, n2
+    def __init__(self, n2: int):
         self.b = self.b0 = self.bplus = 0
         self.cd = [0] * (n2 + 1)
 
-    def leaf(self, cols, weight: int) -> None:
-        cycles, failed, in_b0 = _battery_from_cols(self.n_left, tuple(cols), self.n2)
+    def leaf(self, cols, weight: int, distinct: bool, d) -> None:
         self.b += weight
-        if in_b0:
+        if distinct:
             self.b0 += weight
-        if in_b0 and not failed:
+        if d is not None:
             self.bplus += weight
-            self.cd[len(cycles)] += weight
+            self.cd[d] += weight
 
     def add(self, other: "_ReportCounts") -> None:
         self.b += other.b
@@ -341,7 +402,7 @@ class _ReportCounts:
 
 def _report_branch(args) -> _ReportCounts:
     k, r, m, n2, roots = args
-    counts = _ReportCounts(len(k), n2)
+    counts = _ReportCounts(n2)
     _sweep(k, r, m, counts.leaf, roots=roots)
     return counts
 
@@ -380,25 +441,21 @@ def enumerate_bigraphs(
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
-    n2 = ds.four_cycle_cap
     n = ds.n
     masks = _subset_masks(n, ds.r)
     index = {mask: i for i, mask in enumerate(masks)}
     count = 0
     kept: list[tuple[int, ...]] = []
 
-    def leaf(cols, weight: int) -> None:
+    def leaf(cols, weight: int, distinct: bool, d) -> None:
         nonlocal count
-        if class_filter is ClassFilter.B0 and len(set(cols)) < m:
+        if class_filter is ClassFilter.B0 and not distinct:
             return
-        if class_filter is ClassFilter.NO_FOUR_CYCLE and any(
-            _shares_pair(c, cols[:i]) for i, c in enumerate(cols)
-        ):
+        # for r >= 2 a repeated column or a failed property means a 4-cycle
+        if class_filter is ClassFilter.NO_FOUR_CYCLE and d != 0:
             return
-        if class_filter is ClassFilter.BPLUS:
-            _, failed, in_b0 = _battery_from_cols(n, tuple(cols), n2)
-            if failed or not in_b0:
-                return
+        if class_filter is ClassFilter.BPLUS and d is None:
+            return
         count += weight
         if visitor is not None:
             kept.append(tuple(index[c] for c in cols))
@@ -422,14 +479,12 @@ def _first_switchable(
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
-    n2 = ds.four_cycle_cap
     masks = _subset_masks(ds.n, ds.r)
     index = {mask: i for i, mask in enumerate(masks)}
     found: list[tuple[int, ...]] = []
 
-    def leaf(cols, weight: int) -> None:
-        cycles, failed, in_b0 = _battery_from_cols(ds.n, tuple(cols), n2)
-        if cycles and in_b0 and not failed:
+    def leaf(cols, weight: int, distinct: bool, d) -> None:
+        if d:
             found.append(tuple(index[c] for c in cols))
 
     _sweep(ds.k, ds.r, m, leaf)
@@ -453,8 +508,8 @@ def hyper_class_profile(
     n2 = ds.four_cycle_cap
     profile = [0] * (n2 + 1)
 
-    def leaf(masks, weight: int) -> None:
-        if len(set(masks)) < m:
+    def leaf(masks, weight: int, distinct: bool, d) -> None:
+        if not distinct:
             return
         hg = Hypergraph(ds.n, [tuple(_bits(mask)) for mask in masks])
         if not dual_failed_properties(hg, n2):
@@ -483,7 +538,7 @@ def full_report(
     worker count.
     """
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise InvalidArgument("workers must be >= 1")
     m = ds.edge_count()
     check_guard(ds, max_space)
     n2 = ds.four_cycle_cap
@@ -493,7 +548,7 @@ def full_report(
     pool_size = min(workers, len(roots or ()), os.cpu_count() or 1)
     if pool_size > 1:
         tasks = [(ds.k, ds.r, m, n2, [root]) for root in roots]
-        counts = _ReportCounts(ds.n, n2)
+        counts = _ReportCounts(n2)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for part in pool.map(_report_branch, tasks):
                 counts.add(part)
@@ -593,14 +648,14 @@ def pattern_expectation(
     total = 0
     graphs = 0
 
-    def leaf(cols, weight: int) -> None:
+    def leaf(cols, weight: int, distinct: bool, d) -> None:
         nonlocal total, graphs
         graphs += weight
         total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
     _sweep(ds.k, ds.r, m, leaf, roots=_roots(ds))
     if graphs == 0:
-        raise ValueError("no conforming graphs exist; expectation undefined")
+        raise InvalidArgument("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from .bigraph_core import BipartiteGraph, Classification, classify
 from .degree_model import DegreeSequence
 from .errors import (
+    InvalidArgument,
     NoFourCycle,
     NonConforming,
     NotASwitching,
@@ -490,7 +491,7 @@ def monte_carlo_girth(
     if trials < 1:
         raise PreconditionFailed(f"trials must be >= 1, got {trials}")
     if workers < 1:
-        raise ValueError("workers must be >= 1")
+        raise InvalidArgument("workers must be >= 1")
     predicted = girth6_probability(ds).value
     base, extra = divmod(trials, workers)
     tasks = [(ds.r, ds.k, seed, w, workers, share, max_retries)

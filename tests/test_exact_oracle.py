@@ -14,16 +14,20 @@ from linhyper import (
     enumerate_bigraphs,
     full_report,
     hyper_class_profile,
+    monte_carlo_girth,
     new_degree_sequence,
     pattern_expectation,
     pattern_upper_bound,
     random_guarded_instances,
 )
 from linhyper import exact_oracle
+from linhyper.bigraph_core import _battery_from_cols
 from linhyper.cli import main
 from linhyper.errors import (
+    InvalidArgument,
     InvalidR,
     InvariantViolation,
+    LinhyperError,
     NotDivisible,
     PreconditionFailed,
     TooLarge,
@@ -32,6 +36,7 @@ from linhyper.exact_oracle import (
     _first_orderings,
     _occurrences_from_cols,
     _orbit_roots,
+    _push_verdict,
     _roots,
 )
 
@@ -202,9 +207,9 @@ def test_rooted_sweep_skips_infeasible_roots_at_one_column(k, r):
     leaves = []
     masks = exact_oracle._subset_masks(len(k), r)
     roots = [(idx, 1) for idx in range(len(masks))]
-    exact_oracle._sweep(k, r, 1, lambda cols, w: leaves.append((list(cols), w)),
-                        roots=roots)
-    assert leaves == [([sum(1 << j for j, v in enumerate(k) if v)], 1)]
+    exact_oracle._sweep(k, r, 1, lambda cols, w, distinct, d: leaves.append(
+        (list(cols), w, distinct, d)), roots=roots)
+    assert leaves == [([sum(1 << j for j, v in enumerate(k) if v)], 1, True, 0)]
 
 
 def test_rooted_sweep_over_every_candidate_counts_b():
@@ -216,7 +221,7 @@ def test_rooted_sweep_over_every_candidate_counts_b():
             continue
         total = 0
 
-        def leaf(cols, weight):
+        def leaf(cols, weight, distinct, d):
             nonlocal total
             total += weight
 
@@ -281,6 +286,23 @@ def test_workers_below_one_rejected():
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers"):
             full_report(ds, workers=workers)
+
+
+def test_argument_errors_are_library_errors():
+    # out-of-domain arguments raise InvalidArgument, which is both a
+    # LinhyperError (exit 2 at the CLI) and, as before, a ValueError
+    ds = new_degree_sequence((1,) * 6, 3)
+    calls = [
+        lambda: full_report(ds, workers=0),
+        lambda: monte_carlo_girth(ds, seed=1, trials=4, workers=0),
+        # one vertex cannot hold a column of three
+        lambda: pattern_expectation(new_degree_sequence((3,), 3), Pattern.K32),
+    ]
+    for call in calls:
+        with pytest.raises(LinhyperError) as info:
+            call()
+        assert isinstance(info.value, InvalidArgument)
+        assert isinstance(info.value, ValueError)
 
 
 def test_full_report_matches_ordered_sweep():
@@ -422,10 +444,21 @@ def test_battery_shape():
     assert rnd == random_guarded_instances(50, seed=1)
 
 
+def battery_verdict(ds, cols, n2=None):
+    """(distinct, verdict) of the columns by the battery: the verdict is the
+    4-cycle count of a well-behaved multiset, else None."""
+    cycles, failed, in_b0 = _battery_from_cols(
+        ds.n, tuple(cols), ds.four_cycle_cap if n2 is None else n2
+    )
+    return in_b0, len(cycles) if in_b0 and not failed else None
+
+
 def test_sweep_leaves_match_unbounded_sweep():
     # the lowest-vertex bound prunes only subtrees without a leaf: the same
     # multisets reach ``leaf`` with the same weights in the same order,
-    # unrooted, rooted at the orbits, and rooted at every candidate
+    # unrooted, rooted at the orbits, and rooted at every candidate; the
+    # distinctness and verdict carried down the sweep are those of the
+    # battery run on each leaf's columns
     instances = canonical_battery(rs=(2, 3, 4)) + random_guarded_instances(
         160, seed=20261019, rs=(2, 3, 4, 5)
     )
@@ -436,8 +469,68 @@ def test_sweep_leaves_match_unbounded_sweep():
         every = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))] if m else None
         for roots in (None, _roots(ds), every):
             got, want = [], []
-            exact_oracle._sweep(ds.k, ds.r, m, lambda c, w: got.append((tuple(c), w)),
-                                roots=roots)
-            reference_multiset_sweep(ds.k, ds.r, m,
-                                     lambda c, w: want.append((tuple(c), w)), roots=roots)
+            exact_oracle._sweep(
+                ds.k, ds.r, m,
+                lambda c, w, distinct, d: got.append((tuple(c), w, distinct, d)),
+                roots=roots,
+            )
+            reference_multiset_sweep(
+                ds.k, ds.r, m,
+                lambda c, w: want.append((tuple(c), w) + battery_verdict(ds, c)),
+                roots=roots,
+            )
             assert got == want, (ds, roots)
+
+
+def _cols(*columns):
+    return [sum(1 << j for j in column) for column in columns]
+
+
+# Hand-made multisets, each aimed at one way to fail; (i) and (ii) always
+# fail (iii) and (iv) too, since a K_{3,2} puts three 4-cycles on one right
+# pair and a K_{2,3} three on one left pair.  (v) fails on no instance
+# inside the default guard (M <= 16): a graph passing (iii) has at most
+# m/2 <= 4 4-cycles, and n2 >= 3 ceil(log M) >= 6 for M >= 3, so its cap is
+# set by hand.
+HAND_MADE = [
+    # (columns, r, n2 or None for the instance's cap, failed, verdict)
+    (_cols((0, 1, 2, 3), (0, 1, 2, 4)), 4, None, {"i", "iii", "iv"}, None),
+    (_cols((0, 1, 2), (0, 1, 3), (0, 1, 4)), 3, None, {"ii", "iii", "iv"}, None),
+    (_cols((0, 1, 2), (0, 1, 3), (1, 2, 4)), 3, None, {"iii"}, None),
+    # three 4-cycles on left pairs spanning four left vertices, then five
+    (_cols((0, 1, 4), (0, 1, 5), (2, 3, 6), (2, 3, 7), (0, 2, 8), (0, 2, 9)),
+     3, None, {"iv"}, None),
+    (_cols((0, 1, 5), (0, 1, 6), (2, 3, 7), (2, 3, 8), (0, 4, 9), (0, 4, 10)),
+     3, None, set(), 3),
+    (_cols((0, 1, 2), (0, 1, 3), (4, 5, 6), (4, 5, 7)), 3, 1, {"v"}, None),
+    (_cols((0, 1, 2), (0, 1, 3), (4, 5, 6), (4, 5, 7)), 3, None, set(), 2),
+    (_cols((0, 1, 2), (0, 1, 3), (2, 3, 4)), 3, None, set(), 1),
+    # r = 2: two equal columns are one 4-cycle that passes (i)-(v)
+    (_cols((0, 1), (0, 1)), 2, None, set(), None),
+]
+
+
+@pytest.mark.parametrize("cols, r, n2, failed, verdict", HAND_MADE)
+def test_sweep_verdict_on_hand_made_multisets(cols, r, n2, failed, verdict):
+    k = tuple(sum(c >> j & 1 for c in cols) for j in range(max(cols).bit_length()))
+    ds = new_degree_sequence(k, r)
+    cap = ds.four_cycle_cap if n2 is None else n2
+    assert _battery_from_cols(ds.n, tuple(cols), cap)[1] == failed
+    distinct = len(set(cols)) == len(cols)
+    assert battery_verdict(ds, cols, cap) == (distinct, verdict)
+    # the verdict carried by pushes does not depend on the push order
+    for order in set(permutations(cols)):
+        state = ((), 0)
+        for i, c in enumerate(order):
+            if state is not None:
+                state = _push_verdict(order[:i], c, state, cap)
+        assert (None if state is None else len(state[0])) == verdict, order
+    # and the sweep gives the multiset that verdict, where the cap is the
+    # instance's and the sweep is small
+    if n2 is None and ds.M <= 12:
+        leaves = {}
+        exact_oracle._sweep(
+            ds.k, r, len(cols),
+            lambda c, w, dist, d: leaves.setdefault(tuple(sorted(c)), (dist, d)),
+        )
+        assert leaves[tuple(sorted(cols))] == (distinct, verdict)
