@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .degree_model import DegreeSequence, _falling
-from .errors import InvariantViolation, PreconditionFailed
+from .errors import InvalidArgument, InvariantViolation, PreconditionFailed
 
 
 @dataclass(frozen=True)
@@ -173,13 +173,13 @@ def mckay_upper_bound(g_left, g_right, l_left, l_right) -> Fraction:
     l_left = [int(v) for v in l_left]
     l_right = [int(v) for v in l_right]
     if len(l_left) != len(g_left) or len(l_right) != len(g_right):
-        raise ValueError("subgraph degree vectors must match the host bipartition")
+        raise InvalidArgument("subgraph degree vectors must match the host bipartition")
     e_g = sum(g_left)
     if sum(g_right) != e_g:
-        raise ValueError("host left/right degree sums differ")
+        raise InvalidArgument("host left/right degree sums differ")
     e_l = sum(l_left)
     if sum(l_right) != e_l:
-        raise ValueError("subgraph left/right degree sums differ")
+        raise InvalidArgument("subgraph left/right degree sums differ")
     g_max = max(g_left + g_right, default=0)
     l_max = max(l_left + l_right, default=0)
     gamma = 2 * g_max * (g_max + l_max - 1) + 2
@@ -205,9 +205,9 @@ def switching_ratio(ds: DegreeSequence, d: int) -> float:
     undefined.
     """
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise InvalidArgument(f"d must be >= 1, got {d}")
     if ds.M == 0:
-        raise ValueError("degree sum must be positive")
+        raise InvalidArgument("degree sum must be positive")
     return float(Fraction((ds.r - 1) ** 2 * ds.moment(2) ** 2, 4 * d * ds.M**2))
 
 
@@ -223,7 +223,7 @@ def sum_bounds(A, C, c_hat: float):
     A = [float(x) for x in A]
     C = [float(x) for x in C]
     if len(A) != len(C):
-        raise ValueError("A and C must have the same length")
+        raise InvalidArgument("A and C must have the same length")
     N = len(A)
     failures = []
     if N < 2:

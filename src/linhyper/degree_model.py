@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateM, InvalidR, NegativeDegree, NotDivisible
+from .errors import DegenerateM, InvalidArgument, InvalidR, NegativeDegree, NotDivisible
 
 
 def _falling(a: int, t: int) -> int:
@@ -76,7 +76,7 @@ class DegreeSequence:
     def moment(self, t: int) -> int:
         """t-th falling-factorial moment: sum of k_i (k_i - 1) ... (k_i - t + 1)."""
         if t < 1:
-            raise ValueError(f"moment order must be >= 1, got {t}")
+            raise InvalidArgument(f"moment order must be >= 1, got {t}")
         return sum(_falling(v, t) for v in self.k)
 
     def edge_count(self) -> int:

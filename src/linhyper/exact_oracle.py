@@ -46,17 +46,16 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import random
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
 
+from ._pool import map_tasks
 from .asymptotics import mckay_upper_bound
 from .bigraph_core import (
     BipartiteGraph,
@@ -533,9 +532,9 @@ def full_report(
     with every identity asserted.
 
     With ``workers > 1`` the sweep fans out over the first-column orbits
-    (``_orbit_roots``), on at most min(workers, orbits, CPU count)
-    processes; totals are merged by summation and do not depend on the
-    worker count.
+    (``_orbit_roots``), dealt round-robin into min(workers, orbits) tasks
+    run under the library's pool policy (``_pool.map_tasks``); totals are
+    merged by summation and do not depend on the worker count.
     """
     if workers < 1:
         raise InvalidArgument("workers must be >= 1")
@@ -543,17 +542,13 @@ def full_report(
     check_guard(ds, max_space)
     n2 = ds.four_cycle_cap
 
-    # one task per root; with no column there is no split
+    # roots dealt round-robin, one sweep per task; no column, no split
     roots = _roots(ds)
-    pool_size = min(workers, len(roots or ()), os.cpu_count() or 1)
-    if pool_size > 1:
-        tasks = [(ds.k, ds.r, m, n2, [root]) for root in roots]
-        counts = _ReportCounts(n2)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for part in pool.map(_report_branch, tasks):
-                counts.add(part)
-    else:
-        counts = _report_branch((ds.k, ds.r, m, n2, roots))
+    n_tasks = min(workers, len(roots)) if roots else 1
+    tasks = [(ds.k, ds.r, m, n2, roots and roots[w::n_tasks]) for w in range(n_tasks)]
+    counts = _ReportCounts(n2)
+    for part in map_tasks(_report_branch, tasks, workers):
+        counts.add(part)
 
     fact = math.factorial(m)
     report = OracleReport(

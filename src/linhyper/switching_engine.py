@@ -1,13 +1,15 @@
 """Rewiring operations that remove or create one 4-cycle, plus samplers.
 
-A forward switch is parameterized by an 8-tuple of distinct vertices
-(u1, u2, w1, w2 on the left; f1, f2, g1, g2 on the right): it dissolves the
-4-cycle on {u1,u2} x {f1,f2} by exchanging four edges.  The reverse switch is
-the same exchange read backwards and creates that 4-cycle.  Legality of a
-switch is *defined* by reclassifying the rewired graph: a legal forward switch
+A switch is parameterized by an 8-tuple of distinct vertices (u1, u2, w1, w2
+on the left; f1, f2, g1, g2 on the right) and trades eight edges.  A forward
+switch removes u1-f1, u2-f2, w1-g1 and w2-g2 and adds u1-g1, u2-g2, w1-f1 and
+w2-f2; u1-f2 and u2-f1 stay.  It dissolves the 4-cycle on {u1,u2} x {f1,f2},
+and the reverse switch, the same trade the other way, creates it.  Legality
+of a switch is *defined* by reclassifying the rewired graph: a legal switch
 from a well-behaved graph with d 4-cycles must land on a well-behaved graph
-with d-1.  The named illegality conditions are necessary conditions only and
-are reported as explanations, never trusted as a characterization.
+with d-1 (forward) or d+1 (reverse).  The named illegality conditions are
+necessary conditions only and are reported as explanations, never trusted as
+a characterization.
 
 Condition II uses the j-indexed distances dist(u_j, g_j), dist(w_j, f_j); the
 symmetric variant with u_1 throughout is not what is implemented.
@@ -18,16 +20,16 @@ are bit-identical.
 """
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, islice
-from concurrent.futures import ProcessPoolExecutor
+from operator import attrgetter
 
 import numpy as np
 
+from ._pool import map_tasks
 from .bigraph_core import BipartiteGraph, Classification, classify
 from .degree_model import DegreeSequence
 from .errors import (
@@ -61,7 +63,7 @@ class SwitchTuple:
         lefts = (self.u1, self.u2, self.w1, self.w2)
         rights = (self.f1, self.f2, self.g1, self.g2)
         if len(set(lefts)) != 4 or len(set(rights)) != 4:
-            raise ValueError(f"switch tuple vertices must be distinct: {self}")
+            raise InvalidArgument(f"switch tuple vertices must be distinct: {self}")
 
 
 @dataclass(frozen=True)
@@ -114,61 +116,36 @@ def derive_degree_sequence(graph: BipartiteGraph) -> DegreeSequence:
     return DegreeSequence(r=r, k=graph.left_degrees())
 
 
-def apply_forward(graph: BipartiteGraph, t: SwitchTuple) -> BipartiteGraph:
-    """Dissolve the 4-cycle on {u1,u2} x {f1,f2}; degrees are preserved.
+# The eight-edge trade of a forward switch, each edge named by the tuple
+# fields of its two ends; the kept edges stay on either side of the trade.
+_KEPT = ("u1f2", "u2f1")
+_FORWARD_REMOVES = ("u1f1", "u2f2", "w1g1", "w2g2")
+_FORWARD_ADDS = ("u1g1", "u2g2", "w1f1", "w2f2")
+_ENDS = {e: attrgetter(e[:2], e[2:]) for e in _KEPT + _FORWARD_REMOVES + _FORWARD_ADDS}
 
-    Requires the cycle and the edges w1-g1, w2-g2 to be present, and the four
-    edges to be created to be absent, so the result stays simple.
-    """
-    for j, i, label in (
-        (t.u1, t.f1, "u1f1"),
-        (t.u1, t.f2, "u1f2"),
-        (t.u2, t.f1, "u2f1"),
-        (t.u2, t.f2, "u2f2"),
-    ):
-        if not graph.has_edge(j, i):
-            raise NotASwitching(f"no 4-cycle on the u/f vertices: edge {label} missing")
-    for j, i, label in ((t.w1, t.g1, "w1g1"), (t.w2, t.g2, "w2g2")):
-        if not graph.has_edge(j, i):
-            raise NotASwitching(f"required edge {label} missing")
-    for j, i, label in (
-        (t.u1, t.g1, "u1g1"),
-        (t.u2, t.g2, "u2g2"),
-        (t.w1, t.f1, "w1f1"),
-        (t.w2, t.f2, "w2f2"),
-    ):
-        if graph.has_edge(j, i):
-            raise NotASwitching(f"edge {label} to be created already present")
-    return graph.replace_edges(
-        remove=[(t.u1, t.f1), (t.u2, t.f2), (t.w1, t.g1), (t.w2, t.g2)],
-        add=[(t.u1, t.g1), (t.u2, t.g2), (t.w1, t.f1), (t.w2, t.f2)],
-    )
+
+def _trade(graph: BipartiteGraph, t: SwitchTuple, remove, add) -> BipartiteGraph:
+    """Swap the ``remove`` edges of ``t`` for its ``add`` edges.  The kept and
+    removed edges must be present and the added ones absent, in that order;
+    NotASwitching names the first edge that is not."""
+    for e in _KEPT + remove:
+        if not graph.has_edge(*_ENDS[e](t)):
+            raise NotASwitching(f"required edge {e} missing")
+    for e in add:
+        if graph.has_edge(*_ENDS[e](t)):
+            raise NotASwitching(f"edge {e} to be created already present")
+    return graph.replace_edges(remove=[_ENDS[e](t) for e in remove],
+                               add=[_ENDS[e](t) for e in add])
+
+
+def apply_forward(graph: BipartiteGraph, t: SwitchTuple) -> BipartiteGraph:
+    """Dissolve the 4-cycle on {u1,u2} x {f1,f2}; degrees are preserved."""
+    return _trade(graph, t, _FORWARD_REMOVES, _FORWARD_ADDS)
 
 
 def apply_reverse(graph: BipartiteGraph, t: SwitchTuple) -> BipartiteGraph:
     """Create a 4-cycle on {u1,u2} x {f1,f2}; exact inverse of apply_forward."""
-    for j, i, label in (
-        (t.u1, t.g1, "u1g1"),
-        (t.u2, t.g2, "u2g2"),
-        (t.u1, t.f2, "u1f2"),
-        (t.u2, t.f1, "u2f1"),
-        (t.w1, t.f1, "w1f1"),
-        (t.w2, t.f2, "w2f2"),
-    ):
-        if not graph.has_edge(j, i):
-            raise NotASwitching(f"required edge {label} missing")
-    for j, i, label in (
-        (t.u1, t.f1, "u1f1"),
-        (t.u2, t.f2, "u2f2"),
-        (t.w1, t.g1, "w1g1"),
-        (t.w2, t.g2, "w2g2"),
-    ):
-        if graph.has_edge(j, i):
-            raise NotASwitching(f"edge {label} to be created already present")
-    return graph.replace_edges(
-        remove=[(t.u1, t.g1), (t.u2, t.g2), (t.w1, t.f1), (t.w2, t.f2)],
-        add=[(t.u1, t.f1), (t.u2, t.f2), (t.w1, t.g1), (t.w2, t.g2)],
-    )
+    return _trade(graph, t, _FORWARD_ADDS, _FORWARD_REMOVES)
 
 
 def _orientations(cyc):
@@ -235,9 +212,14 @@ def forward_candidates(graph: BipartiteGraph, cls: Classification):
                         yield SwitchTuple(u1, u2, w1, w2, f1, f2, g1, g2)
 
 
-def _dist_le(graph: BipartiteGraph, x, y, limit: int) -> bool:
-    d = graph.distance(x, y)
-    return d is not None and d <= limit
+def _near(graph: BipartiteGraph, t: SwitchTuple, edges) -> bool:
+    """Whether the ends of some edge named in ``edges`` are within distance 3."""
+    for e in edges:
+        j, i = _ENDS[e](t)
+        d = graph.distance(("v", j), ("e", i))
+        if d is not None and d <= 3:
+            return True
+    return False
 
 
 def forward_conditions(graph: BipartiteGraph, t: SwitchTuple) -> frozenset[str]:
@@ -247,12 +229,7 @@ def forward_conditions(graph: BipartiteGraph, t: SwitchTuple) -> frozenset[str]:
     conds = set()
     if t.g1 in rights_on or t.g2 in rights_on:
         conds.add("I")
-    if (
-        _dist_le(graph, ("v", t.u1), ("e", t.g1), 3)
-        or _dist_le(graph, ("v", t.u2), ("e", t.g2), 3)
-        or _dist_le(graph, ("v", t.w1), ("e", t.f1), 3)
-        or _dist_le(graph, ("v", t.w2), ("e", t.f2), 3)
-    ):
+    if _near(graph, t, _FORWARD_ADDS):
         conds.add("II")
     if graph.distance(("e", t.g1), ("e", t.g2)) == 2:
         conds.add("III")
@@ -274,14 +251,17 @@ def reverse_conditions(graph: BipartiteGraph, t: SwitchTuple) -> frozenset[str]:
         or t.g2 in rights_on
     ):
         conds.add("I'")
-    if (
-        _dist_le(graph, ("v", t.u1), ("e", t.f1), 3)
-        or _dist_le(graph, ("v", t.u2), ("e", t.f2), 3)
-        or _dist_le(graph, ("v", t.w1), ("e", t.g1), 3)
-        or _dist_le(graph, ("v", t.w2), ("e", t.g2), 3)
-    ):
+    if _near(graph, t, _FORWARD_REMOVES):
         conds.add("II'")
     return frozenset(conds)
+
+
+def _reclassified(graph, cls, ds, t, apply, step):
+    """(switched graph, its classification, legal): a switch is legal when it
+    lands on a well-behaved graph with ``step`` more 4-cycles than ``cls``."""
+    switched = apply(graph, t)
+    after = classify(switched, ds)
+    return switched, after, after.in_bplus and after.d == cls.d + step
 
 
 def check_forward(graph: BipartiteGraph, t: SwitchTuple) -> LegalityVerdict:
@@ -296,12 +276,8 @@ def check_forward(graph: BipartiteGraph, t: SwitchTuple) -> LegalityVerdict:
         raise NoFourCycle("forward switch requires at least one 4-cycle")
     if not cls.in_bplus:
         raise PreconditionFailed("forward switch starts from a well-behaved graph")
-    switched = apply_forward(graph, t)
-    after = classify(switched, ds)
-    legal = after.in_bplus and after.d == cls.d - 1
-    return LegalityVerdict(
-        legal=legal, conditions=forward_conditions(graph, t), ground_truth=legal
-    )
+    legal = _reclassified(graph, cls, ds, t, apply_forward, -1)[2]
+    return LegalityVerdict(legal, forward_conditions(graph, t), legal)
 
 
 def check_reverse(graph: BipartiteGraph, t: SwitchTuple) -> LegalityVerdict:
@@ -310,12 +286,8 @@ def check_reverse(graph: BipartiteGraph, t: SwitchTuple) -> LegalityVerdict:
     cls = classify(graph, ds)
     if not cls.in_bplus:
         raise PreconditionFailed("reverse switch starts from a well-behaved graph")
-    switched = apply_reverse(graph, t)
-    after = classify(switched, ds)
-    legal = after.in_bplus and after.d == cls.d + 1
-    return LegalityVerdict(
-        legal=legal, conditions=reverse_conditions(graph, t), ground_truth=legal
-    )
+    legal = _reclassified(graph, cls, ds, t, apply_reverse, +1)[2]
+    return LegalityVerdict(legal, reverse_conditions(graph, t), legal)
 
 
 class _PairingKernel:
@@ -431,11 +403,11 @@ def sample_no4cycle(
                 for idx in rng.permutation(len(candidates)):
                     t = candidates[int(idx)]
                     try:
-                        switched = apply_forward(graph, t)
+                        switched, after, legal = _reclassified(
+                            graph, cls, ds, t, apply_forward, -1)
                     except NotASwitching:
                         continue
-                    after = classify(switched, ds)
-                    if after.in_bplus and after.d == cls.d - 1:
+                    if legal:
                         graph, cls = switched, after
                         trajectory.append(cls.d)
                         applied = True
@@ -484,9 +456,8 @@ def monte_carlo_girth(
     A trial finds a 4-cycle by sorting the right-pair keys of all drawn rows;
     these sort-based tests leave the random stream unchanged.  Replay with
     identical (seed, workers) is bit-identical; changing the worker count
-    changes the substream split and hence the estimate.  The
-    substreams run on at most min(workers, tasks, CPU count) processes, and
-    in-process when that is 1.
+    changes the substream split and hence the estimate.  The substreams
+    run under the library's pool policy (``_pool.map_tasks``).
     """
     if trials < 1:
         raise PreconditionFailed(f"trials must be >= 1, got {trials}")
@@ -496,13 +467,7 @@ def monte_carlo_girth(
     base, extra = divmod(trials, workers)
     tasks = [(ds.r, ds.k, seed, w, workers, share, max_retries)
              for w in range(workers) if (share := base + (w < extra)) > 0]
-    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
-    if pool_size == 1:
-        results = [_girth_worker(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_girth_worker, tasks))
-    hits, rejections = map(sum, zip(*results))
+    hits, rejections = map(sum, zip(*map_tasks(_girth_worker, tasks, workers)))
     p_hat = hits / trials
     ci = _Z95 * (p_hat * (1.0 - p_hat) / trials) ** 0.5
     return GirthEstimate(p_hat=p_hat, ci_halfwidth=ci, trials=trials,

@@ -1,6 +1,6 @@
 import pytest
 
-from linhyper import BipartiteGraph, new_degree_sequence
+from linhyper import BipartiteGraph, _pool, new_degree_sequence
 
 
 @pytest.fixture
@@ -15,3 +15,25 @@ def demo_graph():
 @pytest.fixture
 def demo_ds():
     return new_degree_sequence((2, 3, 1, 2, 2, 2), 3)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Runs pooled tasks in-process; returns the pool sizes requested."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", RecordingPool)
+    return sizes

@@ -8,19 +8,23 @@ from linhyper import (
     ClassFilter,
     OracleReport,
     Pattern,
+    SwitchTuple,
     canonical_battery,
     classify,
     count_hypergraphs,
     enumerate_bigraphs,
     full_report,
     hyper_class_profile,
+    mckay_upper_bound,
     monte_carlo_girth,
     new_degree_sequence,
     pattern_expectation,
     pattern_upper_bound,
     random_guarded_instances,
+    sum_bounds,
+    switching_ratio,
 )
-from linhyper import exact_oracle
+from linhyper import _pool, exact_oracle
 from linhyper.bigraph_core import _battery_from_cols
 from linhyper.cli import main
 from linhyper.errors import (
@@ -156,33 +160,31 @@ def test_workers_do_not_change_totals():
     assert full_report(ds, workers=2) == full_report(ds)
 
 
-def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Runs the tasks in-process and records the requested pool size."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(exact_oracle, "ProcessPoolExecutor", RecordingPool)
+def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
+    sizes = pool_sizes
     ds = new_degree_sequence((3, 3, 3, 2, 1), 3)  # 4 first-column orbits
     serial = full_report(ds)
     for cpus, workers in ((3, 64), (64, 64), (64, 2), (None, 64), (64, 1)):
-        monkeypatch.setattr(exact_oracle.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_pool.os, "cpu_count", lambda: cpus)
         assert full_report(ds, workers=workers) == serial
     # min(workers, tasks, cpus); one process (or an unknown CPU count) runs
     # the sweep in-process
     assert sizes == [3, 4, 2]
+
+
+def test_workers_deal_roots_round_robin(monkeypatch, pool_sizes):
+    # min(workers, orbits) tasks of one sweep each, so one worker is one sweep
+    calls = []
+    sweep = exact_oracle._sweep
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda *args, roots=None: (
+        calls.append(roots), sweep(*args, roots=roots)))
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 64)
+    ds = new_degree_sequence((3, 3, 3, 2, 1), 3)  # 4 first-column orbits
+    roots = _roots(ds)
+    for workers, n_tasks in ((1, 1), (3, 3), (64, 4)):
+        calls.clear()
+        full_report(ds, workers=workers)
+        assert calls == [roots[w::n_tasks] for w in range(n_tasks)], workers
 
 
 def test_orbit_roots_partition_the_first_columns():
@@ -297,6 +299,14 @@ def test_argument_errors_are_library_errors():
         lambda: monte_carlo_girth(ds, seed=1, trials=4, workers=0),
         # one vertex cannot hold a column of three
         lambda: pattern_expectation(new_degree_sequence((3,), 3), Pattern.K32),
+        lambda: SwitchTuple(u1=1, u2=1, w1=0, w2=3, f1=1, f2=2, g1=0, g2=3),
+        lambda: switching_ratio(ds, 0),
+        lambda: switching_ratio(new_degree_sequence((0, 0, 0), 3), 1),
+        lambda: mckay_upper_bound([1, 1], [2], [1], [1]),  # sides mismatch
+        lambda: mckay_upper_bound([1, 1], [3], [1, 0], [1]),  # host unbalanced
+        lambda: mckay_upper_bound([1, 1], [2], [1, 0], [0]),  # subgraph unbalanced
+        lambda: sum_bounds([1.0], [0.0, 0.0], 0.05),
+        lambda: ds.moment(0),
     ]
     for call in calls:
         with pytest.raises(LinhyperError) as info:

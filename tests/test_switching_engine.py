@@ -102,6 +102,24 @@ def test_apply_reverse_rejections(switch_graph, switch_tuple):
         apply_reverse(present, switch_tuple)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("label", ["u1f2", "u2f1", "u1f1", "u2f2", "w1g1", "w2g2",
+                                   "u1g1", "u2g2", "w1f1", "w2f2"])
+def test_each_switch_precondition_names_its_edge(switch_graph, switch_tuple, reverse, label):
+    # the ten edges a switch checks: 2 kept, 4 removed, 4 added; break only
+    # this one (drop it if present, add it if absent) on the switch's input
+    graph, apply = switch_graph, apply_forward
+    if reverse:
+        graph, apply = apply_forward(switch_graph, switch_tuple), apply_reverse
+    edge = (getattr(switch_tuple, label[:2]), getattr(switch_tuple, label[2:]))
+    if graph.has_edge(*edge):
+        broken, match = graph.replace_edges(remove=[edge], add=[]), f"{label} missing"
+    else:
+        broken, match = graph.replace_edges(remove=[], add=[edge]), f"{label} to be created"
+    with pytest.raises(NotASwitching, match=match):
+        apply(broken, switch_tuple)
+
+
 def test_forward_candidates_empty_when_rights_all_on_cycles(demo_graph, demo_ds):
     cls = classify(demo_graph, demo_ds)
     assert list(forward_candidates(demo_graph, cls)) == []
@@ -308,35 +326,18 @@ def test_monte_carlo_worker_split_is_deterministic():
     )
 
 
-def test_girth_pool_is_clamped_to_tasks_and_cpus(monkeypatch):
-    from linhyper import switching_engine
+def test_girth_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
+    from linhyper import _pool
 
-    sizes = []
-
-    class RecordingPool:
-        """Runs the tasks in-process and records the requested pool size."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(switching_engine, "ProcessPoolExecutor", RecordingPool)
+    sizes = pool_sizes
     ds = new_degree_sequence((2,) * 12, 3)
     for cpus, workers, trials in ((3, 64, 40), (64, 64, 3), (64, 2, 40),
                                   (None, 4, 40), (1, 4, 40), (64, 1, 40)):
-        monkeypatch.setattr(switching_engine.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(_pool.os, "cpu_count", lambda: cpus)
         est = monte_carlo_girth(ds, seed=5, trials=trials, workers=workers)
         # the substream split follows ``workers``, not the pool size
         sizes_before = list(sizes)
-        monkeypatch.setattr(switching_engine.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(_pool.os, "cpu_count", lambda: 1)
         assert monte_carlo_girth(ds, seed=5, trials=trials, workers=workers) == est
         assert sizes == sizes_before
     # min(workers, tasks, cpus); one process (or an unknown CPU count) runs
