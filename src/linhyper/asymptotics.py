@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .degree_model import DegreeSequence, _falling
+from .degree_model import DegreeSequence, _error_scale, _falling, _loop_exponent
 from .errors import InvalidArgument, InvariantViolation, PreconditionFailed
 
 
@@ -42,33 +42,20 @@ class Estimate:
         }
 
 
-def _safe_exp(x: float) -> float:
+def _estimate(lead: float | None, corrections: dict[str, float],
+              error_scale: float) -> Estimate:
+    """The estimate with log ``lead`` plus the corrections, added in order.
+    A probability has no leading term: it passes ``lead`` None, so its log is
+    its corrections alone (a zero correction keeps its sign, -0.0)."""
+    log_value = lead
+    for c in corrections.values():
+        log_value = c if log_value is None else log_value + c
     try:
-        return math.exp(x)
+        value = math.exp(log_value)
     except OverflowError:
-        return math.inf
-
-
-def _loop_exponent(ds: DegreeSequence) -> float:
-    if ds.M == 0:
-        return 0.0
-    return float(Fraction((ds.r - 1) * ds.moment(2), 2 * ds.M))
-
-
-def _double_link_exponent(ds: DegreeSequence) -> float:
-    if ds.M == 0:
-        return 0.0
-    return float(Fraction((ds.r - 1) ** 2 * ds.moment(2) ** 2, 4 * ds.M**2))
-
-
-def _error_scale(ds: DegreeSequence, k_power: int, extra: bool) -> float:
-    """r^4 k_max^p / M, optionally times (k_max + r)."""
-    if ds.M == 0:
-        return 0.0
-    num = ds.r**4 * ds.k_max**k_power
-    if extra:
-        num *= ds.k_max + ds.r
-    return float(Fraction(num, ds.M))
+        value = math.inf
+    lead = 0.0 if lead is None else lead
+    return Estimate(log_value, value, lead, corrections, error_scale)
 
 
 def log_leading_term(ds: DegreeSequence) -> float:
@@ -92,32 +79,16 @@ def estimate_linear(ds: DegreeSequence) -> Estimate:
     most one, making the formula exact there.
     """
     lead = log_leading_term(ds)
-    corrections = {
-        "loop_term": -_loop_exponent(ds),
-        "double_link_term": -_double_link_exponent(ds),
-    }
-    log_value = lead + corrections["loop_term"] + corrections["double_link_term"]
-    return Estimate(
-        log_value=log_value,
-        value=_safe_exp(log_value),
-        leading_log=lead,
-        corrections=corrections,
-        error_scale=_error_scale(ds, 4, extra=True),
-    )
+    loop = _loop_exponent(ds)
+    corrections = {"loop_term": -float(loop), "double_link_term": -float(loop**2)}
+    return _estimate(lead, corrections, _error_scale(ds, 4, extra=True))
 
 
 def estimate_simple(ds: DegreeSequence) -> Estimate:
     """Estimated number of simple uniform hypergraphs with degrees k."""
     lead = log_leading_term(ds)
-    corrections = {"loop_term": -_loop_exponent(ds)}
-    log_value = lead + corrections["loop_term"]
-    return Estimate(
-        log_value=log_value,
-        value=_safe_exp(log_value),
-        leading_log=lead,
-        corrections=corrections,
-        error_scale=_error_scale(ds, 3, extra=False),
-    )
+    corrections = {"loop_term": -float(_loop_exponent(ds))}
+    return _estimate(lead, corrections, _error_scale(ds, 3, extra=False))
 
 
 def estimate_bigraph(ds: DegreeSequence) -> Estimate:
@@ -128,35 +99,16 @@ def estimate_bigraph(ds: DegreeSequence) -> Estimate:
     """
     m = ds.edge_count()
     base = estimate_simple(ds)
-    lead = base.leading_log + math.lgamma(m + 1)
-    corrections = dict(base.corrections)
-    log_value = lead + corrections["loop_term"]
-    if ds.M == 0:
-        err = 0.0
-    else:
-        err = float(Fraction(ds.r**2 * ds.k_max**2, ds.M))
-    return Estimate(
-        log_value=log_value,
-        value=_safe_exp(log_value),
-        leading_log=lead,
-        corrections=corrections,
-        error_scale=err,
-    )
+    err = float(Fraction(ds.r**2 * ds.k_max**2, ds.M)) if ds.M else 0.0
+    return _estimate(base.leading_log + math.lgamma(m + 1), base.corrections, err)
 
 
 def girth6_probability(ds: DegreeSequence) -> Estimate:
     """Estimated probability that a uniform conforming bipartite graph has no
-    4-cycle, i.e. girth at least six."""
+    4-cycle, i.e. girth at least six: exp(-lambda_double)."""
     ds.edge_count()
-    corrections = {"double_link_term": -_double_link_exponent(ds)}
-    log_value = corrections["double_link_term"]
-    return Estimate(
-        log_value=log_value,
-        value=_safe_exp(log_value),
-        leading_log=0.0,
-        corrections=corrections,
-        error_scale=_error_scale(ds, 4, extra=True),
-    )
+    corrections = {"double_link_term": -float(_loop_exponent(ds) ** 2)}
+    return _estimate(None, corrections, _error_scale(ds, 4, extra=True))
 
 
 def mckay_upper_bound(g_left, g_right, l_left, l_right) -> Fraction:
@@ -196,8 +148,8 @@ def mckay_upper_bound(g_left, g_right, l_left, l_right) -> Fraction:
 
 
 def switching_ratio(ds: DegreeSequence, d: int) -> float:
-    """Leading factor (r-1)^2 M_2^2 / (4 d M^2) of the count ratio between
-    graphs with d and with d-1 four-cycles.
+    """Leading factor lambda_double / d = (r-1)^2 M_2^2 / (4 d M^2) of the
+    count ratio between graphs with d and with d-1 four-cycles.
 
     This is the asymptotic leading factor only: it gives no bound on the
     ratio at any finite instance, and it presupposes that the class of
@@ -208,7 +160,7 @@ def switching_ratio(ds: DegreeSequence, d: int) -> float:
         raise InvalidArgument(f"d must be >= 1, got {d}")
     if ds.M == 0:
         raise InvalidArgument("degree sum must be positive")
-    return float(Fraction((ds.r - 1) ** 2 * ds.moment(2) ** 2, 4 * d * ds.M**2))
+    return float(_loop_exponent(ds) ** 2 / d)
 
 
 def sum_bounds(A, C, c_hat: float):

@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .degree_model import DegreeSequence
-from .errors import LoopPresent, NonConforming, WrongRightDegree
+from .errors import InvalidArgument, LoopPresent, NonConforming, WrongRightDegree
 
 Vertex = tuple[str, int]  # ("v", j) for left vertices, ("e", i) for right
 
@@ -88,12 +88,12 @@ class BipartiteGraph:
     def __init__(self, n_left: int, n_right: int, cols) -> None:
         cols = tuple(int(c) for c in cols)
         if len(cols) != n_right:
-            raise ValueError(f"expected {n_right} columns, got {len(cols)}")
+            raise InvalidArgument(f"expected {n_right} columns, got {len(cols)}")
         if n_left < 0 or n_right < 0:
-            raise ValueError("vertex counts must be nonnegative")
+            raise InvalidArgument("vertex counts must be nonnegative")
         for c in cols:
             if c < 0 or c >> n_left:
-                raise ValueError("column mask references a vertex out of range")
+                raise InvalidArgument("column mask references a vertex out of range")
         self.n_left = n_left
         self.n_right = n_right
         self.cols = cols
@@ -104,9 +104,9 @@ class BipartiteGraph:
         cols = [0] * n_right
         for j, i in edges:
             if not (0 <= j < n_left and 0 <= i < n_right):
-                raise ValueError(f"edge ({j},{i}) out of range")
+                raise InvalidArgument(f"edge ({j},{i}) out of range")
             if cols[i] >> j & 1:
-                raise ValueError(f"duplicate edge ({j},{i})")
+                raise InvalidArgument(f"duplicate edge ({j},{i})")
             cols[i] |= 1 << j
         return cls(n_left, n_right, cols)
 
@@ -149,11 +149,11 @@ class BipartiteGraph:
         cols = list(self.cols)
         for j, i in remove:
             if not cols[i] >> j & 1:
-                raise ValueError(f"edge ({j},{i}) not present")
+                raise InvalidArgument(f"edge ({j},{i}) not present")
             cols[i] ^= 1 << j
         for j, i in add:
             if cols[i] >> j & 1:
-                raise ValueError(f"edge ({j},{i}) already present")
+                raise InvalidArgument(f"edge ({j},{i}) already present")
             cols[i] |= 1 << j
         return BipartiteGraph(self.n_left, self.n_right, cols)
 
@@ -177,7 +177,7 @@ class BipartiteGraph:
         of all a*b edges is required, not induced equality.
         """
         if a < 1 or b < 1:
-            raise ValueError("pattern sides must be >= 1")
+            raise InvalidArgument("pattern sides must be >= 1")
         if b > self.n_right:
             return False
         for group in combinations(self.cols, b):
@@ -220,12 +220,12 @@ class BipartiteGraph:
         side, idx = v
         if side == "v":
             if not 0 <= idx < self.n_left:
-                raise ValueError(f"left vertex {idx} out of range")
+                raise InvalidArgument(f"left vertex {idx} out of range")
         elif side == "e":
             if not 0 <= idx < self.n_right:
-                raise ValueError(f"right vertex {idx} out of range")
+                raise InvalidArgument(f"right vertex {idx} out of range")
         else:
-            raise ValueError(f"vertex side must be 'v' or 'e', got {side!r}")
+            raise InvalidArgument(f"vertex side must be 'v' or 'e', got {side!r}")
         return side, idx
 
     def to_json_dict(self) -> dict:
@@ -268,7 +268,7 @@ class Hypergraph:
         for e in self.edges:
             for v in e:
                 if not 0 <= v < n:
-                    raise ValueError(f"vertex {v} out of range for n={n}")
+                    raise InvalidArgument(f"vertex {v} out of range for n={n}")
 
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n

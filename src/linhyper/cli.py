@@ -359,7 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_cls = sub.add_parser("classify", help="classify a bipartite graph JSON")
-    _add_ds_args(p_cls)
+    p_cls.add_argument("-r", type=int, help="uniform edge size of the -k degrees")
+    p_cls.add_argument("-k", type=str, help="comma-separated degrees to check the "
+                       "graph against (default: the graph's own)")
+    p_cls.add_argument("--input", type=str, help="bipartite-graph JSON file, 1-based: "
+                       '{"n_left": <int>, "n_right": <int>, '
+                       '"edges": [[<left>, <right>], ...]}')
     p_cls.set_defaults(func=cmd_classify)
 
     p_sample = sub.add_parser("sample", help="sample a 4-cycle-free graph")

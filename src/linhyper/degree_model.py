@@ -24,19 +24,15 @@ def _falling(a: int, t: int) -> int:
     return out
 
 
-def _ceil_div(num: int, den: int) -> int:
-    return -(-num // den)
-
-
 @dataclass(frozen=True)
 class Thresholds:
     """Structural caps derived from a degree sequence.
 
     n2 caps the number of 4-cycles a graph may have and still be considered
     well-behaved; q1 and q2 are the two intermediate maxima it is built from.
-    sparsity_indicator is the scale of the relative error of the asymptotic
-    formulas on this instance.  It is reported as a diagnostic only, never
-    enforced as a gate.
+    sparsity_indicator is the error scale r^4 k_max^4 (k_max + r) / M of the
+    asymptotic formulas, as ``estimate_linear`` reports it: a diagnostic only,
+    never enforced as a gate.
     """
 
     n2: int
@@ -94,16 +90,15 @@ class DegreeSequence:
         m_sum = self.M
         if m_sum < 2:
             raise DegenerateM(f"thresholds need M >= 2, got {m_sum}")
-        r = self.r
-        m2 = self.moment(2)
-        m4 = self.moment(4)
+        # 8 lambda_loop^2 = 2 (r-1)^2 M_2^2 / M^2, and the q2 term
+        # (r-1)^4 M_2^2 M_4 / M^4 is lambda_loop^2 times 4 (r-1)^2 M_4 / M^2
+        lam2 = _loop_exponent(self) ** 2
+        q2_factor = Fraction(4 * (self.r - 1) ** 2 * self.moment(4), m_sum**2)
         ceil_log = math.ceil(math.log(m_sum))
-        q1 = max(ceil_log, _ceil_div(2 * (r - 1) ** 2 * m2 * m2, m_sum * m_sum))
-        q2 = max(ceil_log, _ceil_div((r - 1) ** 4 * m2 * m2 * m4, m_sum**4))
-        sparsity = float(
-            Fraction(r**4 * self.k_max**4 * (self.k_max + r), m_sum)
-        )
-        return Thresholds(n2=3 * q1, q1=q1, q2=q2, sparsity_indicator=sparsity)
+        q1 = max(ceil_log, math.ceil(8 * lam2))
+        q2 = max(ceil_log, math.ceil(lam2 * q2_factor))
+        return Thresholds(n2=3 * q1, q1=q1, q2=q2,
+                          sparsity_indicator=_error_scale(self, 4, extra=True))
 
     @cached_property
     def four_cycle_cap(self) -> int:
@@ -114,6 +109,24 @@ class DegreeSequence:
         return {"r": self.r, "k": list(self.k)}
 
 
+def _loop_exponent(ds: DegreeSequence) -> Fraction:
+    """The loop exponent lambda_loop = (r-1) M_2 / (2M), exactly (0 if M = 0).
+    The double-link exponent is its square, lambda_double = lambda_loop^2."""
+    if ds.M == 0:
+        return Fraction(0)
+    return Fraction((ds.r - 1) * ds.moment(2), 2 * ds.M)
+
+
+def _error_scale(ds: DegreeSequence, k_power: int, extra: bool) -> float:
+    """r^4 k_max^p / M, optionally times (k_max + r); 0.0 if M = 0."""
+    if ds.M == 0:
+        return 0.0
+    num = ds.r**4 * ds.k_max**k_power
+    if extra:
+        num *= ds.k_max + ds.r
+    return float(Fraction(num, ds.M))
+
+
 def new_degree_sequence(k, r: int) -> DegreeSequence:
     """Validate and build a degree sequence from any integer iterable."""
     return DegreeSequence(r=int(r), k=tuple(int(v) for v in k))
@@ -122,5 +135,5 @@ def new_degree_sequence(k, r: int) -> DegreeSequence:
 def degree_sequence_from_json(obj: dict) -> DegreeSequence:
     """Parse the ``{"r": int, "k": [int, ...]}`` input schema."""
     if not isinstance(obj, dict) or "r" not in obj or "k" not in obj:
-        raise ValueError("degree sequence JSON must have keys 'r' and 'k'")
+        raise InvalidArgument("degree sequence JSON must have keys 'r' and 'k'")
     return new_degree_sequence(obj["k"], obj["r"])

@@ -184,9 +184,9 @@ def _push_verdict(cols, mask: int, state, n2: int):
     return pairs + (pair,), on_cycle | 1 << hit | 1 << len(cols)
 
 
-def _sweep(k, r, m, leaf, roots=None) -> None:
-    """Visit each column multiset conforming to (k, r) once, with its weight
-    and its battery verdict.
+def _sweep(ds: DegreeSequence, leaf, roots=None) -> None:
+    """Visit each column multiset conforming to ``ds`` = (k, r) once, with its
+    weight and its battery verdict.
 
     Candidates are the r-subsets of range(len(k)) in lexicographic order,
     and the columns of a multiset come in non-decreasing candidate order
@@ -195,7 +195,7 @@ def _sweep(k, r, m, leaf, roots=None) -> None:
     number of labeled graphs it stands for, m!/prod(mult!), whether its
     columns are pairwise distinct, and its verdict: d, the number of
     4-cycles, if it is well-behaved (distinct columns passing (i)-(v) with
-    the cap n2 of (k, r)), else None.
+    the cap n2 = ``ds.four_cycle_cap``), else None.
 
     The weight, the distinctness and the verdict are carried down the
     recursion as each column is pushed.  Free columns come in non-decreasing
@@ -227,12 +227,12 @@ def _sweep(k, r, m, leaf, roots=None) -> None:
     feasibility tests of any column: one leaving a residual above m - 1
     (at m = 1, any residual) is skipped.
     """
+    k, r, m, n2 = ds.k, ds.r, ds.edge_count(), ds.four_cycle_cap
     combos = list(combinations(range(len(k)), r))
     masks = _subset_masks(len(k), r)
     # first[j]: the first candidate whose smallest vertex is j (or above)
     first = [bisect_left(combos, (j,)) for j in range(len(k) + 2)]
     facts = [math.factorial(i) for i in range(m + 1)]
-    n2 = DegreeSequence(r=r, k=tuple(k)).four_cycle_cap
     residual = list(k)
     cols: list[int] = []
     # columns before ``free`` are fixed by a root; a leaf's weight is
@@ -400,9 +400,9 @@ class _ReportCounts:
 
 
 def _report_branch(args) -> _ReportCounts:
-    k, r, m, n2, roots = args
-    counts = _ReportCounts(n2)
-    _sweep(k, r, m, counts.leaf, roots=roots)
+    ds, roots = args
+    counts = _ReportCounts(ds.four_cycle_cap)
+    _sweep(ds, counts.leaf, roots=roots)
     return counts
 
 
@@ -459,7 +459,7 @@ def enumerate_bigraphs(
         if visitor is not None:
             kept.append(tuple(index[c] for c in cols))
 
-    _sweep(ds.k, ds.r, m, leaf)
+    _sweep(ds, leaf)
     for t in _first_orderings(kept):
         visitor(BipartiteGraph(n, m, [masks[i] for i in t]))
     return count
@@ -476,7 +476,7 @@ def _first_switchable(
     finds every qualifying multiset, and the labeled graphs wanted are the
     ``limit`` smallest of their orderings.
     """
-    m = ds.edge_count()
+    ds.edge_count()
     check_guard(ds, max_space)
     masks = _subset_masks(ds.n, ds.r)
     index = {mask: i for i, mask in enumerate(masks)}
@@ -486,7 +486,7 @@ def _first_switchable(
         if d:
             found.append(tuple(index[c] for c in cols))
 
-    _sweep(ds.k, ds.r, m, leaf)
+    _sweep(ds, leaf)
     return [[masks[i] for i in t] for t in _first_orderings(found, limit)]
 
 
@@ -514,7 +514,7 @@ def hyper_class_profile(
         if not dual_failed_properties(hg, n2):
             profile[len(hyper_properties(hg).double_links)] += weight
 
-    _sweep(ds.k, ds.r, m, leaf, roots=_roots(ds))
+    _sweep(ds, leaf, roots=_roots(ds))
     fact = math.factorial(m)
     return tuple(
         _per_hypergraph(c, fact, f"the weight of class C_{d}")
@@ -540,13 +540,12 @@ def full_report(
         raise InvalidArgument("workers must be >= 1")
     m = ds.edge_count()
     check_guard(ds, max_space)
-    n2 = ds.four_cycle_cap
 
     # roots dealt round-robin, one sweep per task; no column, no split
     roots = _roots(ds)
     n_tasks = min(workers, len(roots)) if roots else 1
-    tasks = [(ds.k, ds.r, m, n2, roots and roots[w::n_tasks]) for w in range(n_tasks)]
-    counts = _ReportCounts(n2)
+    tasks = [(ds, roots and roots[w::n_tasks]) for w in range(n_tasks)]
+    counts = _ReportCounts(ds.four_cycle_cap)
     for part in map_tasks(_report_branch, tasks, workers):
         counts.add(part)
 
@@ -630,7 +629,7 @@ def _occurrences_from_cols(n_left: int, cols: tuple[int, ...], pattern: Pattern)
             if len(lefts) <= 4:
                 total += 1
         return total
-    raise ValueError(f"unknown pattern {pattern!r}")
+    raise InvalidArgument(f"unknown pattern {pattern!r}")
 
 
 def pattern_expectation(
@@ -638,7 +637,7 @@ def pattern_expectation(
 ) -> Fraction:
     """Exact expected number of labeled occurrences of the pattern in a
     uniformly random conforming bipartite graph."""
-    m = ds.edge_count()
+    ds.edge_count()
     check_guard(ds, max_space)
     total = 0
     graphs = 0
@@ -648,7 +647,7 @@ def pattern_expectation(
         graphs += weight
         total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
-    _sweep(ds.k, ds.r, m, leaf, roots=_roots(ds))
+    _sweep(ds, leaf, roots=_roots(ds))
     if graphs == 0:
         raise InvalidArgument("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)
@@ -726,7 +725,7 @@ def pattern_upper_bound(ds: DegreeSequence, pattern: Pattern) -> Fraction:
                     deg[p[1]] += 2
                 total += right_ways * bound(dict(deg), [2] * 6)
         return total
-    raise ValueError(f"unknown pattern {pattern!r}")
+    raise InvalidArgument(f"unknown pattern {pattern!r}")
 
 
 def _check_edge_sizes(rs) -> None:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from linhyper import (
+    Estimate,
+    Thresholds,
     canonical_battery,
     estimate_bigraph,
     estimate_linear,
@@ -18,7 +20,12 @@ from linhyper import (
     sum_bounds,
     switching_ratio,
 )
-from linhyper.errors import NotDivisible, PreconditionFailed
+from linhyper.errors import (
+    DegenerateM,
+    InvalidArgument,
+    NotDivisible,
+    PreconditionFailed,
+)
 
 
 def exact_leading_fraction(ds):
@@ -180,6 +187,94 @@ def test_switching_ratio():
     assert switching_ratio(new_degree_sequence((1,) * 6, 3), 1) == 0.0
     with pytest.raises(ValueError):
         switching_ratio(ds, 0)
+
+
+# Each formula's value on a fixed instance, bit for bit: the repr of every
+# float, so the sign of a zero correction counts too.  Per instance: the
+# four estimates, switching_ratio(ds, d) for d = 1, 2, 3, and thresholds();
+# an exception class is what that call raises.  k=1^6 has zero corrections
+# (-0.0), k=(0,0,0) has M=0, and r=4 does not divide M=10 on k=(3,3,2,2).
+PINNED = [
+    ((1,) * 6, 3, [
+        Estimate(2.302585092994047, 10.00000000000001, 2.302585092994047,
+                 {"loop_term": -0.0, "double_link_term": -0.0}, 54.0),
+        Estimate(2.302585092994047, 10.00000000000001, 2.302585092994047,
+                 {"loop_term": -0.0}, 13.5),
+        Estimate(2.9957322735539917, 20.000000000000014, 2.9957322735539917,
+                 {"loop_term": -0.0}, 1.5),
+        Estimate(-0.0, 1.0, 0.0, {"double_link_term": -0.0}, 54.0),
+        0.0, 0.0, 0.0,
+        Thresholds(6, 2, 2, 54.0),
+    ]),
+    ((0, 0, 0), 3, [
+        Estimate(0.0, 1.0, 0.0, {"loop_term": -0.0, "double_link_term": -0.0}, 0.0),
+        Estimate(0.0, 1.0, 0.0, {"loop_term": -0.0}, 0.0),
+        Estimate(0.0, 1.0, 0.0, {"loop_term": -0.0}, 0.0),
+        Estimate(-0.0, 1.0, 0.0, {"double_link_term": -0.0}, 0.0),
+        InvalidArgument, InvalidArgument, InvalidArgument,
+        DegenerateM,
+    ]),
+    ((2,) * 8, 4, [
+        Estimate(5.4864135098613875, 241.38990998006352, 9.236413509861388,
+                 {"loop_term": -1.5, "double_link_term": -2.25}, 1536.0),
+        Estimate(7.7364135098613875, 2290.2436994532072, 9.236413509861388,
+                 {"loop_term": -1.5}, 128.0),
+        Estimate(10.914467340209333, 54965.84878687696, 12.414467340209333,
+                 {"loop_term": -1.5}, 4.0),
+        Estimate(-2.25, 0.10539922456186433, 0.0, {"double_link_term": -2.25}, 1536.0),
+        2.25, 1.125, 0.75,
+        Thresholds(54, 18, 3, 1536.0),
+    ]),
+    ((3,) + (2,) * 6, 3, [
+        Estimate(5.562339742330844, 260.43146655291514, 8.202339742330844,
+                 {"loop_term": -1.2, "double_link_term": -1.44}, 2624.4),
+        Estimate(7.002339742330844, 1099.202001494167, 8.202339742330844,
+                 {"loop_term": -1.2}, 145.8),
+        Estimate(11.789831485112892, 131904.24017930025, 12.98983148511289,
+                 {"loop_term": -1.2}, 5.4),
+        Estimate(-1.44, 0.23692775868212176, 0.0, {"double_link_term": -1.44}, 2624.4),
+        1.44, 0.72, 0.48,
+        Thresholds(36, 12, 3, 2624.4),
+    ]),
+    ((3, 3, 2, 2), 4, [
+        NotDivisible, NotDivisible, NotDivisible, NotDivisible,
+        5.76, 2.88, 1.92,
+        Thresholds(141, 47, 3, 14515.2),
+    ]),
+    ((2,) * 3000, 3, [
+        Estimate(27330.87236840771, math.inf, 27332.87236840771,
+                 {"loop_term": -1.0, "double_link_term": -1.0}, 1.08),
+        Estimate(27331.87236840771, math.inf, 27332.87236840771,
+                 {"loop_term": -1.0}, 0.108),
+        Estimate(40538.39671892152, math.inf, 40539.39671892152,
+                 {"loop_term": -1.0}, 0.006),
+        Estimate(-1.0, 0.36787944117144233, 0.0, {"double_link_term": -1.0}, 1.08),
+        1.0, 0.5, 0.3333333333333333,
+        Thresholds(27, 9, 9, 1.08),
+    ]),
+]
+
+
+
+@pytest.mark.parametrize("k, r, want", PINNED)
+def test_formulas_pinned_bit_for_bit(k, r, want):
+    ds = new_degree_sequence(k, r)
+    calls = [lambda fn=fn: fn(ds) for fn in (
+        estimate_linear, estimate_simple, estimate_bigraph, girth6_probability
+    )]
+    calls += [lambda d=d: switching_ratio(ds, d) for d in (1, 2, 3)]
+    calls.append(ds.thresholds)
+    for call, expected in zip(calls, want, strict=True):
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                call()
+        else:
+            assert repr(call()) == repr(expected)
+
+
+def test_sparsity_indicator_is_the_linear_error_scale():
+    for ds in canonical_battery(rs=(2, 3, 4)):
+        assert ds.thresholds().sparsity_indicator == estimate_linear(ds).error_scale
 
 
 def test_sum_bounds_zero_case():

@@ -98,6 +98,17 @@ def test_classify_graph_file(capsys, tmp_path, demo_graph):
     ]
 
 
+def test_classify_help_names_the_graph_file(capsys):
+    # --input is the graph; -r/-k give the degrees it is checked against
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert info.value.code == 0
+    assert '--input INPUT bipartite-graph JSON file, 1-based: {"n_left"' in out
+    assert "degree-sequence JSON" not in out and "overrides --input" not in out
+    assert "-k K comma-separated degrees to check the graph against" in out
+
+
 def test_sample_replay_is_byte_identical(capsys):
     code1, out1, _ = run_cli(capsys, "sample", "-r", "3", "-k", "2,2,2,2,2,2", "--seed", "7")
     code2, out2, _ = run_cli(capsys, "sample", "-r", "3", "-k", "2,2,2,2,2,2", "--seed", "7")

@@ -6,12 +6,14 @@ import pytest
 from linhyper import (
     BipartiteGraph,
     ClassFilter,
+    Hypergraph,
     OracleReport,
     Pattern,
     SwitchTuple,
     canonical_battery,
     classify,
     count_hypergraphs,
+    degree_sequence_from_json,
     enumerate_bigraphs,
     full_report,
     hyper_class_profile,
@@ -209,8 +211,8 @@ def test_rooted_sweep_skips_infeasible_roots_at_one_column(k, r):
     leaves = []
     masks = exact_oracle._subset_masks(len(k), r)
     roots = [(idx, 1) for idx in range(len(masks))]
-    exact_oracle._sweep(k, r, 1, lambda cols, w, distinct, d: leaves.append(
-        (list(cols), w, distinct, d)), roots=roots)
+    exact_oracle._sweep(new_degree_sequence(k, r), lambda cols, w, distinct, d:
+                        leaves.append((list(cols), w, distinct, d)), roots=roots)
     assert leaves == [([sum(1 << j for j, v in enumerate(k) if v)], 1, True, 0)]
 
 
@@ -228,7 +230,7 @@ def test_rooted_sweep_over_every_candidate_counts_b():
             total += weight
 
         roots = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))]
-        exact_oracle._sweep(ds.k, ds.r, m, leaf, roots=roots)
+        exact_oracle._sweep(ds, leaf, roots=roots)
         assert total == count_b_dp(ds), ds
 
 
@@ -294,6 +296,7 @@ def test_argument_errors_are_library_errors():
     # out-of-domain arguments raise InvalidArgument, which is both a
     # LinhyperError (exit 2 at the CLI) and, as before, a ValueError
     ds = new_degree_sequence((1,) * 6, 3)
+    graph = BipartiteGraph(2, 1, [1])
     calls = [
         lambda: full_report(ds, workers=0),
         lambda: monte_carlo_girth(ds, seed=1, trials=4, workers=0),
@@ -307,6 +310,21 @@ def test_argument_errors_are_library_errors():
         lambda: mckay_upper_bound([1, 1], [2], [1, 0], [0]),  # subgraph unbalanced
         lambda: sum_bounds([1.0], [0.0, 0.0], 0.05),
         lambda: ds.moment(0),
+        lambda: degree_sequence_from_json({"r": 3}),
+        lambda: BipartiteGraph(2, 1, []),  # column count
+        lambda: BipartiteGraph(-1, 0, []),  # negative vertex count
+        lambda: BipartiteGraph(2, 1, [4]),  # mask past the left side
+        lambda: BipartiteGraph.from_edges(2, 1, [(2, 0)]),
+        lambda: BipartiteGraph.from_edges(2, 1, [(0, 0), (0, 0)]),
+        lambda: graph.replace_edges(remove=[(1, 0)], add=[]),
+        lambda: graph.replace_edges(remove=[], add=[(0, 0)]),
+        lambda: graph.has_copy(0, 1),
+        lambda: graph.distance(("v", 2), ("v", 0)),
+        lambda: graph.distance(("e", 1), ("v", 0)),
+        lambda: graph.distance(("x", 0), ("v", 0)),
+        lambda: Hypergraph(2, [(0, 2)]),
+        lambda: pattern_expectation(ds, "k33"),
+        lambda: pattern_upper_bound(ds, "k33"),
     ]
     for call in calls:
         with pytest.raises(LinhyperError) as info:
@@ -480,7 +498,7 @@ def test_sweep_leaves_match_unbounded_sweep():
         for roots in (None, _roots(ds), every):
             got, want = [], []
             exact_oracle._sweep(
-                ds.k, ds.r, m,
+                ds,
                 lambda c, w, distinct, d: got.append((tuple(c), w, distinct, d)),
                 roots=roots,
             )
@@ -540,7 +558,7 @@ def test_sweep_verdict_on_hand_made_multisets(cols, r, n2, failed, verdict):
     if n2 is None and ds.M <= 12:
         leaves = {}
         exact_oracle._sweep(
-            ds.k, r, len(cols),
+            ds,
             lambda c, w, dist, d: leaves.setdefault(tuple(sorted(c)), (dist, d)),
         )
         assert leaves[tuple(sorted(cols))] == (distinct, verdict)
