@@ -2,7 +2,8 @@
 
 All formulas are evaluated in log space through the log-gamma function, so
 degree sums far beyond the reach of fixed-width floats are fine; the plain
-``value`` is materialized on demand and becomes +inf on overflow.  Each
+``value`` is materialized on demand and becomes +inf on overflow (JSON
+writes it as null; ``log_value`` still carries the number).  Each
 estimate also reports ``error_scale``, the magnitude of the relative-error
 argument that governs how seriously the number should be taken on the given
 instance.  It is purely a diagnostic: the asymptotic validity condition is a
@@ -35,7 +36,7 @@ class Estimate:
     def to_json_dict(self) -> dict:
         return {
             "log_value": self.log_value,
-            "value": self.value,
+            "value": self.value if math.isfinite(self.value) else None,
             "leading_log": self.leading_log,
             "corrections": dict(self.corrections),
             "error_scale": self.error_scale,

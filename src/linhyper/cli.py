@@ -118,7 +118,7 @@ def _resolve_ds(args) -> DegreeSequence:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
@@ -169,7 +169,12 @@ def cmd_classify(args) -> int:
     if not args.input:
         raise InputError("classify requires --input with a bipartite-graph JSON file")
     graph = _read_json(args.input, BipartiteGraph.from_json_dict)
-    ds = _inline_ds(args) if args.k is not None else derive_degree_sequence(graph)
+    if args.k is not None:
+        ds = _inline_ds(args)
+    else:
+        ds = derive_degree_sequence(graph)
+        if args.r is not None and args.r != ds.r:
+            raise InputError(f"-r {args.r} disagrees with the graph's right degree {ds.r}")
     cls = classify(graph, ds)
     _emit_json(
         {
@@ -359,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_cls = sub.add_parser("classify", help="classify a bipartite graph JSON")
-    p_cls.add_argument("-r", type=int, help="uniform edge size of the -k degrees")
+    p_cls.add_argument("-r", type=int, help="uniform edge size of the -k degrees "
+                       "(without -k: must equal the graph's right degree)")
     p_cls.add_argument("-k", type=str, help="comma-separated degrees to check the "
                        "graph against (default: the graph's own)")
     p_cls.add_argument("--input", type=str, help="bipartite-graph JSON file, 1-based: "

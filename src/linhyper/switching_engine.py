@@ -23,8 +23,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, combinations, islice
 from operator import attrgetter
 
 import numpy as np
@@ -291,51 +290,42 @@ def check_reverse(graph: BipartiteGraph, t: SwitchTuple) -> LegalityVerdict:
 
 
 class _PairingKernel:
-    """Stub arrays and sort-based tests for pairings of one degree sequence."""
+    """Stub arrays and stub-pair tests for pairings of one degree sequence.
+
+    ``lo[p] < hi[p]`` are two stubs of one left vertex, over every such pair:
+    a pairing ``perm`` repeats an edge iff ``perm[lo] == perm[hi]`` somewhere,
+    and a simple one has a 4-cycle iff two pairs end on the same right pair."""
 
     def __init__(self, ds: DegreeSequence):
-        self.ds = ds
-        self.m = m = ds.edge_count()
-        self.left_owner = np.repeat(np.arange(ds.n, dtype=np.int64), ds.k)
-        self.right_owner = np.repeat(np.arange(m, dtype=np.int64), ds.r)
-        self.edge_keys = self.left_owner * m
-
-    @cached_property
-    def blocks(self):
-        """Per left degree d >= 2, the (n_d, d) stub indices of its vertices and
-        the column pairs a < b of a row; built by the first 4-cycle test."""
-        k = np.asarray(self.ds.k, dtype=np.int64)
+        self.m = ds.edge_count()
+        k = np.asarray(ds.k, dtype=np.int64)
+        self.left_owner = np.repeat(np.arange(ds.n, dtype=np.int64), k)
+        self.right_owner = np.repeat(np.arange(self.m, dtype=np.int64), ds.r)
         starts = np.cumsum(k) - k
-        return [(starts[k == d][:, None] + np.arange(d), *np.triu_indices(d, 1))
-                for d in sorted(set(self.ds.k) - {0, 1})]
+        pairs = [np.empty((2, 0), dtype=np.int64)]
+        for d in set(ds.k) - {0, 1}:  # each pair a < b of a row's d stubs
+            ab = np.array(list(combinations(range(d), 2))).T[:, :, None]
+            pairs.append((starts[k == d] + ab).reshape(2, -1))
+        self.lo, self.hi = np.concatenate(pairs, axis=1)
 
-    def sort_rows(self, perm):
-        """(rows, simple): ``perm`` with each left vertex's right ends in
-        ascending order, read off the sorted edge keys j*m + perm[s], and
-        whether no key repeats (no repeated edge)."""
-        keys = np.sort(self.edge_keys + perm)
-        return keys - self.edge_keys, not (keys[1:] == keys[:-1]).any()
-
-    def has_four_cycle(self, rows) -> bool:
-        """Rows of a simple pairing: is a right pair i1 < i2 in two rows?"""
-        keys = [np.empty(0, dtype=np.int64)]
-        for idx, a, b in self.blocks:
-            block = rows[idx]
-            keys.append((block[:, a] * self.m + block[:, b]).ravel())
-        keys = np.sort(np.concatenate(keys))
+    def has_four_cycle(self, x, y) -> bool:
+        """Right ends ``x != y`` of the stub pairs of a simple pairing: does
+        one right pair {x, y} occur in two left vertices?"""
+        keys = np.sort(np.minimum(x, y) * self.m + np.maximum(x, y))
         return bool((keys[1:] == keys[:-1]).any())
 
 
 def _simple_pairing(rng, kernel: _PairingKernel, budget: int):
     """Draw pairings until one has no repeated edge, at most ``budget``
-    rejections; returns (rows, rejections), rows as from ``sort_rows``.
-    Each draw is one ``rng.permutation``, tested by sorting its edge keys and
-    comparing neighbours: the random stream and every accept or reject are
-    those of counting the distinct keys."""
+    rejections; returns (perm, (x, y), rejections), with x, y the right ends
+    of the kernel's stub pairs.  Each draw is one ``rng.permutation``,
+    rejected iff a stub pair has equal ends: the random stream and every
+    accept or reject are those of counting the distinct edge keys."""
     for rejections in range(budget + 1):
-        rows, simple = kernel.sort_rows(rng.permutation(kernel.right_owner))
-        if simple:
-            return rows, rejections
+        perm = rng.permutation(kernel.right_owner)
+        x, y = perm[kernel.lo], perm[kernel.hi]
+        if not (x == y).any():
+            return perm, (x, y), rejections
     raise RetryLimitExceeded(f"no simple pairing found in {budget + 1} draws")
 
 
@@ -353,9 +343,9 @@ def pairing_sample(
     if ds.M < 1:
         raise PreconditionFailed("pairing sample requires at least one half-edge")
     kernel = _PairingKernel(ds)
-    rows, rejections = _simple_pairing(rng, kernel, max_retries)
+    perm, _, rejections = _simple_pairing(rng, kernel, max_retries)
     cols = [0] * kernel.m
-    for j, i in zip(kernel.left_owner.tolist(), rows.tolist()):
+    for j, i in zip(kernel.left_owner.tolist(), perm.tolist()):
         cols[i] |= 1 << j
     return PairingResult(BipartiteGraph(ds.n, kernel.m, cols), rejections)
 
@@ -436,9 +426,9 @@ def _girth_worker(args) -> tuple[int, int]:
     kernel = _PairingKernel(DegreeSequence(r=r, k=k))
     hits = rejections = 0
     for _ in range(trials):
-        rows, rejected = _simple_pairing(rng, kernel, max_retries - rejections)
+        _, ends, rejected = _simple_pairing(rng, kernel, max_retries - rejections)
         rejections += rejected
-        hits += not kernel.has_four_cycle(rows)
+        hits += not kernel.has_four_cycle(*ends)
     return hits, rejections
 
 
@@ -453,8 +443,9 @@ def monte_carlo_girth(
 
     Counts 4-cycle-free pairing samples; the normal-approximation 95% CI
     half-width and the closed-form prediction are included in the result.
-    A trial finds a 4-cycle by sorting the right-pair keys of all drawn rows;
-    these sort-based tests leave the random stream unchanged.  Replay with
+    A trial tests the right ends of each left vertex's stub pairs for a
+    repeated edge and for a right pair shared by two left vertices; these
+    tests leave the random stream unchanged.  Replay with
     identical (seed, workers) is bit-identical; changing the worker count
     changes the substream split and hence the estimate.  The substreams
     run under the library's pool policy (``_pool.map_tasks``).

@@ -58,6 +58,29 @@ def test_estimate_json(capsys):
     assert payload["estimates"]["girth6"]["value"] == 1.0
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_estimate_json_writes_null_for_an_overflowed_value(capsys):
+    # the counts of k=2^3000 overflow a float: value is null, log_value kept;
+    # the CSV still prints inf
+    k = ",".join(["2"] * 3000)
+    code, out, _ = run_cli(capsys, "estimate", "-r", "3", "-k", k)
+    estimates = _strict_json(out)["estimates"]
+    assert code == 0
+    for name in ("linear", "simple", "bigraph"):
+        assert estimates[name]["value"] is None
+        assert estimates[name]["log_value"] > 27000
+    assert estimates["girth6"]["value"] == pytest.approx(2.718281828459045 ** -1)
+    code, out, _ = run_cli(capsys, "estimate", "-r", "3", "-k", k, "--format", "csv")
+    assert code == 0 and out.split("\r\n")[1] == "linear,27330.8723684,inf,1.08"
+    with pytest.raises(ValueError):
+        cli._emit_json({"value": float("nan")})
+
+
 def test_estimate_csv_is_rfc4180(capsys):
     code, out, _ = run_cli(
         capsys, "estimate", "-r", "3", "-k", "1,1,1,1,1,1", "--format", "csv"
@@ -96,6 +119,18 @@ def test_classify_graph_file(capsys, tmp_path, demo_graph):
         {"left": [1, 2], "right": [1, 2]},
         {"left": [5, 6], "right": [3, 4]},
     ]
+
+
+def test_classify_checks_r_against_the_graph(capsys, tmp_path, demo_graph):
+    # without -k, -r must equal the graph's right degree (3 here)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(demo_graph.to_json_dict()))
+    _, plain, _ = run_cli(capsys, "classify", "--input", str(path))
+    code, out, _ = run_cli(capsys, "classify", "--input", str(path), "-r", "3")
+    assert code == 0 and out == plain
+    code, out, err = run_cli(capsys, "classify", "--input", str(path), "-r", "5")
+    assert code == 2 and out == ""
+    assert "-r 5" in err and "right degree 3" in err
 
 
 def test_classify_help_names_the_graph_file(capsys):

@@ -347,9 +347,9 @@ def test_girth_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_pairing_kernel_matches_unique_count_and_graph_scan(r):
-    # the sort-based tests against a distinct-key count and the graph's own
+    # the stub-pair tests against a distinct-key count and the graph's own
     # 4-cycle scan, on every draw over mixed degrees (0 and 1 included)
-    from linhyper.switching_engine import _PairingKernel
+    from linhyper.switching_engine import _PairingKernel, _simple_pairing
 
     rng = np.random.default_rng(70 + r)
     outcomes = set()
@@ -359,21 +359,23 @@ def test_pairing_kernel_matches_unique_count_and_graph_scan(r):
         ds = new_degree_sequence(k, r)
         kernel = _PairingKernel(ds)
         m = ds.edge_count()
-        starts = np.cumsum(k) - np.asarray(k)
         for _ in range(25):
+            state = rng.bit_generator.state
             perm = rng.permutation(kernel.right_owner)
-            rows, simple = kernel.sort_rows(perm)
-            assert simple == (np.unique(kernel.left_owner * m + perm).size == perm.size)
+            simple = np.unique(kernel.left_owner * m + perm).size == perm.size
+            rng.bit_generator.state = state
             if not simple:
+                with pytest.raises(RetryLimitExceeded):
+                    _simple_pairing(rng, kernel, 0)
                 outcomes.add("rejected")
                 continue
-            lefts = kernel.left_owner.tolist()
-            graph = BipartiteGraph.from_edges(ds.n, m, zip(lefts, perm.tolist()))
-            # the rows hold the same edges, each left vertex's in ascending order
-            assert BipartiteGraph.from_edges(ds.n, m, zip(lefts, rows.tolist())) == graph
-            assert all(rows[lo:hi].tolist() == sorted(perm[lo:hi].tolist())
-                       for lo, hi in zip(starts, starts + np.asarray(k)))
-            assert kernel.has_four_cycle(rows) == graph.has_four_cycle(), (k, perm)
+            drawn, (x, y), rejections = _simple_pairing(rng, kernel, 0)
+            assert rejections == 0 and drawn.tolist() == perm.tolist()
+            graph = BipartiteGraph.from_edges(
+                ds.n, m, zip(kernel.left_owner.tolist(), perm.tolist()))
+            assert kernel.has_four_cycle(x, y) == graph.has_four_cycle(), (k, perm)
+            rng.bit_generator.state = state
+            assert pairing_sample(ds, rng, max_retries=0).graph == graph
             outcomes.add(graph.has_four_cycle())
     assert outcomes == {"rejected", True, False}
 
@@ -386,6 +388,18 @@ def test_girth_stream_pinned_on_mixed_degrees():
     ds = new_degree_sequence(k, 3)
     for workers, p_hat, rejections in ((1, 0.0525, 1632), (2, 0.0725, 1647)):
         est = monte_carlo_girth(ds, seed=2024, trials=400, workers=workers)
+        assert (est.p_hat, est.rejections) == (p_hat, rejections)
+
+
+def test_girth_stream_pinned_on_benchmark_and_degree4_rows():
+    # the pinned (p_hat, rejections) fix the random stream and both pairing
+    # tests on the girth_mc benchmark instance, and on r=4 with four degree-4
+    # rows (six stub pairs each)
+    est = monte_carlo_girth(new_degree_sequence((2,) * 3000, 3), seed=1414, trials=200)
+    assert (est.p_hat, est.rejections) == (0.385, 299)
+    ds = new_degree_sequence((4,) * 4 + (2,) * 8 + (1,) * 40, 4)
+    for workers, p_hat, rejections in ((1, 0.165, 1425), (2, 0.1775, 1275)):
+        est = monte_carlo_girth(ds, seed=1414, trials=400, workers=workers)
         assert (est.p_hat, est.rejections) == (p_hat, rejections)
 
 
