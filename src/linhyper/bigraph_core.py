@@ -20,7 +20,9 @@ its hypergraph is then simple with exactly one double link per 4-cycle.  For
 r >= 3, (i) already forces distinct columns; for r = 2 two equal columns form
 one 4-cycle that passes all five.
 
-``classify`` runs the battery on a whole graph (``_battery_from_cols``).
+Every whole-graph 4-cycle question (``four_cycles``, ``has_four_cycle``, the
+battery, the oracle's pattern counts) reads the one list ``_four_cycles``
+builds.  ``classify`` runs the battery on a whole graph (``_battery_from_cols``).
 The exhaustive oracle derives the same verdict column by column as its sweep
 pushes columns (``exact_oracle._push_verdict``), and is tested against
 ``_battery_from_cols``.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .degree_model import DegreeSequence
+from .degree_model import DegreeSequence, _as_int
 from .errors import InvalidArgument, LoopPresent, NonConforming, WrongRightDegree
 
 Vertex = tuple[str, int]  # ("v", j) for left vertices, ("e", i) for right
@@ -159,15 +161,12 @@ class BipartiteGraph:
 
     def four_cycles(self) -> tuple[FourCycle, ...]:
         """All copies of the complete 2x2 subgraph, in lexicographic order."""
-        rows = (list(_bits(row)) for row in self.rows)
-        return tuple(
-            FourCycle((j1, j2), (i1, i2))
-            for j1, j2, i1, i2 in _four_cycles_of_rows(rows)
-        )
+        return _as_four_cycles(_four_cycles(self.n_left, self.cols))
 
     def has_four_cycle(self) -> bool:
-        """4-cycle test that stops at the first repeated right pair."""
-        return _has_four_cycle_rows(list(_bits(row)) for row in self.rows)
+        """True iff the 4-cycle list is non-empty; it is built in full,
+        with no early exit."""
+        return bool(_four_cycles(self.n_left, self.cols))
 
     def has_copy(self, a: int, b: int) -> bool:
         """True iff some a left and b right vertices induce a subgraph that
@@ -238,8 +237,8 @@ class BipartiteGraph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BipartiteGraph":
-        edges = [(j - 1, i - 1) for j, i in obj["edges"]]
-        return cls.from_edges(obj["n_left"], obj["n_right"], edges)
+        edges = [(_as_int(j) - 1, _as_int(i) - 1) for j, i in obj["edges"]]
+        return cls.from_edges(_as_int(obj["n_left"]), _as_int(obj["n_right"]), edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -331,13 +330,16 @@ def from_hypergraph(hg: Hypergraph) -> BipartiteGraph:
     return BipartiteGraph(hg.n, len(cols), cols)
 
 
-def _four_cycles_of_rows(rows) -> list[tuple[int, int, int, int]]:
+def _four_cycles(n_left: int, cols: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
     """All 4-cycles as the sorted list of (j1, j2, i1, i2), j1 < j2, i1 < i2.
 
-    ``rows[j]`` is the ascending list of right neighbours of left vertex j.
     Left vertices are bucketed by the right pairs of their wedges, which is
     linear in the wedge count rather than quadratic in the right vertices.
     """
+    rows: list[list[int]] = [[] for _ in range(n_left)]
+    for i, c in enumerate(cols):
+        for j in _bits(c):
+            rows[j].append(i)
     buckets: dict[tuple[int, int], list[int]] = {}
     for j, nbrs in enumerate(rows):
         for pair in combinations(nbrs, 2):
@@ -352,35 +354,8 @@ def _four_cycles_of_rows(rows) -> list[tuple[int, int, int, int]]:
     return cycles
 
 
-def _has_four_cycle_rows(rows) -> bool:
-    """True iff two left vertices share a right pair; ``rows`` as for
-    ``_four_cycles_of_rows``, read only up to the first repeated pair."""
-    seen = set()
-    for nbrs in rows:
-        for pair in combinations(nbrs, 2):
-            if pair in seen:
-                return True
-            seen.add(pair)
-    return False
-
-
-def _structure_from_cols(n_left: int, cols: tuple[int, ...]):
-    """One-pass structural scan: 4-cycles plus the 3x2 / 2x3 pattern flags.
-
-    Returns (cycles, has_k32, has_k23) where cycles is the sorted list of
-    (j1, j2, i1, i2) tuples.  Both flags are read off the cycle list: s
-    vertices on one side sharing a pair on the other give C(s, 2) cycles on
-    that pair, so a copy of K_{3,2} (K_{2,3}) is exactly a right (left) pair
-    lying on two cycles.
-    """
-    rows: list[list[int]] = [[] for _ in range(n_left)]
-    for i, c in enumerate(cols):
-        for j in _bits(c):
-            rows[j].append(i)
-    cycles = _four_cycles_of_rows(rows)
-    has_k32 = len({(i1, i2) for _, _, i1, i2 in cycles}) < len(cycles)
-    has_k23 = len({(j1, j2) for j1, j2, _, _ in cycles}) < len(cycles)
-    return cycles, has_k32, has_k23
+def _as_four_cycles(cycles) -> tuple[FourCycle, ...]:
+    return tuple(FourCycle((j1, j2), (i1, i2)) for j1, j2, i1, i2 in cycles)
 
 
 def _battery_from_cols(n_left: int, cols: tuple[int, ...], n2: int):
@@ -391,11 +366,13 @@ def _battery_from_cols(n_left: int, cols: tuple[int, ...], n2: int):
     buckets list the 4-cycles in time linear in the wedges.  It is also the
     reference the exhaustive oracle's incremental verdict is tested against.
     """
-    cycles, has_k32, has_k23 = _structure_from_cols(n_left, cols)
+    cycles = _four_cycles(n_left, cols)
     failed = set()
-    if has_k32:
+    # s vertices on one side sharing a pair on the other give C(s, 2) cycles
+    # on that pair, so a K_{3,2} (K_{2,3}) is a right (left) pair on two cycles
+    if len({(i1, i2) for _, _, i1, i2 in cycles}) < len(cycles):
         failed.add("i")
-    if has_k23:
+    if len({(j1, j2) for j1, j2, _, _ in cycles}) < len(cycles):
         failed.add("ii")
 
     right_use: Counter = Counter()
@@ -429,7 +406,7 @@ def classify(graph: BipartiteGraph, ds: DegreeSequence) -> Classification:
     cycles, failed, in_b0 = _battery_from_cols(
         graph.n_left, graph.cols, ds.four_cycle_cap
     )
-    four = tuple(FourCycle((j1, j2), (i1, i2)) for j1, j2, i1, i2 in cycles)
+    four = _as_four_cycles(cycles)
     return Classification(
         four_cycles=four,
         d=len(four),

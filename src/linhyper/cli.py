@@ -49,10 +49,6 @@ from .switching_engine import (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x + 0.0:.12g}"
-
-
 def _add_ds_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("-r", type=int, help="uniform edge size")
     sp.add_argument("-k", type=str, help="comma-separated degrees (overrides --input)")
@@ -121,11 +117,21 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2, allow_nan=False))
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
+def _cell(v) -> str:
+    """One CSV cell: a float as .12g (-0.0 as 0), a list space-joined,
+    None empty."""
+    if isinstance(v, float):
+        return f"{v + 0.0:.12g}"
+    if isinstance(v, list):
+        return " ".join(str(x) for x in v)
+    return "" if v is None else str(v)
+
+
+def _emit_csv(header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_cell(v) for v in row] for row in rows)
     sys.stdout.write(buf.getvalue())
 
 
@@ -150,7 +156,7 @@ def cmd_estimate(args) -> int:
     }
     if args.format == "csv":
         rows = [
-            [name, _fmt(est.log_value), _fmt(est.value), _fmt(est.error_scale)]
+            [name, est.log_value, est.value, est.error_scale]
             for name, est in estimates.items()
         ]
         _emit_csv(["formula", "log_value", "value", "error_scale"], rows)
@@ -231,15 +237,7 @@ def cmd_girth(args) -> int:
     if args.format == "csv":
         _emit_csv(
             ["p_hat", "ci_halfwidth", "trials", "predicted", "seed"],
-            [
-                [
-                    _fmt(est.p_hat),
-                    _fmt(est.ci_halfwidth),
-                    str(est.trials),
-                    _fmt(est.predicted),
-                    str(seed),
-                ]
-            ],
+            [[est.p_hat, est.ci_halfwidth, est.trials, est.predicted, seed]],
         )
     else:
         _emit_json(out)
@@ -317,20 +315,7 @@ def cmd_verify(args) -> int:
         "rows": rows,
     }
     if args.format == "csv":
-        header = list(rows[0].keys())
-        csv_rows = []
-        for row in rows:
-            cells = []
-            for h in header:
-                v = row[h]
-                if isinstance(v, list):
-                    cells.append(" ".join(str(x) for x in v))
-                elif isinstance(v, float):
-                    cells.append(_fmt(v))
-                else:
-                    cells.append("" if v is None else str(v))
-            csv_rows.append(cells)
-        _emit_csv(header, csv_rows)
+        _emit_csv(list(rows[0]), [list(row.values()) for row in rows])
     else:
         _emit_json(out)
     return 0

@@ -8,6 +8,7 @@ exceed 64 bits for degree sums in the 10^9 range.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -22,6 +23,17 @@ def _falling(a: int, t: int) -> int:
         if out == 0:
             return 0
     return out
+
+
+def _as_int(v) -> int:
+    """``v`` as an int: ints and numpy integers pass, and a bool, float or
+    string is InvalidArgument rather than truncated or read as 0/1."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise InvalidArgument(f"expected an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +61,10 @@ class DegreeSequence:
     k: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.r < 2:
-            raise InvalidR(f"edge size r must be >= 2, got {self.r}")
-        k = tuple(int(v) for v in self.k)
+        r, k = _as_int(self.r), tuple(_as_int(v) for v in self.k)
+        if r < 2:
+            raise InvalidR(f"edge size r must be >= 2, got {r}")
+        object.__setattr__(self, "r", r)
         object.__setattr__(self, "k", k)
         for v in k:
             if v < 0:
@@ -129,7 +142,7 @@ def _error_scale(ds: DegreeSequence, k_power: int, extra: bool) -> float:
 
 def new_degree_sequence(k, r: int) -> DegreeSequence:
     """Validate and build a degree sequence from any integer iterable."""
-    return DegreeSequence(r=int(r), k=tuple(int(v) for v in k))
+    return DegreeSequence(r=r, k=k)
 
 
 def degree_sequence_from_json(obj: dict) -> DegreeSequence:

@@ -61,7 +61,7 @@ from .bigraph_core import (
     BipartiteGraph,
     Hypergraph,
     _bits,
-    _structure_from_cols,
+    _four_cycles,
     dual_failed_properties,
     hyper_properties,
 )
@@ -608,7 +608,7 @@ def _occurrences_from_cols(n_left: int, cols: tuple[int, ...], pattern: Pattern)
                 cnt[p] += 1
         return sum(math.comb(v, 3) for v in cnt.values() if v >= 3)
 
-    cycles, _, _ = _structure_from_cols(n_left, cols)
+    cycles = _four_cycles(n_left, cols)
     if pattern is Pattern.TWO_FOUR_CYCLES_SHARED_RIGHT:
         total = 0
         for a, b in combinations(cycles, 2):

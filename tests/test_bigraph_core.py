@@ -16,7 +16,7 @@ from linhyper import (
     pairing_sample,
     to_hypergraph,
 )
-from linhyper.errors import LoopPresent, NonConforming, WrongRightDegree
+from linhyper.errors import InvalidArgument, LoopPresent, NonConforming, WrongRightDegree
 
 from support import naive_four_cycles
 
@@ -238,6 +238,17 @@ def test_graph_json_round_trip(demo_graph):
     again = BipartiteGraph.from_json_dict(json.loads(blob))
     assert again == demo_graph
     assert demo_graph.to_json_dict()["edges"][0] == [1, 1]  # 1-based
+
+
+@pytest.mark.parametrize("doc", [
+    {"n_left": 2, "n_right": 1, "edges": [[True, 1], [2, 1]]},
+    {"n_left": 2, "n_right": 1, "edges": [[1, 1.0], [2, 1]]},
+    {"n_left": 2.0, "n_right": 1, "edges": [[1, 1], [2, 1]]},
+], ids=["bool-vertex", "float-vertex", "float-count"])
+def test_graph_json_rejects_non_integers(doc):
+    # True - 1 would otherwise read as left vertex 0
+    with pytest.raises(InvalidArgument, match="expected an integer"):
+        BipartiteGraph.from_json_dict(doc)
 
 
 def test_hypergraph_json_round_trip():

@@ -368,3 +368,40 @@ def test_malformed_input_file_exit_2(capsys, tmp_path, text):
     path.write_text(text)
     code, out, err = run_cli(capsys, "exact", "--input", str(path))
     assert code == 2 and out == "" and "invalid input file" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"r": 3.9, "k": [2.7, 2, 2, True, True, True]},
+    {"r": 3, "k": [2.7, 2, 2, 1, 1, 1]},
+    {"r": 3, "k": [2, 2, 2, True, 1, 1]},
+], ids=["float-r", "float-degree", "bool-degree"])
+def test_non_integer_degree_file_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "exact", "--input", str(path))
+    assert code == 2 and out == "" and "expected an integer" in err
+
+
+@pytest.mark.parametrize("edge", [[True, 1], [1.0, 1]], ids=["bool", "float"])
+def test_non_integer_graph_file_exits_2(capsys, tmp_path, edge):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n_left": 2, "n_right": 1, "edges": [edge, [2, 1]]}))
+    code, out, err = run_cli(capsys, "classify", "--input", str(path))
+    assert code == 2 and out == "" and "invalid input file" in err
+
+
+def test_csv_cells_pinned(capsys):
+    # recorded before the cell formatting moved into one function: floats
+    # as .12g (girth6's log is -0.0), lists space-joined, None empty, ints
+    _, out, _ = run_cli(capsys, "verify", "-r", "4", "--ratio-check", "--format", "csv")
+    assert out.split("\r\n")[:3] == [
+        "k,r,count_l,estimate_linear,ratio,error_scale,c0,c1,ratio_c1_c0,switching_ratio_d1",
+        "3 3 3 3,4,0,2.73787240281e-05,0,12096,0,0,,9",
+        "3 3 3 3 3 1,4,0,0.00744760599043,0,9072,0,0,,7.91015625",
+    ]
+    _, out, _ = run_cli(capsys, "girth", "-r", "3", "-k", ",".join(["2"] * 12),
+                        "--seed", "11", "--trials", "50", "--format", "csv")
+    assert out == ("p_hat,ci_halfwidth,trials,predicted,seed\r\n"
+                   "0.32,0.129298216491,50,0.367879441171,11\r\n")
+    _, out, _ = run_cli(capsys, "estimate", "-r", "3", "-k", "1,1,1", "--format", "csv")
+    assert out.split("\r\n")[4] == "girth6,0,1,108"

@@ -1,11 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from linhyper import DegreeSequence, new_degree_sequence, degree_sequence_from_json
-from linhyper.errors import DegenerateM, InvalidR, NegativeDegree, NotDivisible
+from linhyper.errors import (
+    DegenerateM, InvalidArgument, InvalidR, NegativeDegree, NotDivisible,
+)
 
 
 def test_construction_caches():
@@ -24,6 +27,27 @@ def test_construction_errors():
         new_degree_sequence((1, -1), 3)
     with pytest.raises(InvalidR):
         new_degree_sequence((1, 1), 1)
+
+
+@pytest.mark.parametrize("k, r, bad", [
+    ((2.7, 2, 2, 1, 1, 1), 3, "2.7"),
+    ((2, 2, 2, True, 1, 1), 3, "True"),
+    ((2, 2, 2, "1", 1, 1), 3, "'1'"),
+    ((3, 3, 3), 3.0, "3.0"),
+    ((3, 3, 3), True, "True"),
+])
+def test_non_integer_values_are_rejected(k, r, bad):
+    # int() would truncate 2.7 to 2 and read True as 1
+    with pytest.raises(InvalidArgument, match=f"got {bad}$"):
+        new_degree_sequence(k, r)
+    with pytest.raises(InvalidArgument):
+        DegreeSequence(r=r, k=k)
+
+
+def test_numpy_integers_are_accepted_as_ints():
+    ds = new_degree_sequence(np.array([2, 2, 2], dtype=np.int64), np.int64(3))
+    assert ds == new_degree_sequence((2, 2, 2), 3)
+    assert type(ds.r) is int and all(type(v) is int for v in ds.k)
 
 
 def test_zero_degrees_are_kept():

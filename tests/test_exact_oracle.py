@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -366,6 +367,18 @@ def test_pattern_expectation_matches_ordered_sweep():
             assert pattern_expectation(ds, pattern) == (
                 reference_pattern_expectation(ds, pattern)
             ), (ds, pattern)
+
+
+@pytest.mark.parametrize("k, r, expected", [
+    ((4, 4, 4, 2, 2, 2), 3, ("2725/4747", "6852/4747", "48024/4747", "6048/4747")),
+    ((3, 2, 2, 2, 2, 1), 3, ("1/13", "0", "4/13", "0")),
+    ((2,) * 8, 4, ("24/71", "0", "48/71", "0")),
+])
+def test_pattern_expectation_pins(k, r, expected):
+    # the reference sweep reads the same 4-cycle lister, so pin exact values
+    ds = new_degree_sequence(k, r)
+    got = [pattern_expectation(ds, p, max_space=18) for p in Pattern]
+    assert got == [Fraction(e) for e in expected]
 
 
 def test_wrong_margin_dp_is_an_identity_violation(monkeypatch, capsys):

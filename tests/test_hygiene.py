@@ -1,17 +1,19 @@
 """Source checks that need no linter: every name a library module imports is
-used in that module.  ``__init__.py`` is exempt, since its imports are the
-package's exports.  A name read only inside a quoted annotation counts as
-unused; the modules use ``from __future__ import annotations`` instead."""
+used in that module (``__init__.py`` is exempt, since its imports are the
+package's exports), and every private top-level name a library module
+defines is read somewhere in the library.  A name read only inside a quoted
+annotation counts as unused; the modules use ``from __future__ import
+annotations`` instead."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import linhyper
 
-MODULES = sorted(
-    p for p in Path(linhyper.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(linhyper.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +44,60 @@ def test_unused_import_check_sees_both_import_forms():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """Names loaded in ``tree``, as bare names or as attributes."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _private_defs(tree: ast.Module):
+    """(name, node) for each top-level function, class or constant whose
+    name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names of ``sources`` (file name to text) that no
+    source reads outside the name's own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{file}: {name} (line {node.lineno})"
+        for file, tree in trees.items()
+        for name, node in _private_defs(tree)
+        if reads[name] - _reads(node)[name] <= 0
+    )
+
+
+def test_dead_private_check_sees_defs_and_reads():
+    sources = {
+        "a.py": (
+            "_CAP = 3\n_UNUSED: int = 4\n"
+            "def _walk(n):\n    return _walk(n - 1) if n else _CAP\n"
+            "class _Box: pass\ndef public(): pass\n"
+        ),
+        "b.py": "from .a import _Box\nimport a\nx = a._Box() or a.public\n",
+    }
+    assert dead_private_names(sources) == [
+        "a.py: _UNUSED (line 2)", "a.py: _walk (line 3)",
+    ]
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert dead_private_names(sources) == []
