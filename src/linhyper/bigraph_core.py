@@ -262,8 +262,8 @@ class Hypergraph:
     """
 
     def __init__(self, n: int, edges) -> None:
-        self.n = n
-        self.edges = tuple(tuple(sorted(int(v) for v in e)) for e in edges)
+        self.n = _as_int(n)
+        self.edges = tuple(tuple(sorted(map(_as_int, e))) for e in edges)
         for e in self.edges:
             for v in e:
                 if not 0 <= v < n:
@@ -281,7 +281,7 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Hypergraph":
-        return cls(obj["n"], [[v - 1 for v in e] for e in obj["edges"]])
+        return cls(obj["n"], [[_as_int(v) - 1 for v in e] for e in obj["edges"]])
 
     def __eq__(self, other) -> bool:
         return (

@@ -32,7 +32,7 @@ from .degree_model import (
     degree_sequence_from_json,
     new_degree_sequence,
 )
-from .errors import InputError, InvariantViolation, LinhyperError
+from .errors import InputError, InvariantViolation, LinhyperError, NotASwitching
 from .exact_oracle import (
     DEFAULT_MAX_SPACE,
     _first_switchable,
@@ -250,13 +250,14 @@ def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) 
     The graphs are the first ``limit`` well-behaved labeled graphs with a
     4-cycle in ``enumerate_bigraphs``' visiting order, the lexicographic order
     of their columns' candidate indices.  They are taken without a labeled
-    enumeration: one sweep over column multisets keeps those passing the
-    battery with d >= 1, and the wanted graphs are the smallest orderings of
-    them (``exact_oracle._first_switchable``).  One graph per multiset would
+    enumeration: a sweep rooted at each candidate in turn keeps the rooted
+    multisets passing the battery with d >= 1 until they hold ``limit``
+    graphs, the smallest orderings of which are wanted
+    (``exact_oracle._first_switchable``).  One graph per multiset would
     check other graphs, and fewer: 5 rather than 8 on k=(3,2,2,2,2,1), r=3,
-    the only r=3 battery instance where a switch applies.  Returns the
-    number of round trips performed; raises InvariantViolation if any fails
-    to restore its graph.
+    the only r=3 battery instance where a switch applies.  A candidate that
+    is not a switching is skipped.  Returns the number of round trips;
+    raises InvariantViolation if one fails to restore its graph.
     """
     m = ds.edge_count()
     checks = 0
@@ -266,7 +267,7 @@ def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) 
         for t in forward_candidates(graph, cls):
             try:
                 switched = apply_forward(graph, t)
-            except LinhyperError:
+            except NotASwitching:
                 continue
             back = apply_reverse(switched, t)
             if back != graph:

@@ -4,14 +4,12 @@ This module is the ground truth everything else is tested against.  Every
 search runs through one backtracker, ``_sweep``: it fills the m = M/r
 incidence columns with r-subsets of the vertices of positive residual degree,
 pruned on residual feasibility and on vertices forced into every remaining
-column.  After choosing candidate i it starts the next column at i, so it
-visits each column multiset once, weighted by its m!/prod(mult!) orderings:
-column order changes no count and no 4-cycle.  The next column, the
-smallest left, must then have the lowest vertex of positive residual as its
-smallest vertex, so the sweep tries only that range of candidates; this
-drops no leaf (see ``_sweep``).  Callers that need labeled graphs in order (``enumerate_bigraphs``
-with a visitor, and ``_first_switchable``) merge the orderings of the
-multisets they keep (``_first_orderings``).
+column.  It fixes the first column to each of a list of roots and fills the
+other m - 1 in non-decreasing candidate order, so it visits each rooted
+multiset once, weighted by the orderings of its other columns: column
+order changes no count and no 4-cycle.  Each column after the root holds
+the lowest vertex of positive residual, so the sweep tries only that range
+of candidates (see ``_sweep``).
 
 The sweep also carries each multiset's verdict under the property battery
 of ``bigraph_core`` down the recursion, so no leaf runs the battery: a
@@ -24,18 +22,21 @@ prefix inherit its failure, and leaves sharing a prefix share its
 4-cycles.  ``classify`` keeps the whole-graph battery,
 ``_battery_from_cols``, which the verdict is tested against.
 
-``full_report``, ``pattern_expectation`` and ``hyper_class_profile`` also use
-that relabeling equal-degree vertices changes none of their counts.  Their
-sweep is rooted: it fixes the first column to one r-subset per orbit under
-those relabelings (``_orbit_roots``), weighted by the orbit's size
-prod C(|class|, t_class), and sweeps the other m - 1 columns as a multiset
-from candidate 0.  On a single degree class that is one first column instead
-of C(n, r).  A labeled graph with distinct columns stands for one hypergraph
-per m! orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide
-either is an identity violation, and so is a failed inclusion between
-classes.  The independent check is |B| against ``count_b_dp``, a dynamic
-program over residual-degree classes that lists no graph, so a wrong orbit
-weight is caught at run time.  A failed identity raises InvariantViolation,
+There are two root lists.  Counts invariant under relabeling equal-degree
+vertices (``full_report``, ``pattern_expectation``, ``hyper_class_profile``
+and ``enumerate_bigraphs`` without a visitor) root at one r-subset per orbit
+under those relabelings (``_orbit_roots``), weighted by the orbit's size
+prod C(|class|, t_class): on a single degree class, one root instead of
+C(n, r).  Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
+``_first_switchable``) root at every candidate in turn and merge the
+orderings of the multisets they keep (``_first_orderings``).
+
+A labeled graph with distinct columns stands for one hypergraph per m!
+orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide either
+is an identity violation, and so is a failed inclusion between classes.
+The independent check is |B| against ``count_b_dp``, a dynamic program
+over residual-degree classes that lists no graph, so a wrong orbit weight
+is caught at run time.  A failed identity raises InvariantViolation,
 which always means an implementation bug rather than bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
@@ -184,66 +185,57 @@ def _push_verdict(cols, mask: int, state, n2: int):
     return pairs + (pair,), on_cycle | 1 << hit | 1 << len(cols)
 
 
-def _sweep(ds: DegreeSequence, leaf, roots=None) -> None:
-    """Visit each column multiset conforming to ``ds`` = (k, r) once, with its
-    weight and its battery verdict.
+def _sweep(ds: DegreeSequence, leaf, roots) -> None:
+    """Visit each rooted column multiset conforming to ``ds`` = (k, r) once,
+    with its weight and its battery verdict.
 
-    Candidates are the r-subsets of range(len(k)) in lexicographic order,
-    and the columns of a multiset come in non-decreasing candidate order
-    (after the root, if any).
-    ``leaf(cols, weight, distinct, d)`` receives each multiset with the
-    number of labeled graphs it stands for, m!/prod(mult!), whether its
-    columns are pairwise distinct, and its verdict: d, the number of
-    4-cycles, if it is well-behaved (distinct columns passing (i)-(v) with
-    the cap n2 = ``ds.four_cycle_cap``), else None.
+    Candidates are the r-subsets of range(len(k)) in lexicographic order.
+    ``roots`` yields (candidate index, scale) pairs and is read lazily: the
+    first column is fixed to each root in turn (one leaving a residual above
+    m - 1 is skipped), and the other m - 1 come in non-decreasing candidate
+    order.  ``leaf(cols, weight, distinct, d)`` receives each multiset with
+    its weight, the scale times the (m - 1)!/prod(mult!) orderings of the
+    columns after the root, whether its columns are pairwise distinct, and
+    its verdict: d, the number of 4-cycles, if it is well-behaved (distinct
+    columns passing (i)-(v) with the cap n2 = ``ds.four_cycle_cap``), else
+    None.  With no column (m = 0) the one leaf is the empty graph.
 
     The weight, the distinctness and the verdict are carried down the
-    recursion as each column is pushed.  Free columns come in non-decreasing
-    order, so a repeated free column equals the one before it; the root may
-    equal any.  ``_push_verdict`` compares the pushed column with each
-    placed one: sharing two left vertices adds one 4-cycle, sharing three
-    fails (i).  For pass or fail, (iii) covers (i) and (ii): a K_{3,2} puts
-    each of its right vertices on three 4-cycles, and a K_{2,3} each of its
-    on two.  So a push fails when a column meets two partners or one already
-    on a 4-cycle (iii), when the new 4-cycle's left pair and those of any
-    two earlier ones span fewer than five left vertices (iv), or when the
-    4-cycles outnumber n2 (v).  Every property only gets worse as columns
-    are added, so a failed prefix does no battery work below it; its
-    subtree is still swept for |B| and |B0|.
+    recursion as each column is pushed; a repeated column equals the one
+    before it or the root.  ``_push_verdict`` compares the pushed column
+    with each placed one: sharing two left vertices adds one 4-cycle,
+    sharing three fails (i), and (iii) covers (i) and (ii).  So a push fails
+    when a column meets two partners or one already on a 4-cycle (iii),
+    when the new 4-cycle's left pair and those of any two earlier ones span
+    fewer than five left vertices (iv), or when the 4-cycles outnumber n2
+    (v).  No property recovers, so a failed prefix does no battery work
+    below it; its subtree is still swept for |B| and |B0|.
 
-    A non-root column must have as its smallest vertex ``low``, the lowest
-    vertex of positive residual: below ``low`` every residual is zero, and
-    if the column skipped ``low``, no later column, being no smaller in
-    candidate order, could hold it.  So the sweep tries only candidates
-    ``first[low]`` up to ``first[low + 1]``; the subtrees it skips hold no
-    leaf, and the leaves, weights and their order are unchanged.
-
-    ``roots``, a list of (candidate index, orbit size) pairs for m >= 1,
-    fixes the first column to each root in turn and sweeps the other m - 1
-    columns as a multiset from candidate 0; a leaf's weight then counts the
-    orderings of those m - 1 columns, times the orbit size.  Counts
-    invariant under relabeling equal-degree vertices come out as over the
-    whole sweep when the roots are ``_orbit_roots``.  A root passes the
-    feasibility tests of any column: one leaving a residual above m - 1
-    (at m = 1, any residual) is skipped.
+    A column after the root must have as its smallest vertex ``low``, the
+    lowest vertex of positive residual: below ``low`` every residual is
+    zero, and if the column skipped ``low``, no later column, being no
+    smaller in candidate order, could hold it.  So the sweep tries only
+    candidates ``first[low]`` up to ``first[low + 1]``; the subtrees it skips
+    hold no leaf, and the leaves, weights and their order are unchanged.
     """
     k, r, m, n2 = ds.k, ds.r, ds.edge_count(), ds.four_cycle_cap
+    if m == 0:
+        leaf([], 1, True, 0)
+        return
     combos = list(combinations(range(len(k)), r))
     masks = _subset_masks(len(k), r)
     # first[j]: the first candidate whose smallest vertex is j (or above)
     first = [bisect_left(combos, (j,)) for j in range(len(k) + 2)]
-    facts = [math.factorial(i) for i in range(m + 1)]
+    facts = [math.factorial(i) for i in range(m)]
     residual = list(k)
     cols: list[int] = []
-    # columns before ``free`` are fixed by a root; a leaf's weight is
-    # ``scale`` times the orderings of the others
-    free, scale = 0, 1
 
-    # ``div``: prod(mult!) over the free columns so far, ``run``: the
-    # multiplicity of the last one, ``state``: see ``_push_verdict``
+    # ``scale``: the root's (set by the loop below), ``div``: prod(mult!) over
+    # the columns after the root, ``run``: the multiplicity of the last one,
+    # ``state``: see ``_push_verdict``
     def rec(depth, start, stop, div, run, distinct, state) -> None:
         if depth == m:
-            leaf(cols, scale * facts[m - free] // div, distinct,
+            leaf(cols, scale * facts[m - 1] // div, distinct,
                  None if state is None else len(state[0]))
             return
         remaining = m - depth
@@ -256,7 +248,7 @@ def _sweep(ds: DegreeSequence, leaf, roots=None) -> None:
                 zero |= 1 << j
         if forced.bit_count() > r:
             return
-        if depth >= free:
+        if depth:
             # the lowest vertex of positive residual (len(k) if none)
             low = (~zero & (zero + 1)).bit_length() - 1
             start = max(start, first[low])
@@ -269,9 +261,8 @@ def _sweep(ds: DegreeSequence, leaf, roots=None) -> None:
             for j in combo:
                 residual[j] -= 1
             if max(residual) <= remaining - 1:
-                run_next = run + 1 if depth > free and mask == cols[-1] else 1
-                # a repeated free column follows its copy; the root may
-                # equal any free column
+                run_next = run + 1 if depth > 1 and mask == cols[-1] else 1
+                # a repeated column follows its copy; the root may equal any
                 distinct_next = distinct and (
                     not cols or mask != cols[-1] and mask != cols[0]
                 )
@@ -279,30 +270,27 @@ def _sweep(ds: DegreeSequence, leaf, roots=None) -> None:
                     None if state is None else _push_verdict(cols, mask, state, n2)
                 )
                 cols.append(mask)
-                rec(depth + 1, 0 if depth < free else idx, len(masks),
+                rec(depth + 1, idx if depth else 0, len(masks),
                     div * run_next, run_next, distinct_next, state_next)
                 cols.pop()
             for j in combo:
                 residual[j] += 1
 
-    if roots is None:
-        rec(0, 0, len(masks), 1, 0, True, ((), 0))
-        return
-    free = 1
     for idx, scale in roots:
         rec(0, idx, idx + 1, 1, 0, True, ((), 0))
 
 
-def _orderings(multiset: tuple[int, ...]):
-    """The distinct orderings of a non-decreasing tuple, lazily and in
-    lexicographic order (the next-permutation step)."""
-    seq = list(multiset)
+def _orderings(rooted: tuple[int, ...]):
+    """The distinct orderings of a rooted multiset, its first entry fixed
+    and the others non-decreasing, lazily and in lexicographic order (the
+    next-permutation step on the entries after the first)."""
+    seq = list(rooted)
     while True:
         yield tuple(seq)
         i = len(seq) - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
+        while i >= 1 and seq[i] >= seq[i + 1]:
             i -= 1
-        if i < 0:
+        if i < 1:
             return
         j = len(seq) - 1
         while seq[j] <= seq[i]:
@@ -311,61 +299,55 @@ def _orderings(multiset: tuple[int, ...]):
         seq[i + 1:] = reversed(seq[i + 1:])
 
 
-def _first_orderings(multisets, limit: int | None = None):
+def _first_orderings(rooted, limit: int | None = None):
     """An iterator over the ``limit`` (default: all) lexicographically
-    smallest tuples among the distinct orderings of the given non-decreasing
-    tuples, smallest first.
+    smallest tuples among the distinct orderings of the given rooted
+    multisets (see ``_orderings``), smallest first.
 
-    Each tuple's orderings are generated lazily and in lexicographic order,
-    so the merge draws one ordering per tuple plus ``limit`` more, not the
-    m!/prod(mult!) of each.
+    Each multiset's orderings are generated lazily and in lexicographic
+    order, so the merge draws one ordering per multiset plus ``limit`` more,
+    not the (m - 1)!/prod(mult!) of each.
     """
-    return islice(heapq.merge(*map(_orderings, multisets)), limit)
+    return islice(heapq.merge(*map(_orderings, rooted)), limit)
+
+
+def _splits(caps: tuple[int, ...], need: int):
+    """Every tuple of takes, one per entry of ``caps`` and at most it, that
+    sums to ``need``."""
+    if not caps:
+        if need == 0:
+            yield ()
+        return
+    for take in range(min(caps[0], need) + 1):
+        for rest in _splits(caps[1:], need - take):
+            yield (take,) + rest
 
 
 def count_matrices_by_classes(classes: Counter, r: int, m: int) -> int:
     """0-1 matrices with given row-sum classes (residual -> row count) and m
-    columns of sum r, counted by dynamic programming over residual classes."""
-    init = tuple(
-        sorted((res, cnt) for res, cnt in classes.items() if res > 0 and cnt > 0)
-    )
+    columns of sum r, counted by dynamic programming over residual classes.
+
+    The state is the tuple of row counts at residuals 1..k_max.  A column
+    takes t_i of the c_i rows at residual i, in prod C(c_i, t_i) ways, and
+    moves them to residual i - 1.
+    """
+    top = max((res for res, cnt in classes.items() if cnt > 0), default=0)
 
     @lru_cache(maxsize=None)
     def go(state, cols_left):
-        total_residual = sum(res * cnt for res, cnt in state)
-        if cols_left == 0:
-            return 1 if total_residual == 0 else 0
-        if total_residual != r * cols_left:
+        if sum(res * cnt for res, cnt in enumerate(state, 1)) != r * cols_left:
             return 0
-        if max((res for res, _ in state), default=0) > cols_left:
+        if cols_left == 0:
+            return 1
+        if any(state[cols_left:]):
             return 0
         out = 0
-        state_list = list(state)
-
-        def pick(idx, need, ways, taken_counts):
-            nonlocal out
-            if need == 0:
-                taken_all = taken_counts + [0] * (len(state_list) - len(taken_counts))
-                nxt = Counter()
-                for (res, cnt), taken in zip(state_list, taken_all):
-                    if cnt - taken > 0:
-                        nxt[res] += cnt - taken
-                    if taken and res - 1 > 0:
-                        nxt[res - 1] += taken
-                out += ways * go(tuple(sorted(nxt.items())), cols_left - 1)
-                return
-            if idx == len(state_list):
-                return
-            res, cnt = state_list[idx]
-            for take in range(min(cnt, need) + 1):
-                taken_counts.append(take)
-                pick(idx + 1, need - take, ways * math.comb(cnt, take), taken_counts)
-                taken_counts.pop()
-
-        pick(0, r, 1, [])
+        for takes in _splits(state, r):
+            nxt = tuple(c - t + u for c, t, u in zip(state, takes, takes[1:] + (0,)))
+            out += math.prod(map(math.comb, state, takes)) * go(nxt, cols_left - 1)
         return out
 
-    return go(init, m)
+    return go(tuple(classes[res] for res in range(1, top + 1)), m)
 
 
 def count_b_dp(ds: DegreeSequence) -> int:
@@ -402,14 +384,8 @@ class _ReportCounts:
 def _report_branch(args) -> _ReportCounts:
     ds, roots = args
     counts = _ReportCounts(ds.four_cycle_cap)
-    _sweep(ds, counts.leaf, roots=roots)
+    _sweep(ds, counts.leaf, roots)
     return counts
-
-
-def _roots(ds: DegreeSequence):
-    """``_sweep``'s roots for an instance: None (the plain sweep, whose one
-    leaf is the empty graph) when it has no column."""
-    return _orbit_roots(ds.k, ds.r) if ds.edge_count() > 0 else None
 
 
 def _per_hypergraph(count: int, fact: int, what: str) -> int:
@@ -434,9 +410,11 @@ def enumerate_bigraphs(
     Columns are labeled (ordered), so two graphs differing only in column
     order are distinct.  Returns the number of graphs passing the filter.
     No filter depends on column order, so each column multiset is tested
-    once and counted with its orderings.  ``visitor``, if given, is then
-    called with each passing BipartiteGraph, in lexicographic order of its
-    columns' candidate indices.
+    once and counted with its orderings, and the count sweeps from the
+    first-column orbits.  ``visitor``, if given, is then called with each
+    passing BipartiteGraph, in lexicographic order of its columns' candidate
+    indices: the sweep roots at every candidate in turn, and the graphs of a
+    root are its multisets' orderings, merged.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
@@ -459,7 +437,8 @@ def enumerate_bigraphs(
         if visitor is not None:
             kept.append(tuple(index[c] for c in cols))
 
-    _sweep(ds, leaf)
+    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r) if visitor is None
+           else [(idx, 1) for idx in range(len(masks))])
     for t in _first_orderings(kept):
         visitor(BipartiteGraph(n, m, [masks[i] for i in t]))
     return count
@@ -472,21 +451,28 @@ def _first_switchable(
     the order ``enumerate_bigraphs`` visits labeled graphs.
 
     That order is lexicographic in the candidate indices of the columns.
-    Conformity and the property battery ignore column order, so the sweep
-    finds every qualifying multiset, and the labeled graphs wanted are the
-    ``limit`` smallest of their orderings.
+    The sweep roots at every candidate in turn; conformity and the property
+    battery ignore the order of the other columns, so the labeled graphs
+    wanted are the ``limit`` smallest orderings of the qualifying rooted
+    multisets.  No graph of a later root comes before a graph of an earlier
+    one, so the roots stop once the kept multisets stand for ``limit``
+    graphs.
     """
     ds.edge_count()
     check_guard(ds, max_space)
     masks = _subset_masks(ds.n, ds.r)
     index = {mask: i for i, mask in enumerate(masks)}
     found: list[tuple[int, ...]] = []
+    graphs = 0
 
     def leaf(cols, weight: int, distinct: bool, d) -> None:
+        nonlocal graphs
         if d:
             found.append(tuple(index[c] for c in cols))
+            graphs += weight
 
-    _sweep(ds, leaf)
+    # read lazily: no root is yielded once ``limit`` graphs are kept
+    _sweep(ds, leaf, ((idx, 1) for idx in range(len(masks)) if graphs < limit))
     return [[masks[i] for i in t] for t in _first_orderings(found, limit)]
 
 
@@ -514,7 +500,7 @@ def hyper_class_profile(
         if not dual_failed_properties(hg, n2):
             profile[len(hyper_properties(hg).double_links)] += weight
 
-    _sweep(ds, leaf, roots=_roots(ds))
+    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r))
     fact = math.factorial(m)
     return tuple(
         _per_hypergraph(c, fact, f"the weight of class C_{d}")
@@ -541,10 +527,10 @@ def full_report(
     m = ds.edge_count()
     check_guard(ds, max_space)
 
-    # roots dealt round-robin, one sweep per task; no column, no split
-    roots = _roots(ds)
-    n_tasks = min(workers, len(roots)) if roots else 1
-    tasks = [(ds, roots and roots[w::n_tasks]) for w in range(n_tasks)]
+    # roots dealt round-robin, one sweep per task
+    roots = _orbit_roots(ds.k, ds.r)
+    n_tasks = max(1, min(workers, len(roots)))
+    tasks = [(ds, roots[w::n_tasks]) for w in range(n_tasks)]
     counts = _ReportCounts(ds.four_cycle_cap)
     for part in map_tasks(_report_branch, tasks, workers):
         counts.add(part)
@@ -647,7 +633,7 @@ def pattern_expectation(
         graphs += weight
         total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
-    _sweep(ds, leaf, roots=_roots(ds))
+    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r))
     if graphs == 0:
         raise InvalidArgument("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)

@@ -350,6 +350,25 @@ def pairing_sample(
     return PairingResult(BipartiteGraph(ds.n, kernel.m, cols), rejections)
 
 
+def _forward_step(graph: BipartiteGraph, cls, ds: DegreeSequence, rng):
+    """One walk step: the first legal forward switch in ``rng.permutation``
+    order of the candidates, as (graph, classification), or None if no
+    candidate is legal.  Only the tried tuples are decoded from the counted
+    ``_CandidateIndex``; an empty index draws no permutation."""
+    candidates = _CandidateIndex(graph, cls)
+    if not candidates:
+        return None
+    for idx in rng.permutation(len(candidates)):
+        try:
+            switched, after, legal = _reclassified(
+                graph, cls, ds, candidates[int(idx)], apply_forward, -1)
+        except NotASwitching:
+            continue
+        if legal:
+            return switched, after
+    return None
+
+
 def sample_no4cycle(
     ds: DegreeSequence,
     rng: np.random.Generator,
@@ -359,13 +378,12 @@ def sample_no4cycle(
     """Sample a well-behaved graph, then rewire 4-cycles away one at a time.
 
     Draws pairing samples until one is well-behaved, then repeatedly applies
-    a uniformly chosen legal forward switch until no 4-cycle remains.  Each
-    step decodes, from a counted ``_CandidateIndex``, only the tuples it tries
-    in ``rng.permutation`` order: the stream of the full candidate list.  The
-    output is *approximately* uniform over the 4-cycle-free graphs: the
-    switching walk is a generator here, not an exactly-uniform sampler, and
-    the residual bias is not quantified.  Step counts and the 4-cycle-count
-    trajectory are returned so callers can audit the walk.
+    a uniformly chosen legal forward switch (``_forward_step``) until no
+    4-cycle remains, restarting when none is legal.  The output is
+    *approximately* uniform over the 4-cycle-free graphs: the switching walk
+    is a generator here, not an exactly-uniform sampler, and the residual
+    bias is not quantified.  Step counts and the 4-cycle-count trajectory
+    are returned so callers can audit the walk.
     """
     steps = 0
     pairing_rejections = 0
@@ -382,42 +400,27 @@ def sample_no4cycle(
                 raise RetryLimitExceeded("no well-behaved pairing sample found")
             continue
         trajectory = [cls.d]
-        stuck = False
         while cls.d > 0:
             if steps >= max_steps:
                 raise StepLimit(f"step budget {max_steps} exhausted")
             steps += 1
-            candidates = _CandidateIndex(graph, cls)
-            applied = False
-            if candidates:
-                for idx in rng.permutation(len(candidates)):
-                    t = candidates[int(idx)]
-                    try:
-                        switched, after, legal = _reclassified(
-                            graph, cls, ds, t, apply_forward, -1)
-                    except NotASwitching:
-                        continue
-                    if legal:
-                        graph, cls = switched, after
-                        trajectory.append(cls.d)
-                        applied = True
-                        break
-            if not applied:
-                stuck = True
+            step = _forward_step(graph, cls, ds, rng)
+            if step is None:
                 break
-        if stuck:
-            restarts += 1
-            if restarts > max_retries:
-                raise RetryLimitExceeded("switching walk kept getting stuck")
-            continue
-        return SwitchSampleResult(
-            graph=graph,
-            steps=steps,
-            d_trajectory=tuple(trajectory),
-            pairing_rejections=pairing_rejections,
-            bplus_rejections=bplus_rejections,
-            restarts=restarts,
-        )
+            graph, cls = step
+            trajectory.append(cls.d)
+        else:
+            return SwitchSampleResult(
+                graph=graph,
+                steps=steps,
+                d_trajectory=tuple(trajectory),
+                pairing_rejections=pairing_rejections,
+                bplus_rejections=bplus_rejections,
+                restarts=restarts,
+            )
+        restarts += 1
+        if restarts > max_retries:
+            raise RetryLimitExceeded("switching walk kept getting stuck")
 
 
 def _girth_worker(args) -> tuple[int, int]:

@@ -719,24 +719,24 @@ def reference_spot_graphs(ds: DegreeSequence, limit: int) -> list[list[int]]:
 # --- The exact oracle's multiset sweep before the lowest-vertex bound -------
 
 
-def reference_multiset_sweep(k, r, m, leaf, roots=None) -> None:
-    """``exact_oracle._sweep`` as it was before it clamped each free column
-    to the candidates holding the lowest vertex of positive residual: it
-    tries every candidate from ``start`` on, so it visits every dead branch
-    the bound prunes.  Its leaves, weights and their order are the ones the
+def reference_multiset_sweep(k, r, m, leaf, roots) -> None:
+    """``exact_oracle._sweep`` (for m >= 1) as it was before it clamped each
+    column after the root to the candidates holding the lowest vertex of
+    positive residual: it tries every candidate from ``start`` on, so it
+    visits every dead branch the bound prunes.  Its leaves, weights and their order are the ones the
     library's sweep must reproduce."""
     masks = _subset_masks(len(k), r)
     facts = [math.factorial(i) for i in range(m + 1)]
     residual = list(k)
     cols: list[int] = []
-    # columns before ``free`` are fixed by a root; a leaf's weight is
-    # ``scale`` times the orderings of the others
-    free, scale = 0, 1
+    # the first column is fixed by a root; a leaf's weight is ``scale``
+    # times the orderings of the others
+    scale = 1
 
     def rec(depth: int, start: int, stop: int) -> None:
         if depth == m:
-            weight = scale * facts[m - free]
-            for c in Counter(cols[free:]).values():
+            weight = scale * facts[m - 1]
+            for c in Counter(cols[1:]).values():
                 weight //= facts[c]
             leaf(cols, weight)
             return
@@ -758,14 +758,10 @@ def reference_multiset_sweep(k, r, m, leaf, roots=None) -> None:
                 residual[j] -= 1
             if max(residual) <= remaining - 1:
                 cols.append(mask)
-                rec(depth + 1, 0 if depth < free else idx, len(masks))
+                rec(depth + 1, idx if depth else 0, len(masks))
                 cols.pop()
             for j in _bits(mask):
                 residual[j] += 1
 
-    if roots is None:
-        rec(0, 0, len(masks))
-        return
-    free = 1
     for idx, scale in roots:
         rec(0, idx, idx + 1)

@@ -257,6 +257,26 @@ def test_hypergraph_json_round_trip():
     assert again == hg
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 3, "edges": [[1.9, 2, True]]},
+    {"n": 3.5, "edges": [[1, 2, 3]]},
+], ids=["float-and-bool-vertex", "float-n"])
+def test_hypergraph_json_rejects_non_integers(doc):
+    # int(1.9) - 1 and True - 1 would otherwise read the edge as (0, 0, 1)
+    with pytest.raises(InvalidArgument, match="expected an integer"):
+        Hypergraph.from_json_dict(doc)
+
+
+def test_hypergraph_rejects_non_integers_and_accepts_numpy_ints():
+    with pytest.raises(InvalidArgument, match="expected an integer"):
+        Hypergraph(3.5, [(0, 1, 2)])
+    with pytest.raises(InvalidArgument, match="expected an integer"):
+        Hypergraph(3, [(0, 1.0, 2)])
+    hg = Hypergraph(np.int64(3), [np.array([2, 0, 1], dtype=np.int64)])
+    assert hg == Hypergraph(3, [(0, 1, 2)])
+    assert type(hg.n) is int and all(type(v) is int for v in hg.edges[0])
+
+
 def test_hypergraph_equality_is_multiset():
     a = Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
     b = Hypergraph(4, [(0, 1, 3), (0, 1, 2)])

@@ -10,6 +10,8 @@ from linhyper.exact_oracle import (
     canonical_battery,
     random_guarded_instances,
 )
+from linhyper.degree_model import new_degree_sequence
+from linhyper.errors import NonConforming, NotASwitching
 from support import reference_spot_graphs
 
 
@@ -259,6 +261,39 @@ def test_spot_check_runs_one_multiset_sweep(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["involution_spot_checks"] == 8
     # at most one sweep for full_report and one for the spot check, per instance
     assert len(sweeps) <= 2 * len(battery)
+
+
+def test_spot_check_lister_stops_rooting_at_its_limit(monkeypatch):
+    # no graph of a later root comes before one already kept, so the lister
+    # roots no further once it holds ``limit`` graphs
+    pulled = []
+    sweep = exact_oracle._sweep
+
+    def counting(ds, leaf, roots):
+        sweep(ds, leaf, (pulled.append(root) or root for root in roots))
+
+    monkeypatch.setattr(exact_oracle, "_sweep", counting)
+    ds = new_degree_sequence((3, 3, 3, 2, 2, 2), 3)  # C(6, 3) = 20 candidates
+    assert len(_first_switchable(ds, 10)) == 10
+    assert pulled == [(0, 1), (1, 1)]
+
+
+def test_spot_check_skips_only_non_switchings(monkeypatch):
+    # a tuple that is not a switching is skipped; any other error from the
+    # switch is a bug and reaches the caller
+    ds = new_degree_sequence((3, 2, 2, 2, 2, 1), 3)
+    assert _involution_spot_check(ds, DEFAULT_MAX_SPACE) == 8
+
+    def failing(error):
+        def apply(graph, t):
+            raise error("injected")
+        return apply
+
+    monkeypatch.setattr(cli, "apply_forward", failing(NotASwitching))
+    assert _involution_spot_check(ds, DEFAULT_MAX_SPACE) == 0
+    monkeypatch.setattr(cli, "apply_forward", failing(NonConforming))
+    with pytest.raises(NonConforming, match="injected"):
+        _involution_spot_check(ds, DEFAULT_MAX_SPACE)
 
 
 def test_verify_spot_checks_only_switchable_instances(monkeypatch, capsys):

@@ -44,7 +44,6 @@ from linhyper.exact_oracle import (
     _occurrences_from_cols,
     _orbit_roots,
     _push_verdict,
-    _roots,
 )
 
 from support import (
@@ -179,11 +178,11 @@ def test_workers_deal_roots_round_robin(monkeypatch, pool_sizes):
     # min(workers, orbits) tasks of one sweep each, so one worker is one sweep
     calls = []
     sweep = exact_oracle._sweep
-    monkeypatch.setattr(exact_oracle, "_sweep", lambda *args, roots=None: (
-        calls.append(roots), sweep(*args, roots=roots)))
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots: (
+        calls.append(roots), sweep(ds, leaf, roots)))
     monkeypatch.setattr(_pool.os, "cpu_count", lambda: 64)
     ds = new_degree_sequence((3, 3, 3, 2, 1), 3)  # 4 first-column orbits
-    roots = _roots(ds)
+    roots = _orbit_roots(ds.k, ds.r)
     for workers, n_tasks in ((1, 1), (3, 3), (64, 4)):
         calls.clear()
         full_report(ds, workers=workers)
@@ -235,6 +234,28 @@ def test_rooted_sweep_over_every_candidate_counts_b():
         assert total == count_b_dp(ds), ds
 
 
+def test_no_column_instance_is_one_empty_leaf(monkeypatch):
+    # m = 0: whatever the roots, the sweep's one leaf is the empty graph
+    leaves = []
+    sweep = exact_oracle._sweep
+
+    def recording(ds, leaf, roots):
+        def logged(cols, *rest):
+            leaves.append((list(cols),) + rest)
+            leaf(cols, *rest)
+        sweep(ds, logged, roots)
+
+    monkeypatch.setattr(exact_oracle, "_sweep", recording)
+    ds = new_degree_sequence((0, 0, 0), 3)
+    assert full_report(ds) == OracleReport(1, 1, 1, 1, 1, (1,))
+    assert leaves == [([], 1, True, 0)]
+    leaves.clear()
+    visited = []
+    assert enumerate_bigraphs(ds, visited.append) == 1
+    assert [(g.n_left, g.cols) for g in visited] == [(3, ())]
+    assert leaves == [([], 1, True, 0)]
+
+
 def test_full_report_past_the_guard():
     # M = 18 and M = 20, one orbit each, pinned to the reports of the
     # unrooted multiset sweep (15 s and about 60 s to compute); |L| = 35,280 is
@@ -253,9 +274,10 @@ def test_full_report_past_the_guard():
     )
 
 
-@pytest.mark.parametrize("multiset", [(), (4,), (2, 2, 2), (0, 1, 1, 3, 3), (0, 1, 2, 3), (5, 5, 7)])
+@pytest.mark.parametrize("multiset", [(), (4,), (2, 2, 2), (3, 0, 1, 1, 3), (3, 0, 1, 2), (5, 5, 7)])
 def test_orderings_are_the_distinct_permutations(multiset):
-    want = sorted(set(permutations(multiset)))
+    # a rooted multiset keeps its first entry and permutes the others
+    want = sorted({multiset[:1] + p for p in permutations(multiset[1:])})
     # one more than wanted, so that a generator that never stops fails here
     assert list(_first_orderings([multiset], len(want) + 1)) == want
 
@@ -497,9 +519,9 @@ def battery_verdict(ds, cols, n2=None):
 def test_sweep_leaves_match_unbounded_sweep():
     # the lowest-vertex bound prunes only subtrees without a leaf: the same
     # multisets reach ``leaf`` with the same weights in the same order,
-    # unrooted, rooted at the orbits, and rooted at every candidate; the
-    # distinctness and verdict carried down the sweep are those of the
-    # battery run on each leaf's columns
+    # rooted at the orbits and rooted at every candidate; the distinctness
+    # and verdict carried down the sweep are those of the battery run on
+    # each leaf's columns
     instances = canonical_battery(rs=(2, 3, 4)) + random_guarded_instances(
         160, seed=20261019, rs=(2, 3, 4, 5)
     )
@@ -507,8 +529,8 @@ def test_sweep_leaves_match_unbounded_sweep():
     assert any(0 in ds.k for ds in instances)
     for ds in instances:
         m = ds.edge_count()
-        every = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))] if m else None
-        for roots in (None, _roots(ds), every):
+        every = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))]
+        for roots in (_orbit_roots(ds.k, ds.r), every):
             got, want = [], []
             exact_oracle._sweep(
                 ds,
@@ -573,5 +595,6 @@ def test_sweep_verdict_on_hand_made_multisets(cols, r, n2, failed, verdict):
         exact_oracle._sweep(
             ds,
             lambda c, w, dist, d: leaves.setdefault(tuple(sorted(c)), (dist, d)),
+            [(idx, 1) for idx in range(math.comb(ds.n, r))],
         )
         assert leaves[tuple(sorted(cols))] == (distinct, verdict)

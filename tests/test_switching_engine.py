@@ -28,6 +28,7 @@ from linhyper.errors import (
     PreconditionFailed,
     RetryLimitExceeded,
 )
+from linhyper.switching_engine import _forward_step
 
 from support import all_pairs_distances
 
@@ -278,6 +279,19 @@ def test_sample_no4cycle_trivial_instance():
     res = sample_no4cycle(ds, np.random.default_rng(3))
     assert res.steps == 0 and res.d_trajectory == (0,)
     assert not res.graph.has_four_cycle()
+
+
+def test_forward_step_on_an_empty_index_draws_nothing():
+    # every right vertex is on one of the two 4-cycles, so no edge w-g has g
+    # off the cycles: no candidate, no step, and the stream is untouched
+    ds = new_degree_sequence((2,) * 6, 3)
+    graph = BipartiteGraph(6, 4, [0b000111, 0b001011, 0b110100, 0b111000])
+    cls = classify(graph, ds)
+    assert cls.in_bplus and cls.d == 2
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert _forward_step(graph, cls, ds, rng) is None
+    assert rng.bit_generator.state == state
 
 
 def test_sample_no4cycle_postcondition_and_replay():
