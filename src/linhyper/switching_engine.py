@@ -350,18 +350,29 @@ def pairing_sample(
     return PairingResult(BipartiteGraph(ds.n, kernel.m, cols), rejections)
 
 
+def _uniform_order(n: int, rng):
+    """The indices ``range(n)`` in uniformly random order, drawn lazily by a
+    sparse Fisher-Yates shuffle: the t-th index taken costs one
+    ``rng.integers(t, n)`` call, and ``moved`` holds only the displaced
+    slots, so a caller that stops after t indices pays t draws, not n."""
+    moved = {}
+    for t in range(n):
+        j = int(rng.integers(t, n))
+        yield moved.get(j, j)
+        moved[j] = moved.pop(t, t)
+
+
 def _forward_step(graph: BipartiteGraph, cls, ds: DegreeSequence, rng):
-    """One walk step: the first legal forward switch in ``rng.permutation``
-    order of the candidates, as (graph, classification), or None if no
-    candidate is legal.  Only the tried tuples are decoded from the counted
-    ``_CandidateIndex``; an empty index draws no permutation."""
+    """One walk step: the first legal forward switch in a uniformly random
+    order of the candidates (``_uniform_order``, one draw per tried
+    candidate), as (graph, classification), or None if no candidate is
+    legal.  Only the tried tuples are decoded from the counted
+    ``_CandidateIndex``; an empty index draws nothing."""
     candidates = _CandidateIndex(graph, cls)
-    if not candidates:
-        return None
-    for idx in rng.permutation(len(candidates)):
+    for idx in _uniform_order(len(candidates), rng):
         try:
             switched, after, legal = _reclassified(
-                graph, cls, ds, candidates[int(idx)], apply_forward, -1)
+                graph, cls, ds, candidates[idx], apply_forward, -1)
         except NotASwitching:
             continue
         if legal:
@@ -379,7 +390,10 @@ def sample_no4cycle(
 
     Draws pairing samples until one is well-behaved, then repeatedly applies
     a uniformly chosen legal forward switch (``_forward_step``) until no
-    4-cycle remains, restarting when none is legal.  The output is
+    4-cycle remains, restarting when none is legal.  A step makes one
+    ``rng.integers`` draw per candidate it tries, however many it counts
+    (about two tried of tens of thousands counted on k=3^30 and k=2^90,
+    r=3).  The output is
     *approximately* uniform over the 4-cycle-free graphs: the switching walk
     is a generator here, not an exactly-uniform sampler, and the residual
     bias is not quantified.  Step counts and the 4-cycle-count trajectory

@@ -1,7 +1,10 @@
 import hashlib
+from collections import Counter
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from linhyper import (
     BipartiteGraph,
@@ -28,7 +31,7 @@ from linhyper.errors import (
     PreconditionFailed,
     RetryLimitExceeded,
 )
-from linhyper.switching_engine import _forward_step
+from linhyper.switching_engine import _forward_step, _reclassified, _uniform_order
 
 from support import all_pairs_distances
 
@@ -294,6 +297,67 @@ def test_forward_step_on_an_empty_index_draws_nothing():
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+def test_uniform_order_yields_each_index_once(n):
+    order = list(_uniform_order(n, np.random.default_rng(n)))
+    assert sorted(order) == list(range(n))
+
+
+def test_uniform_order_of_nothing_draws_nothing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert list(_uniform_order(0, rng)) == []
+    assert rng.bit_generator.state == state
+
+
+def test_uniform_order_is_uniform_over_orders():
+    # 24 orders of 4 indices, 200 draws each expected; bound fixed in advance
+    rng = np.random.default_rng(17)
+    counts = Counter(tuple(_uniform_order(4, rng)) for _ in range(4800))
+    assert set(counts) == set(permutations(range(4)))
+    stat = sum((c - 200) ** 2 / 200 for c in counts.values())
+    assert stat < chi2.ppf(0.999, 23), stat
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_uniform_order_draws_once_per_index_taken(t):
+    # t indices cost exactly t integer draws: a full permutation up front, or
+    # a draw made ahead of the index it serves, leaves another state
+    n = 1000
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    assert len(list(islice(_uniform_order(n, rng), t))) == t
+    for s in range(t):
+        twin.integers(s, n)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_forward_step_is_uniform_over_legal_switchings():
+    # one 4-cycle on k=2^5 1^2, r=3: of its 64 candidate tuples, 24 are not
+    # switchings and 24 land outside the well-behaved graphs with d - 1 cycles;
+    # the other 16 reach 8 graphs.  A step must hit each switched graph in
+    # proportion to the tuples that reach it, whatever the random stream.
+    ds = new_degree_sequence((2,) * 5 + (1,) * 2, 3)
+    graph = BipartiteGraph(7, 4, [0b0000111, 0b0001011, 0b0011100, 0b1110000])
+    cls = classify(graph, ds)
+    assert cls.in_bplus and cls.d == 1
+    tuples = Counter()
+    for t in forward_candidates(graph, cls):
+        try:
+            switched, _, legal = _reclassified(graph, cls, ds, t, apply_forward, -1)
+        except NotASwitching:
+            continue
+        if legal:
+            tuples[switched] += 1
+    assert sum(tuples.values()) == 16 and len(tuples) == 8
+    draws = 2000
+    hits = Counter(_forward_step(graph, cls, ds, np.random.default_rng(seed))[0]
+                   for seed in range(draws))
+    assert set(hits) == set(tuples)
+    expected = {g: draws * c / 16 for g, c in tuples.items()}
+    stat = sum((hits[g] - e) ** 2 / e for g, e in expected.items())
+    assert stat < chi2.ppf(0.999, len(tuples) - 1), stat
+
+
 def test_sample_no4cycle_postcondition_and_replay():
     ds = new_degree_sequence((2,) * 30, 3)
     res = sample_no4cycle(ds, np.random.default_rng(11))
@@ -464,13 +528,13 @@ def test_candidate_index_empty_and_no_cycle(demo_graph, demo_ds):
 
 @pytest.mark.parametrize("k, seed, steps, trajectory, digest", [
     ((3,) * 30, 0, 4, (4, 3, 2, 1, 0),
-     "30623284adf611f4507efc67d9339bb11fb309b004e9c3540050503e8aaa900b"),
+     "9692f05f356fd5c3cd0f44e7900bb4579d895d518f1b62ca5758ea84e1ea797a"),
     ((3,) * 30, 1, 7, (7, 6, 5, 4, 3, 2, 1, 0),
-     "6cffa5bcad54a2af44f2ba3f21a4c3969cedb8deefbe368262c79ce2b22bae61"),
+     "7010b155cb68baed5438f4a7a406963f3eb767b0fce0650ab07e3d647bbd93d7"),
     ((2,) * 90, 3, 4, (4, 3, 2, 1, 0),
-     "f455b764c3e27170e5317c4e33856c36a612f6d02726ddfb5bd33568eddf5b51"),
+     "416187076ff14d4c51751ed0a6eee1353202aaaa9998ab96fa61dc1cebeeb2f3"),
     ((2,) * 90, 4, 3, (3, 2, 1, 0),
-     "96f18c472807089c5df5d929407e39bf4dcfdc5747832c0500e2722d1b4afe20"),
+     "1745aa7199e3fe21f562828f3a29e877dbcba1a5d598a0e6bd6fcb8c3f9b7c26"),
 ])
 def test_sample_no4cycle_outputs_pinned(k, seed, steps, trajectory, digest):
     # seeded walks starting at d >= 2: the random stream, the candidate order
