@@ -22,7 +22,10 @@ one 4-cycle that passes all five.
 
 Every whole-graph 4-cycle question (``four_cycles``, ``has_four_cycle``, the
 battery, the oracle's pattern counts) reads the one list ``_four_cycles``
-builds.  ``classify`` runs the battery on a whole graph (``_battery_from_cols``).
+builds: the wedge buckets of ``_cycles_of_rows`` over the left neighbour
+lists of ``_neighbour_lists``.  ``classify`` runs the battery on a whole
+graph (``_battery_from_cols``), decoding its columns once: the same lists
+give the left degrees it checks and the 4-cycles.
 The exhaustive oracle derives the same verdict column by column as its sweep
 pushes columns (``exact_oracle._push_verdict``), and is tested against
 ``_battery_from_cols``.
@@ -330,16 +333,24 @@ def from_hypergraph(hg: Hypergraph) -> BipartiteGraph:
     return BipartiteGraph(hg.n, len(cols), cols)
 
 
-def _four_cycles(n_left: int, cols: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    """All 4-cycles as the sorted list of (j1, j2, i1, i2), j1 < j2, i1 < i2.
+def _neighbour_lists(n_left: int, cols: tuple[int, ...]) -> list[list[int]]:
+    """The right neighbours of each left vertex, ascending."""
+    rows: list[list[int]] = [[] for _ in range(n_left)]
+    for i, c in enumerate(cols):
+        while c:
+            low = c & -c
+            rows[low.bit_length() - 1].append(i)
+            c ^= low
+    return rows
+
+
+def _cycles_of_rows(rows: list[list[int]]) -> list[tuple[int, int, int, int]]:
+    """All 4-cycles of the graph with left neighbour lists ``rows``, as the
+    sorted list of (j1, j2, i1, i2), j1 < j2, i1 < i2.
 
     Left vertices are bucketed by the right pairs of their wedges, which is
     linear in the wedge count rather than quadratic in the right vertices.
     """
-    rows: list[list[int]] = [[] for _ in range(n_left)]
-    for i, c in enumerate(cols):
-        for j in _bits(c):
-            rows[j].append(i)
     buckets: dict[tuple[int, int], list[int]] = {}
     for j, nbrs in enumerate(rows):
         for pair in combinations(nbrs, 2):
@@ -354,19 +365,27 @@ def _four_cycles(n_left: int, cols: tuple[int, ...]) -> list[tuple[int, int, int
     return cycles
 
 
+def _four_cycles(n_left: int, cols: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+    """All 4-cycles as the sorted list of (j1, j2, i1, i2), j1 < j2, i1 < i2
+    (see ``_cycles_of_rows``)."""
+    return _cycles_of_rows(_neighbour_lists(n_left, cols))
+
+
 def _as_four_cycles(cycles) -> tuple[FourCycle, ...]:
     return tuple(FourCycle((j1, j2), (i1, i2)) for j1, j2, i1, i2 in cycles)
 
 
-def _battery_from_cols(n_left: int, cols: tuple[int, ...], n2: int):
+def _battery_from_cols(n_left: int, cols: tuple[int, ...], n2: int, cycles=None):
     """Evaluate the property battery on raw columns.
 
     Returns (cycles, failed, in_b0).  This is the classifier's battery, on
     the 30-60 columns of a sampled graph as on a desk-scale one: wedge
-    buckets list the 4-cycles in time linear in the wedges.  It is also the
-    reference the exhaustive oracle's incremental verdict is tested against.
+    buckets list the 4-cycles in time linear in the wedges, unless the
+    caller passes them as ``cycles``.  It is also the reference the
+    exhaustive oracle's incremental verdict is tested against.
     """
-    cycles = _four_cycles(n_left, cols)
+    if cycles is None:
+        cycles = _four_cycles(n_left, cols)
     failed = set()
     # s vertices on one side sharing a pair on the other give C(s, 2) cycles
     # on that pair, so a K_{3,2} (K_{2,3}) is a right (left) pair on two cycles
@@ -397,14 +416,19 @@ def _battery_from_cols(n_left: int, cols: tuple[int, ...], n2: int):
 
 
 def classify(graph: BipartiteGraph, ds: DegreeSequence) -> Classification:
-    """Run the full five-property battery on a graph conforming to ds."""
-    if not graph.conforms(ds):
+    """Run the full five-property battery on a graph conforming to ds.
+
+    The columns are decoded once: the neighbour lists give the left degrees
+    (their lengths) for the conformity test and the 4-cycles for the battery.
+    """
+    rows = _neighbour_lists(graph.n_left, graph.cols)
+    if tuple(map(len, rows)) != ds.k or any(c.bit_count() != ds.r for c in graph.cols):
         raise NonConforming(
             f"graph degrees {graph.left_degrees()}/{graph.right_degrees()} "
             f"do not conform to r={ds.r}, k={ds.k}"
         )
     cycles, failed, in_b0 = _battery_from_cols(
-        graph.n_left, graph.cols, ds.four_cycle_cap
+        graph.n_left, graph.cols, ds.four_cycle_cap, _cycles_of_rows(rows)
     )
     four = _as_four_cycles(cycles)
     return Classification(

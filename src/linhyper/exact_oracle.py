@@ -3,13 +3,15 @@
 This module is the ground truth everything else is tested against.  Every
 search runs through one backtracker, ``_sweep``: it fills the m = M/r
 incidence columns with r-subsets of the vertices of positive residual degree,
-pruned on residual feasibility and on vertices forced into every remaining
-column.  It fixes the first column to each of a list of roots and fills the
-other m - 1 in non-decreasing candidate order, so it visits each rooted
-multiset once, weighted by the orderings of its other columns: column
-order changes no count and no 4-cycle.  Each column after the root holds
-the lowest vertex of positive residual, so the sweep tries only that range
-of candidates (see ``_sweep``).
+each holding every vertex forced into all remaining columns.  It fixes the
+first column to each of a list of roots and fills the other m - 1 in
+non-decreasing candidate order, so it visits each rooted multiset once,
+weighted by the orderings of its other columns: column order changes no
+count and no 4-cycle.  Residual feasibility is checked only at the root;
+below it the forced vertices keep every residual feasible.  Each column
+after the root holds the lowest vertex of positive residual, so the sweep
+tries only that range of candidates, and the last column is read off the
+residual, the set of vertices still needing one column (see ``_sweep``).
 
 The sweep also carries each multiset's verdict under the property battery
 of ``bigraph_core`` down the recursion, so no leaf runs the battery: a
@@ -27,9 +29,11 @@ vertices (``full_report``, ``pattern_expectation``, ``hyper_class_profile``
 and ``enumerate_bigraphs`` without a visitor) root at one r-subset per orbit
 under those relabelings (``_orbit_roots``), weighted by the orbit's size
 prod C(|class|, t_class): on a single degree class, one root instead of
-C(n, r).  Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
-``_first_switchable``) root at every candidate in turn and merge the
-orderings of the multisets they keep (``_first_orderings``).
+C(n, r).  The roots are built from the takes t_class, not found by
+listing the C(n, r) subsets.  Labeled graphs in order
+(``enumerate_bigraphs`` with a visitor, ``_first_switchable``) root at
+every candidate in turn and merge the orderings of the multisets they keep
+(``_first_orderings``).
 
 A labeled graph with distinct columns stands for one hypergraph per m!
 orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide either
@@ -48,13 +52,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 
 from ._pool import map_tasks
 from .asymptotics import mckay_upper_bound
@@ -132,26 +135,45 @@ def _subset_masks(n: int, r: int) -> list[int]:
     return [sum(1 << v for v in combo) for combo in combinations(range(n), r)]
 
 
+def _rank(combo, n: int) -> int:
+    """The index of the ascending subset ``combo`` in
+    combinations(range(n), len(combo)): the subsets before it agree with it
+    up to some position and hold a smaller vertex there."""
+    r = len(combo)
+    rank = 0
+    prev = -1
+    for i, c in enumerate(combo):
+        for v in range(prev + 1, c):
+            rank += math.comb(n - 1 - v, r - 1 - i)
+        prev = c
+    return rank
+
+
 def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
     """One first column per orbit of the r-subsets of positive-degree vertices
     under permutations of equal-degree vertices, as (candidate index, orbit
     size), in candidate order.
 
     A subset's orbit is fixed by how many of its vertices lie in each degree
-    class, t_class, and holds prod C(|class|, t_class) subsets; the root is
-    the orbit's first candidate.
+    class, t_class, and holds prod C(|class|, t_class) subsets.  So the roots
+    come from the tuples of takes summing to r with t_class <= |class|, and
+    no subset is listed: an orbit's first candidate is the first t_class
+    vertices of each class, and its index is that subset's ``_rank``.
     """
-    class_sizes = Counter(v for v in k if v > 0)
-    seen = set()
-    roots = []
-    for idx, combo in enumerate(combinations(range(len(k)), r)):
-        taken = Counter(k[j] for j in combo)
-        key = frozenset(taken.items())
-        if 0 in taken or key in seen:
-            continue
-        seen.add(key)
-        size = math.prod(math.comb(class_sizes[d], t) for d, t in taken.items())
-        roots.append((idx, size))
+    members: dict[int, list[int]] = {}
+    for j, v in enumerate(k):
+        if v > 0:
+            members.setdefault(v, []).append(j)
+    classes = list(members.values())
+    sizes = tuple(map(len, classes))
+    roots = [
+        (
+            _rank(sorted(j for c, t in zip(classes, takes) for j in c[:t]), len(k)),
+            math.prod(map(math.comb, sizes, takes)),
+        )
+        for takes in _splits(sizes, r)
+    ]
+    roots.sort()
     return roots
 
 
@@ -191,14 +213,14 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
 
     Candidates are the r-subsets of range(len(k)) in lexicographic order.
     ``roots`` yields (candidate index, scale) pairs and is read lazily: the
-    first column is fixed to each root in turn (one leaving a residual above
-    m - 1 is skipped), and the other m - 1 come in non-decreasing candidate
-    order.  ``leaf(cols, weight, distinct, d)`` receives each multiset with
-    its weight, the scale times the (m - 1)!/prod(mult!) orderings of the
-    columns after the root, whether its columns are pairwise distinct, and
-    its verdict: d, the number of 4-cycles, if it is well-behaved (distinct
-    columns passing (i)-(v) with the cap n2 = ``ds.four_cycle_cap``), else
-    None.  With no column (m = 0) the one leaf is the empty graph.
+    first column is fixed to each root in turn, and the other m - 1 come in
+    non-decreasing candidate order.  ``leaf(cols, weight, distinct, d)``
+    receives each multiset with its weight, the scale times the
+    (m - 1)!/prod(mult!) orderings of the columns after the root, whether its
+    columns are pairwise distinct, and its verdict: d, the number of
+    4-cycles, if it is well-behaved (distinct columns passing (i)-(v) with
+    the cap n2 = ``ds.four_cycle_cap``), else None.  With no column (m = 0)
+    the one leaf is the empty graph.
 
     The weight, the distinctness and the verdict are carried down the
     recursion as each column is pushed; a repeated column equals the one
@@ -211,73 +233,102 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
     (v).  No property recovers, so a failed prefix does no battery work
     below it; its subtree is still swept for |B| and |B0|.
 
+    Feasibility is checked once, at the root: a root is skipped if it
+    leaves a residual below 0 (it holds a vertex of residual 0, such as one
+    of degree 0) or above m - 1.  Below the root every residual lies in
+    [0, remaining], where ``remaining`` counts the columns still to place,
+    and the residuals sum to r * remaining, so at most r vertices sit at
+    ``remaining``.  A pushed column holds every such (forced) vertex and no
+    vertex of residual 0, which keeps the bound; so no push needs a
+    residual check.
+
     A column after the root must have as its smallest vertex ``low``, the
     lowest vertex of positive residual: below ``low`` every residual is
     zero, and if the column skipped ``low``, no later column, being no
-    smaller in candidate order, could hold it.  So the sweep tries only
-    candidates ``first[low]`` up to ``first[low + 1]``; the subtrees it skips
+    smaller in candidate order, could hold it.  So the sweep tries only the
+    candidates with smallest vertex ``low``, a slice of the candidate list.
+    With one column left every residual is 0 or 1, so the last column is
+    read off the residual: it is the set of the r residual-1 vertices, kept
+    if it comes no earlier than the column before it.  The subtrees skipped
     hold no leaf, and the leaves, weights and their order are unchanged.
     """
     k, r, m, n2 = ds.k, ds.r, ds.edge_count(), ds.four_cycle_cap
     if m == 0:
         leaf([], 1, True, 0)
         return
-    combos = list(combinations(range(len(k)), r))
-    masks = _subset_masks(len(k), r)
-    # first[j]: the first candidate whose smallest vertex is j (or above)
-    first = [bisect_left(combos, (j,)) for j in range(len(k) + 2)]
-    facts = [math.factorial(i) for i in range(m)]
+    n = len(k)
+    # every candidate as (index, mask, combo); first[j]: the index of the
+    # first one whose smallest vertex is j or above, as C(n - 1 - j, r - 1)
+    # candidates have smallest vertex j
+    cands = [
+        (idx, sum(1 << j for j in combo), combo)
+        for idx, combo in enumerate(combinations(range(n), r))
+    ]
+    index = {mask: idx for idx, mask, _ in cands}
+    first = list(accumulate((math.comb(n - 1 - j, r - 1) for j in range(n)), initial=0))
+    orderings = math.factorial(m - 1)
     residual = list(k)
     cols: list[int] = []
 
     # ``scale``: the root's (set by the loop below), ``div``: prod(mult!) over
     # the columns after the root, ``run``: the multiplicity of the last one,
     # ``state``: see ``_push_verdict``
-    def rec(depth, start, stop, div, run, distinct, state) -> None:
-        if depth == m:
-            leaf(cols, scale * facts[m - 1] // div, distinct,
-                 None if state is None else len(state[0]))
-            return
+    def rec(depth, start, div, run, distinct, state) -> None:
         remaining = m - depth
-        forced = 0
-        zero = 0
-        for j, v in enumerate(residual):
-            if v == remaining:
-                forced |= 1 << j
-            elif v == 0:
-                zero |= 1 << j
-        if forced.bit_count() > r:
-            return
-        if depth:
-            # the lowest vertex of positive residual (len(k) if none)
+        if remaining == 1:
+            # every residual is 0 or 1, and the r vertices at 1 are the
+            # last column
+            last = 0
+            for j, v in enumerate(residual):
+                if v:
+                    last |= 1 << j
+            idx = index[last]
+            tries = (cands[idx],) if idx >= start else ()
+        else:
+            forced = 0
+            zero = 0
+            for j, v in enumerate(residual):
+                if v == remaining:
+                    forced |= 1 << j
+                elif v == 0:
+                    zero |= 1 << j
             low = (~zero & (zero + 1)).bit_length() - 1
-            start = max(start, first[low])
-            stop = min(stop, first[low + 1])
-        for idx in range(start, stop):
-            mask = masks[idx]
-            if mask & zero or mask & forced != forced:
-                continue
-            combo = combos[idx]
-            for j in combo:
-                residual[j] -= 1
-            if max(residual) <= remaining - 1:
-                run_next = run + 1 if depth > 1 and mask == cols[-1] else 1
-                # a repeated column follows its copy; the root may equal any
-                distinct_next = distinct and (
-                    not cols or mask != cols[-1] and mask != cols[0]
-                )
-                state_next = (
-                    None if state is None else _push_verdict(cols, mask, state, n2)
-                )
-                cols.append(mask)
-                rec(depth + 1, idx if depth else 0, len(masks),
-                    div * run_next, run_next, distinct_next, state_next)
-                cols.pop()
-            for j in combo:
-                residual[j] += 1
+            tries = [
+                cand for cand in cands[max(start, first[low]):first[low + 1]]
+                if not cand[1] & zero and cand[1] & forced == forced
+            ]
+        for idx, mask, combo in tries:
+            run_next = run + 1 if depth > 1 and mask == cols[-1] else 1
+            # a repeated column follows its copy; the root may equal any
+            distinct_next = distinct and mask != cols[-1] and mask != cols[0]
+            state_next = (
+                None if state is None else _push_verdict(cols, mask, state, n2)
+            )
+            cols.append(mask)
+            if remaining == 1:
+                leaf(cols, scale * orderings // (div * run_next), distinct_next,
+                     None if state_next is None else len(state_next[0]))
+            else:
+                for j in combo:
+                    residual[j] -= 1
+                rec(depth + 1, idx, div * run_next, run_next, distinct_next, state_next)
+                for j in combo:
+                    residual[j] += 1
+            cols.pop()
 
     for idx, scale in roots:
-        rec(0, idx, idx + 1, 1, 0, True, ((), 0))
+        _, mask, combo = cands[idx]
+        for j in combo:
+            residual[j] -= 1
+        if min(residual) >= 0 and max(residual) < m:
+            cols.append(mask)
+            if m == 1:
+                leaf(cols, scale, True, 0)
+            else:
+                rec(1, 0, 1, 1, True, ((), 0))
+            cols.pop()
+        for j in combo:
+            residual[j] += 1
 
 
 def _orderings(rooted: tuple[int, ...]):

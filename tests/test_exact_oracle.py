@@ -191,17 +191,34 @@ def test_workers_deal_roots_round_robin(monkeypatch, pool_sizes):
 
 def test_orbit_roots_partition_the_first_columns():
     # the orbit of a first column under relabeling equal-degree vertices is
-    # fixed by its degree multiset; each root is its orbit's first candidate
-    for ds in GATE_INSTANCES:
+    # fixed by its degree multiset; each root is its orbit's first candidate.
+    # Besides the gate instances: a vertex of degree 0 at every position,
+    # r = 2..5 with n up to 9, and the desk instances (2^8 at r = 4, the 3
+    # of 3.2^6 at each of its seven places at r = 3)
+    cases = [(ds.k, ds.r) for ds in GATE_INSTANCES] + [((2,) * 8, 4)]
+    cases += [((2,) * i + (3,) + (2,) * (6 - i), 3) for i in range(7)]
+    for r in range(2, 6):
+        for base in ((3, 2, 2, 1, 1, 2, 1, 3), (1, 1, 1, 1, 1, 1, 1, 1), (4, 3, 2, 1)):
+            cases += [(base[:i] + (0,) + base[i:], r) for i in range(len(base) + 1)]
+        cases.append(((0, 2, 0, 2, 0, 1, 1, 0, 3), r))
+    assert max(len(k) for k, _ in cases) == 9
+    for k, r in cases:
         orbits = {}
-        for idx, combo in enumerate(combinations(range(ds.n), ds.r)):
-            degrees = tuple(sorted(ds.k[j] for j in combo))
+        for idx, combo in enumerate(combinations(range(len(k)), r)):
+            degrees = tuple(sorted(k[j] for j in combo))
             if degrees[0] > 0:
                 orbits.setdefault(degrees, [idx, 0])[1] += 1
-        roots = _orbit_roots(ds.k, ds.r)
-        assert roots == [tuple(orbit) for orbit in orbits.values()], ds
-        n_pos = sum(1 for v in ds.k if v > 0)
-        assert sum(size for _, size in roots) == math.comb(n_pos, ds.r), ds
+        roots = _orbit_roots(k, r)
+        assert roots == [tuple(orbit) for orbit in orbits.values()], (k, r)
+        n_pos = sum(1 for v in k if v > 0)
+        assert sum(size for _, size in roots) == math.comb(n_pos, r), (k, r)
+
+
+def test_rank_is_the_candidate_index():
+    for n in range(8):
+        for r in range(1, n + 1):
+            for idx, combo in enumerate(combinations(range(n), r)):
+                assert exact_oracle._rank(combo, n) == idx, (combo, n)
 
 
 @pytest.mark.parametrize("k, r", [((1, 1, 1, 0), 3), ((1, 0, 1), 2), ((0, 1, 1, 1, 1), 4)])
