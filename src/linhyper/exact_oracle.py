@@ -10,8 +10,10 @@ weighted by the orderings of its other columns: column order changes no
 count and no 4-cycle.  Residual feasibility is checked only at the root;
 below it the forced vertices keep every residual feasible.  Each column
 after the root holds the lowest vertex of positive residual, so the sweep
-tries only that range of candidates, and the last column is read off the
-residual, the set of vertices still needing one column (see ``_sweep``).
+tries only that range of candidates.  The residuals are kept as one vertex
+mask per residual value, and the last two columns are closed in one loop:
+with two columns left, each candidate for the first fixes the second, the
+set of vertices it leaves needing one column (see ``_sweep``).
 
 The sweep also carries each multiset's verdict under the property battery
 of ``bigraph_core`` down the recursion, so no leaf runs the battery: a
@@ -30,7 +32,8 @@ and ``enumerate_bigraphs`` without a visitor) root at one r-subset per orbit
 under those relabelings (``_orbit_roots``), weighted by the orbit's size
 prod C(|class|, t_class): on a single degree class, one root instead of
 C(n, r).  The roots are built from the takes t_class, not found by
-listing the C(n, r) subsets.  Labeled graphs in order
+listing the C(n, r) subsets, and these sweeps leave out the zero-degree
+vertices (``_without_zeros``), which enter no column.  Labeled graphs in order
 (``enumerate_bigraphs`` with a visitor, ``_first_switchable``) root at
 every candidate in turn and merge the orderings of the multisets they keep
 (``_first_orderings``).
@@ -117,7 +120,8 @@ def check_guard(ds: DegreeSequence, max_space: int = DEFAULT_MAX_SPACE) -> None:
 
     The budget is expressed through the degree sum: M <= max_space, plus a
     cap of max(10, max_space) vertices of positive degree.  Zero-degree
-    vertices are free: they never enter a column.
+    vertices are free: they never enter a column, and the orbit-rooted
+    sweeps leave them out.
     """
     n_pos = sum(1 for v in ds.k if v > 0)
     if ds.M > max_space:
@@ -147,6 +151,14 @@ def _rank(combo, n: int) -> int:
             rank += math.comb(n - 1 - v, r - 1 - i)
         prev = c
     return rank
+
+
+def _without_zeros(ds: DegreeSequence) -> DegreeSequence:
+    """``ds`` without its zero-degree vertices.  They enter no column, so no
+    count invariant under relabeling vertices depends on them, while a sweep
+    over ``ds`` would list all C(n, r) candidates, zero-degree vertices
+    included."""
+    return ds if 0 not in ds.k else DegreeSequence(r=ds.r, k=tuple(v for v in ds.k if v))
 
 
 def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
@@ -233,13 +245,16 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
     (v).  No property recovers, so a failed prefix does no battery work
     below it; its subtree is still swept for |B| and |B0|.
 
-    Feasibility is checked once, at the root: a root is skipped if it
-    leaves a residual below 0 (it holds a vertex of residual 0, such as one
-    of degree 0) or above m - 1.  Below the root every residual lies in
-    [0, remaining], where ``remaining`` counts the columns still to place,
-    and the residuals sum to r * remaining, so at most r vertices sit at
-    ``remaining``.  A pushed column holds every such (forced) vertex and no
-    vertex of residual 0, which keeps the bound; so no push needs a
+    The residuals are kept as one vertex mask per value, ``level[v]`` for
+    v = 0..remaining, where ``remaining`` counts the columns still to
+    place: a push moves the column's vertices down one level, and no node
+    reads a per-vertex residual.  Feasibility is checked once, at the root:
+    a root is skipped if it leaves a residual below 0 (it holds a vertex of
+    residual 0, such as one of degree 0) or above m - 1.  Below the root
+    every residual lies in [0, remaining], and the residuals sum to
+    r * remaining, so at most r vertices sit at ``remaining``.  A pushed
+    column holds every such (forced) vertex, ``level[remaining]``, and no
+    vertex of ``level[0]``, which keeps the bound; so no push needs a
     residual check.
 
     A column after the root must have as its smallest vertex ``low``, the
@@ -247,57 +262,69 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
     zero, and if the column skipped ``low``, no later column, being no
     smaller in candidate order, could hold it.  So the sweep tries only the
     candidates with smallest vertex ``low``, a slice of the candidate list.
-    With one column left every residual is 0 or 1, so the last column is
-    read off the residual: it is the set of the r residual-1 vertices, kept
-    if it comes no earlier than the column before it.  The subtrees skipped
-    hold no leaf, and the leaves, weights and their order are unchanged.
+    The last two columns are placed in one loop, with no call of their
+    own.  With two columns left every residual is 0, 1 or 2, so a candidate
+    c for the first of them leaves residual 1 on exactly the r vertices of
+    (level[1] - c) + level[2], which must be the last column; the pair is
+    kept if that column comes no earlier than c.  The root loop closes
+    m = 1 (the root is the graph) and m = 2 (the root leaves the last
+    column at level 1) itself.  The subtrees skipped hold no leaf, and the
+    leaves, weights and their order are unchanged.
     """
     k, r, m, n2 = ds.k, ds.r, ds.edge_count(), ds.four_cycle_cap
     if m == 0:
         leaf([], 1, True, 0)
         return
     n = len(k)
-    # every candidate as (index, mask, combo); first[j]: the index of the
-    # first one whose smallest vertex is j or above, as C(n - 1 - j, r - 1)
-    # candidates have smallest vertex j
-    cands = [
-        (idx, sum(1 << j for j in combo), combo)
-        for idx, combo in enumerate(combinations(range(n), r))
-    ]
-    index = {mask: idx for idx, mask, _ in cands}
+    masks = _subset_masks(n, r)
+    # first[j]: the index of the first candidate whose smallest vertex is j
+    # or above, as C(n - 1 - j, r - 1) candidates have smallest vertex j
     first = list(accumulate((math.comb(n - 1 - j, r - 1) for j in range(n)), initial=0))
     orderings = math.factorial(m - 1)
-    residual = list(k)
     cols: list[int] = []
 
+    # ``level[v]``: the vertices of residual v, for v = 0..remaining;
     # ``scale``: the root's (set by the loop below), ``div``: prod(mult!) over
     # the columns after the root, ``run``: the multiplicity of the last one,
     # ``state``: see ``_push_verdict``
-    def rec(depth, start, div, run, distinct, state) -> None:
+    def rec(depth, level, start, div, run, distinct, state) -> None:
         remaining = m - depth
-        if remaining == 1:
-            # every residual is 0 or 1, and the r vertices at 1 are the
-            # last column
-            last = 0
-            for j, v in enumerate(residual):
-                if v:
-                    last |= 1 << j
-            idx = index[last]
-            tries = (cands[idx],) if idx >= start else ()
-        else:
-            forced = 0
-            zero = 0
-            for j, v in enumerate(residual):
-                if v == remaining:
-                    forced |= 1 << j
-                elif v == 0:
-                    zero |= 1 << j
-            low = (~zero & (zero + 1)).bit_length() - 1
-            tries = [
-                cand for cand in cands[max(start, first[low]):first[low + 1]]
-                if not cand[1] & zero and cand[1] & forced == forced
-            ]
-        for idx, mask, combo in tries:
+        zero = level[0]
+        forced = level[remaining]
+        low = (~zero & (zero + 1)).bit_length() - 1
+        lo = max(start, first[low])
+        tries = enumerate(masks[lo:first[low + 1]], lo)
+        if remaining == 2:
+            # every residual is 0, 1 or 2, so a column ``mask`` leaves the r
+            # vertices of ``last`` at 1, and they are the last column; it
+            # comes no earlier than ``mask`` unless the lowest vertex where
+            # they differ is in ``last``
+            ones = level[1]
+            for idx, mask in tries:
+                if mask & zero or mask & forced != forced:
+                    continue
+                last = ones & ~mask | forced
+                differ = last ^ mask
+                if differ & -differ & last:
+                    continue
+                run_next = run + 1 if depth > 1 and mask == cols[-1] else 1
+                run_last = run_next + 1 if last == mask else 1
+                distinct_next = (distinct and mask != cols[-1] and mask != cols[0]
+                                 and last != mask and last != cols[0])
+                state_next = (
+                    None if state is None else _push_verdict(cols, mask, state, n2)
+                )
+                cols.append(mask)
+                if state_next is not None:
+                    state_next = _push_verdict(cols, last, state_next, n2)
+                cols.append(last)
+                leaf(cols, scale * orderings // (div * run_next * run_last),
+                     distinct_next, None if state_next is None else len(state_next[0]))
+                del cols[-2:]
+            return
+        for idx, mask in tries:
+            if mask & zero or mask & forced != forced:
+                continue
             run_next = run + 1 if depth > 1 and mask == cols[-1] else 1
             # a repeated column follows its copy; the root may equal any
             distinct_next = distinct and mask != cols[-1] and mask != cols[0]
@@ -305,30 +332,32 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
                 None if state is None else _push_verdict(cols, mask, state, n2)
             )
             cols.append(mask)
-            if remaining == 1:
-                leaf(cols, scale * orderings // (div * run_next), distinct_next,
-                     None if state_next is None else len(state_next[0]))
-            else:
-                for j in combo:
-                    residual[j] -= 1
-                rec(depth + 1, idx, div * run_next, run_next, distinct_next, state_next)
-                for j in combo:
-                    residual[j] += 1
+            rec(depth + 1, [a & ~mask | b & mask for a, b in zip(level, level[1:])],
+                idx, div * run_next, run_next, distinct_next, state_next)
             cols.pop()
 
+    if max(k) > m:
+        return  # a vertex would need more columns than there are
+    level = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
     for idx, scale in roots:
-        _, mask, combo = cands[idx]
-        for j in combo:
-            residual[j] -= 1
-        if min(residual) >= 0 and max(residual) < m:
-            cols.append(mask)
-            if m == 1:
-                leaf(cols, scale, True, 0)
-            else:
-                rec(1, 0, 1, 1, True, ((), 0))
+        mask = masks[idx]
+        # feasible: it holds no vertex of degree 0 and every one of degree m
+        if mask & level[0] or mask & level[m] != level[m]:
+            continue
+        cols.append(mask)
+        if m == 1:
+            leaf(cols, scale, True, 0)
+        elif m == 2:
+            # the root leaves the r vertices of the last column at residual 1
+            last = level[1] & ~mask | level[2]
+            state = _push_verdict(cols, last, ((), 0), n2)
+            cols.append(last)
+            leaf(cols, scale, last != mask, None if state is None else len(state[0]))
             cols.pop()
-        for j in combo:
-            residual[j] += 1
+        else:
+            rec(1, [a & ~mask | b & mask for a, b in zip(level, level[1:])],
+                0, 1, 1, True, ((), 0))
+        cols.pop()
 
 
 def _orderings(rooted: tuple[int, ...]):
@@ -469,9 +498,6 @@ def enumerate_bigraphs(
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
-    n = ds.n
-    masks = _subset_masks(n, ds.r)
-    index = {mask: i for i, mask in enumerate(masks)}
     count = 0
     kept: list[tuple[int, ...]] = []
 
@@ -488,10 +514,15 @@ def enumerate_bigraphs(
         if visitor is not None:
             kept.append(tuple(index[c] for c in cols))
 
-    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r) if visitor is None
-           else [(idx, 1) for idx in range(len(masks))])
+    if visitor is None:
+        swept = _without_zeros(ds)
+        _sweep(swept, leaf, _orbit_roots(swept.k, swept.r))
+        return count
+    masks = _subset_masks(ds.n, ds.r)
+    index = {mask: i for i, mask in enumerate(masks)}
+    _sweep(ds, leaf, [(idx, 1) for idx in range(len(masks))])
     for t in _first_orderings(kept):
-        visitor(BipartiteGraph(n, m, [masks[i] for i in t]))
+        visitor(BipartiteGraph(ds.n, m, [masks[i] for i in t]))
     return count
 
 
@@ -541,6 +572,7 @@ def hyper_class_profile(
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
+    ds = _without_zeros(ds)
     n2 = ds.four_cycle_cap
     profile = [0] * (n2 + 1)
 
@@ -579,9 +611,10 @@ def full_report(
     check_guard(ds, max_space)
 
     # roots dealt round-robin, one sweep per task
-    roots = _orbit_roots(ds.k, ds.r)
+    swept = _without_zeros(ds)
+    roots = _orbit_roots(swept.k, swept.r)
     n_tasks = max(1, min(workers, len(roots)))
-    tasks = [(ds, roots[w::n_tasks]) for w in range(n_tasks)]
+    tasks = [(swept, roots[w::n_tasks]) for w in range(n_tasks)]
     counts = _ReportCounts(ds.four_cycle_cap)
     for part in map_tasks(_report_branch, tasks, workers):
         counts.add(part)
@@ -676,6 +709,7 @@ def pattern_expectation(
     uniformly random conforming bipartite graph."""
     ds.edge_count()
     check_guard(ds, max_space)
+    ds = _without_zeros(ds)
     total = 0
     graphs = 0
 

@@ -251,6 +251,27 @@ def test_rooted_sweep_over_every_candidate_counts_b():
         assert total == count_b_dp(ds), ds
 
 
+def test_orbit_rooted_sweeps_skip_zero_degree_vertices(monkeypatch):
+    # zero-degree vertices enter no column: the orbit-rooted callers sweep
+    # the positive-degree vertices only, with the zero-free instance's counts
+    swept_n = []
+    sweep = exact_oracle._sweep
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots: (
+        swept_n.append(ds.n), sweep(ds, leaf, roots)))
+    k = (2, 1, 2, 1, 1, 2)
+    padded = new_degree_sequence((0,) * 30 + k[:3] + (0,) * 5 + k[3:] + (0,) * 30, 3)
+    plain = new_degree_sequence(k, 3)
+    for count in (
+        full_report,
+        hyper_class_profile,
+        lambda ds: pattern_expectation(ds, Pattern.TWO_FOUR_CYCLES_SHARED_RIGHT),
+        lambda ds: enumerate_bigraphs(ds, class_filter=ClassFilter.NO_FOUR_CYCLE),
+    ):
+        swept_n.clear()
+        assert count(padded) == count(plain)
+        assert swept_n == [len(k), len(k)]
+
+
 def test_no_column_instance_is_one_empty_leaf(monkeypatch):
     # m = 0: whatever the roots, the sweep's one leaf is the empty graph
     leaves = []
@@ -544,6 +565,9 @@ def test_sweep_leaves_match_unbounded_sweep():
     )
     assert any(ds.r == 5 for ds in instances)
     assert any(0 in ds.k for ds in instances)
+    # the root loop closes m = 1 and m = 2 itself
+    assert {1, 2} <= {ds.edge_count() for ds in instances}
+    deep = []
     for ds in instances:
         m = ds.edge_count()
         every = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))]
@@ -560,6 +584,15 @@ def test_sweep_leaves_match_unbounded_sweep():
                 roots=roots,
             )
             assert got == want, (ds, roots)
+            if m >= 3:
+                deep += [c for c, _, _, _ in got]
+    # with m >= 3 the last two columns come from the two-column loop: some
+    # leaves end in a run of equal columns, one continuing from the column
+    # before; and some end in x < y, both holding x's lowest vertex, so y
+    # was a candidate beside x whose read-off partner x comes before it
+    assert any(c[-1] == c[-2] for c in deep)
+    assert any(c[-1] == c[-2] == c[-3] for c in deep if len(c) > 3)
+    assert any(c[-2] != c[-1] and c[-2] & -c[-2] & c[-1] for c in deep)
 
 
 def _cols(*columns):
