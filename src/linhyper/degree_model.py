@@ -103,23 +103,32 @@ class DegreeSequence:
         m_sum = self.M
         if m_sum < 2:
             raise DegenerateM(f"thresholds need M >= 2, got {m_sum}")
-        # 8 lambda_loop^2 = 2 (r-1)^2 M_2^2 / M^2, and the q2 term
-        # (r-1)^4 M_2^2 M_4 / M^4 is lambda_loop^2 times 4 (r-1)^2 M_4 / M^2
+        # the q2 term (r-1)^4 M_2^2 M_4 / M^4 is lambda_loop^2 times
+        # 4 (r-1)^2 M_4 / M^2
         lam2 = _loop_exponent(self) ** 2
         q2_factor = Fraction(4 * (self.r - 1) ** 2 * self.moment(4), m_sum**2)
-        ceil_log = math.ceil(math.log(m_sum))
-        q1 = max(ceil_log, math.ceil(8 * lam2))
-        q2 = max(ceil_log, math.ceil(lam2 * q2_factor))
+        q1 = _q1(self)
+        q2 = max(math.ceil(math.log(m_sum)), math.ceil(lam2 * q2_factor))
         return Thresholds(n2=3 * q1, q1=q1, q2=q2,
                           sparsity_indicator=_error_scale(self, 4, extra=True))
 
     @cached_property
     def four_cycle_cap(self) -> int:
-        """The well-behaved cap on 4-cycles: ``thresholds().n2``, 0 if M < 2."""
-        return self.thresholds().n2 if self.M >= 2 else 0
+        """The well-behaved cap on 4-cycles, ``thresholds().n2`` = 3 q1
+        (``_q1``), or 0 if M < 2.  It builds no Fraction, no M_4 and no
+        sparsity indicator."""
+        return 3 * _q1(self) if self.M >= 2 else 0
 
     def to_json_dict(self) -> dict:
         return {"r": self.r, "k": list(self.k)}
+
+
+def _q1(ds: DegreeSequence) -> int:
+    """q1 = max(ceil(ln M), ceil(8 lambda_loop^2)) for M >= 2, where
+    8 lambda_loop^2 = 2 (r-1)^2 M_2^2 / M^2, rounded up in integers."""
+    m_sum, m2 = ds.M, ds.moment(2)
+    return max(math.ceil(math.log(m_sum)),
+               -(-2 * (ds.r - 1) ** 2 * m2 * m2 // (m_sum * m_sum)))
 
 
 def _loop_exponent(ds: DegreeSequence) -> Fraction:

@@ -26,25 +26,27 @@ prefix inherit its failure, and leaves sharing a prefix share its
 4-cycles.  ``classify`` keeps the whole-graph battery,
 ``_battery_from_cols``, which the verdict is tested against.
 
-There are two root lists.  Counts invariant under relabeling equal-degree
-vertices (``full_report``, ``pattern_expectation``, ``hyper_class_profile``
-and ``enumerate_bigraphs`` without a visitor) root at one r-subset per orbit
-under those relabelings (``_orbit_roots``), weighted by the orbit's size
-prod C(|class|, t_class): on a single degree class, one root instead of
-C(n, r).  The roots are built from the takes t_class, not found by
-listing the C(n, r) subsets, and these sweeps leave out the zero-degree
-vertices (``_without_zeros``), which enter no column.  Labeled graphs in order
-(``enumerate_bigraphs`` with a visitor, ``_first_switchable``) root at
-every candidate in turn and merge the orderings of the multisets they keep
-(``_first_orderings``).
+Every sweep leaves out the zero-degree vertices (``_without_zeros``),
+which enter no column.  There are two root lists.  Counts invariant under
+relabeling equal-degree vertices (``full_report``, ``pattern_expectation``,
+``hyper_class_profile`` and ``enumerate_bigraphs`` without a visitor) root
+at one r-subset per orbit under those relabelings (``_orbit_roots``),
+weighted by the orbit's size prod C(|class|, t_class): on a single degree
+class, one root instead of C(n, r).  The roots are built from the takes
+t_class, not found by listing the C(n, r) subsets.  Labeled graphs in
+order (``enumerate_bigraphs`` with a visitor, ``_first_switchable``) root
+at every candidate in turn, merge the orderings of the multisets they keep
+(``_first_orderings``) and move each column back onto the vertices of k
+(``_placed``); that relabeling is monotone, so it keeps the order.
 
 A labeled graph with distinct columns stands for one hypergraph per m!
 orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide either
 is an identity violation, and so is a failed inclusion between classes.
 The independent check is |B| against ``count_b_dp``, a dynamic program
-over residual-degree classes that lists no graph, so a wrong orbit weight
-is caught at run time.  A failed identity raises InvariantViolation,
-which always means an implementation bug rather than bad input.
+over residual-degree classes, one column per level, that lists no graph
+and shares no code with the sweep, so a wrong orbit weight is caught at
+run time.  A failed identity raises InvariantViolation, which always
+means an implementation bug rather than bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
 to 16 and up to 10 vertices of positive degree.  Exceeding the guard is an
@@ -59,8 +61,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, combinations, combinations_with_replacement, groupby, islice
 
 from ._pool import map_tasks
 from .asymptotics import mckay_upper_bound
@@ -120,8 +121,8 @@ def check_guard(ds: DegreeSequence, max_space: int = DEFAULT_MAX_SPACE) -> None:
 
     The budget is expressed through the degree sum: M <= max_space, plus a
     cap of max(10, max_space) vertices of positive degree.  Zero-degree
-    vertices are free: they never enter a column, and the orbit-rooted
-    sweeps leave them out.
+    vertices are free: they never enter a column, and every sweep leaves
+    them out.
     """
     n_pos = sum(1 for v in ds.k if v > 0)
     if ds.M > max_space:
@@ -155,10 +156,21 @@ def _rank(combo, n: int) -> int:
 
 def _without_zeros(ds: DegreeSequence) -> DegreeSequence:
     """``ds`` without its zero-degree vertices.  They enter no column, so no
-    count invariant under relabeling vertices depends on them, while a sweep
-    over ``ds`` would list all C(n, r) candidates, zero-degree vertices
+    count depends on them and a sweep of ``ds``'s graphs is a sweep of this
+    instance's with its columns moved back (``_placed``), while a sweep over
+    ``ds`` would list all C(n, r) candidates, zero-degree vertices
     included."""
     return ds if 0 not in ds.k else DegreeSequence(r=ds.r, k=tuple(v for v in ds.k if v))
+
+
+def _placed(ds: DegreeSequence, masks: list[int]) -> list[int]:
+    """Columns of ``_without_zeros(ds)`` as columns of ``ds``: bit v moves to
+    the place of the v-th positive-degree vertex.  The relabeling is
+    monotone, so it keeps the candidate order."""
+    if 0 not in ds.k:
+        return masks
+    positive = [j for j, v in enumerate(ds.k) if v]
+    return [sum(1 << positive[v] for v in _bits(mask)) for mask in masks]
 
 
 def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
@@ -168,8 +180,9 @@ def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
 
     A subset's orbit is fixed by how many of its vertices lie in each degree
     class, t_class, and holds prod C(|class|, t_class) subsets.  So the roots
-    come from the tuples of takes summing to r with t_class <= |class|, and
-    no subset is listed: an orbit's first candidate is the first t_class
+    come from the multisets of r class labels, a label's multiplicity being
+    its t_class, that take no more than |class| from any class, and no
+    subset is listed: an orbit's first candidate is the first t_class
     vertices of each class, and its index is that subset's ``_rank``.
     """
     members: dict[int, list[int]] = {}
@@ -177,14 +190,18 @@ def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
         if v > 0:
             members.setdefault(v, []).append(j)
     classes = list(members.values())
-    sizes = tuple(map(len, classes))
-    roots = [
-        (
-            _rank(sorted(j for c, t in zip(classes, takes) for j in c[:t]), len(k)),
-            math.prod(map(math.comb, sizes, takes)),
-        )
-        for takes in _splits(sizes, r)
-    ]
+    roots = []
+    # each multiset of r class labels is one tuple of takes
+    for labels in combinations_with_replacement(range(len(classes)), r):
+        first, size = [], 1
+        for c, run in groupby(labels):
+            take = len(list(run))
+            if take > len(classes[c]):
+                break
+            first += classes[c][:take]
+            size *= math.comb(len(classes[c]), take)
+        else:
+            roots.append((_rank(sorted(first), len(k)), size))
     roots.sort()
     return roots
 
@@ -391,43 +408,48 @@ def _first_orderings(rooted, limit: int | None = None):
     return islice(heapq.merge(*map(_orderings, rooted)), limit)
 
 
-def _splits(caps: tuple[int, ...], need: int):
-    """Every tuple of takes, one per entry of ``caps`` and at most it, that
-    sums to ``need``."""
-    if not caps:
-        if need == 0:
-            yield ()
-        return
-    for take in range(min(caps[0], need) + 1):
-        for rest in _splits(caps[1:], need - take):
-            yield (take,) + rest
-
-
 def count_matrices_by_classes(classes: Counter, r: int, m: int) -> int:
     """0-1 matrices with given row-sum classes (residual -> row count) and m
-    columns of sum r, counted by dynamic programming over residual classes.
+    columns of sum r, counted by dynamic programming over residual classes,
+    one column per level.
 
-    The state is the tuple of row counts at residuals 1..k_max.  A column
-    takes t_i of the c_i rows at residual i, in prod C(c_i, t_i) ways, and
-    moves them to residual i - 1.
+    ``ways`` maps each state to the number of ways to fill the columns
+    before it; a state holds the row counts at residuals 1..min(k_max,
+    left), where ``left`` counts the columns still to fill.  A column takes
+    t_i of the c_i rows at residual i, in prod C(c_i, t_i) ways, and moves
+    them to residual i - 1.  A state is feasible exactly when its residuals
+    sum to r * left and none exceeds ``left`` (Gale-Ryser, the column sums
+    being equal).  So both are checked once, up front; then each column
+    holds every row at residual ``left`` and takes from each residual below
+    only what the residuals under it cannot make up.  No infeasible state
+    is built, and with one column left every state is the r rows at
+    residual 1, which fill it in one way.
     """
     top = max((res for res, cnt in classes.items() if cnt > 0), default=0)
-
-    @lru_cache(maxsize=None)
-    def go(state, cols_left):
-        if sum(res * cnt for res, cnt in enumerate(state, 1)) != r * cols_left:
-            return 0
-        if cols_left == 0:
-            return 1
-        if any(state[cols_left:]):
-            return 0
-        out = 0
-        for takes in _splits(state, r):
-            nxt = tuple(c - t + u for c, t, u in zip(state, takes, takes[1:] + (0,)))
-            out += math.prod(map(math.comb, state, takes)) * go(nxt, cols_left - 1)
-        return out
-
-    return go(tuple(classes[res] for res in range(1, top + 1)), m)
+    counts = tuple(classes[res] for res in range(1, top + 1))
+    if sum(res * c for res, c in enumerate(counts, 1)) != r * m or top > m:
+        return 0
+    ways = {counts: 1}
+    for left in range(m, 1, -1):
+        step: dict[tuple[int, ...], int] = {}
+        for state, w in ways.items():
+            forced = state[-1] if len(state) == left else 0
+            free = state[:left - 1]
+            below = list(accumulate(free, initial=0))
+            # the column is filled from the top residual down: a part is
+            # (the next state's counts so far, top first; rows still to
+            # take; rows taken one residual up, which land here; ways)
+            parts = [((), r - forced, forced, w)]
+            for i in range(len(free) - 1, -1, -1):
+                c = free[i]
+                parts = [(nxt + (c - t + up,), need - t, t, v * math.comb(c, t))
+                         for nxt, need, up, v in parts
+                         for t in range(max(0, need - below[i]), min(c, need) + 1)]
+            for nxt, _, _, v in parts:
+                nxt = nxt[::-1]
+                step[nxt] = step.get(nxt, 0) + v
+        ways = step
+    return sum(ways.values())
 
 
 def count_b_dp(ds: DegreeSequence) -> int:
@@ -514,15 +536,16 @@ def enumerate_bigraphs(
         if visitor is not None:
             kept.append(tuple(index[c] for c in cols))
 
+    swept = _without_zeros(ds)
     if visitor is None:
-        swept = _without_zeros(ds)
         _sweep(swept, leaf, _orbit_roots(swept.k, swept.r))
         return count
-    masks = _subset_masks(ds.n, ds.r)
+    masks = _subset_masks(swept.n, swept.r)
     index = {mask: i for i, mask in enumerate(masks)}
-    _sweep(ds, leaf, [(idx, 1) for idx in range(len(masks))])
+    _sweep(swept, leaf, [(idx, 1) for idx in range(len(masks))])
+    columns = _placed(ds, masks)
     for t in _first_orderings(kept):
-        visitor(BipartiteGraph(ds.n, m, [masks[i] for i in t]))
+        visitor(BipartiteGraph(ds.n, m, [columns[i] for i in t]))
     return count
 
 
@@ -542,7 +565,8 @@ def _first_switchable(
     """
     ds.edge_count()
     check_guard(ds, max_space)
-    masks = _subset_masks(ds.n, ds.r)
+    swept = _without_zeros(ds)
+    masks = _subset_masks(swept.n, swept.r)
     index = {mask: i for i, mask in enumerate(masks)}
     found: list[tuple[int, ...]] = []
     graphs = 0
@@ -554,8 +578,9 @@ def _first_switchable(
             graphs += weight
 
     # read lazily: no root is yielded once ``limit`` graphs are kept
-    _sweep(ds, leaf, ((idx, 1) for idx in range(len(masks)) if graphs < limit))
-    return [[masks[i] for i in t] for t in _first_orderings(found, limit)]
+    _sweep(swept, leaf, ((idx, 1) for idx in range(len(masks)) if graphs < limit))
+    columns = _placed(ds, masks)
+    return [[columns[i] for i in t] for t in _first_orderings(found, limit)]
 
 
 def hyper_class_profile(

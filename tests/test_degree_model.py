@@ -1,11 +1,18 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from linhyper import DegreeSequence, new_degree_sequence, degree_sequence_from_json
+from linhyper import (
+    DegreeSequence,
+    canonical_battery,
+    degree_sequence_from_json,
+    new_degree_sequence,
+    random_guarded_instances,
+)
 from linhyper.errors import (
     DegenerateM, InvalidArgument, InvalidR, NegativeDegree, NotDivisible,
 )
@@ -117,6 +124,39 @@ def test_big_values_stay_exact():
     assert t.q1 == max(
         math.ceil(math.log(ds.M)), -(-2 * 4 * m2 * m2 // (ds.M * ds.M))
     )
+
+
+def _partitions(total: int, largest: int):
+    """Every non-increasing tuple of positive parts at most ``largest`` that
+    sums to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
+
+
+def test_four_cycle_cap_is_thresholds_n2():
+    # the cap builds no other threshold; it must still be thresholds().n2,
+    # and both the cap built from exact fractions: on every degree multiset
+    # with M = 2..20 at r = 2..5, on the exact oracle's instances (zero
+    # degrees included) and at degree 10^6
+    instances = [
+        new_degree_sequence(k, r)
+        for r in range(2, 6) for m_sum in range(2, 21) for k in _partitions(m_sum, m_sum)
+    ]
+    instances += canonical_battery(rs=(2, 3, 4, 5)) + random_guarded_instances(
+        60, seed=20261019, rs=(2, 3, 4, 5), max_space=12
+    )
+    instances.append(new_degree_sequence((10**6,) * 3, 3))
+    for ds in instances:
+        # 8 lambda_loop^2 with lambda_loop = (r-1) M_2 / (2M), as a Fraction
+        lam = Fraction((ds.r - 1) * ds.moment(2), 2 * ds.M)
+        n2 = 3 * max(math.ceil(math.log(ds.M)), math.ceil(8 * lam**2))
+        assert ds.four_cycle_cap == ds.thresholds().n2 == n2, ds
+    for k in [(), (0, 0), (1,), (0, 1, 0)]:
+        assert new_degree_sequence(k, 3).four_cycle_cap == 0
 
 
 def test_json_round_trip():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 
@@ -41,6 +43,7 @@ from linhyper.errors import (
 )
 from linhyper.exact_oracle import (
     _first_orderings,
+    _first_switchable,
     _occurrences_from_cols,
     _orbit_roots,
     _push_verdict,
@@ -57,6 +60,7 @@ from support import (
     reference_multiset_sweep,
     reference_pattern_expectation,
     reference_report,
+    reference_spot_graphs,
 )
 
 # The symmetry-reduced sweep against the ordered and edge-set sweeps it
@@ -142,6 +146,47 @@ def test_two_independent_count_routes():
         assert enumerate_bigraphs(ds) == count_by_multiset(ds)
     for ds in canonical_battery():
         assert enumerate_bigraphs(ds) == count_b_dp(ds)
+
+
+# The margin-class DP against the multiset brute force: every edge size the
+# CLI's batteries use and more, and a random stream with zero degrees and
+# instances whose k_max exceeds the column count m (no graph at all).
+DP_INSTANCES = canonical_battery(rs=(2, 3, 4, 5)) + random_guarded_instances(
+    60, seed=20261019, rs=(2, 3, 4, 5), max_space=12
+)
+
+
+def test_margin_dp_matches_multiset_brute_force():
+    assert any(0 in ds.k for ds in DP_INSTANCES)
+    assert any(ds.k_max > ds.edge_count() for ds in DP_INSTANCES)
+    for ds in DP_INSTANCES:
+        assert count_b_dp(ds) == count_by_multiset(ds), ds
+
+
+def test_margin_dp_edge_cases_and_pins():
+    count = exact_oracle.count_matrices_by_classes
+    # the residuals must sum to r * m
+    assert count(Counter({2: 3}), 3, 3) == 0
+    assert count(Counter({2: 3}), 3, 1) == 0
+    assert count(Counter({1: 3}), 3, 0) == 0
+    # no row, no column: the empty matrix
+    assert count(Counter(), 3, 0) == 1
+    assert count(Counter({2: 0}), 4, 0) == 1
+    # a row needing more columns than there are
+    assert count(Counter({3: 1, 1: 3}), 3, 2) == 0
+    # far past the search guard, recorded from the recursive DP this one
+    # replaced: k = 2^300 (m = 200) by its digit count and SHA-256, and a
+    # mixed sequence with m = 30
+    big = str(count_b_dp(new_degree_sequence((2,) * 300, 3)))
+    assert len(big) == 1162
+    assert hashlib.sha256(big.encode()).hexdigest() == (
+        "88fc63c1e080144445359f3a0faf1acb7958f066d4babc877febb9a01da09372"
+    )
+    mixed = new_degree_sequence((3,) * 10 + (2,) * 20 + (1,) * 20, 3)
+    assert str(count_b_dp(mixed)) == (
+        "33908411060284102490265405850835202763738273431641"
+        "044716881530748443247000556759113583820800000000000"
+    )
 
 
 def test_hyper_class_profile_matches_bipartite_profile():
@@ -270,6 +315,41 @@ def test_orbit_rooted_sweeps_skip_zero_degree_vertices(monkeypatch):
         swept_n.clear()
         assert count(padded) == count(plain)
         assert swept_n == [len(k), len(k)]
+
+
+def test_labeled_sweeps_skip_zero_degree_vertices(monkeypatch):
+    # the labeled sweeps run on the positive-degree vertices and move each
+    # column back into place; the relabeling is monotone, so the graphs and
+    # their visiting order are the ordered reference sweep's.  A zero at
+    # every position of three bases, and zeros at both ends and inside
+    cases = [
+        (base[:i] + (0,) + base[i:], r)
+        for base, r in (((2, 2, 1, 1, 2), 2), ((2, 2, 1, 2, 1, 1), 3),
+                        ((2, 2, 2, 2, 1, 1, 1, 1), 4))
+        for i in range(len(base) + 1)
+    ] + [((0, 2, 0, 2, 1, 0, 2, 1, 1, 0), 3)]
+    for k, r in cases:
+        ds = new_degree_sequence(k, r)
+        for class_filter in ClassFilter:
+            seen, want = [], []
+            assert enumerate_bigraphs(ds, seen.append, class_filter) == (
+                reference_enumerate(ds, want.append, class_filter)
+            )
+            assert seen == want, (k, r, class_filter)
+        for limit in (1, 10):
+            assert _first_switchable(ds, limit) == reference_spot_graphs(ds, limit), (k, r)
+    # with 100 zeros the sweeps root at the one candidate over the positive
+    # vertices, not at each of the C(103, 3) = 176,851 over all of them
+    read = []
+    sweep = exact_oracle._sweep
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots: sweep(
+        ds, leaf, (read.append(root) or root for root in roots)))
+    ds = new_degree_sequence((1, 1, 1) + (0,) * 100, 3)
+    seen = []
+    assert enumerate_bigraphs(ds, seen.append) == 1
+    assert seen == [BipartiteGraph(103, 1, [0b111])]
+    assert _first_switchable(ds, 10) == []
+    assert read == [(0, 1), (0, 1)]
 
 
 def test_no_column_instance_is_one_empty_leaf(monkeypatch):
