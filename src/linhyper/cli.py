@@ -40,10 +40,10 @@ from .exact_oracle import (
     full_report,
 )
 from .switching_engine import (
+    _forward_tuples,
     apply_forward,
     apply_reverse,
     derive_degree_sequence,
-    forward_candidates,
     monte_carlo_girth,
     sample_no4cycle,
 )
@@ -255,16 +255,19 @@ def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) 
     graphs, the smallest orderings of which are wanted
     (``exact_oracle._first_switchable``).  One graph per multiset would
     check other graphs, and fewer: 5 rather than 8 on k=(3,2,2,2,2,1), r=3,
-    the only r=3 battery instance where a switch applies.  A candidate that
-    is not a switching is skipped.  Returns the number of round trips;
-    raises InvariantViolation if one fails to restore its graph.
+    the only r=3 battery instance where a switch applies.  Each graph is
+    well-behaved with a 4-cycle, so it is not classified again: its 4-cycles
+    come from ``BipartiteGraph.four_cycles``, the lister ``classify`` reads,
+    and its candidates, those of ``forward_candidates``, are listed lazily
+    (``_forward_tuples``) up to the first switching.  A candidate that is
+    not a switching is skipped.  Returns the number of round trips; raises
+    InvariantViolation if one fails to restore its graph.
     """
     m = ds.edge_count()
     checks = 0
     for cols in _first_switchable(ds, limit, max_space):
         graph = BipartiteGraph(ds.n, m, cols)
-        cls = classify(graph, ds)
-        for t in forward_candidates(graph, cls):
+        for t in _forward_tuples(graph, graph.four_cycles()):
             try:
                 switched = apply_forward(graph, t)
             except NotASwitching:

@@ -54,6 +54,7 @@ error, never a silent truncation.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -136,8 +137,11 @@ def check_guard(ds: DegreeSequence, max_space: int = DEFAULT_MAX_SPACE) -> None:
         )
 
 
-def _subset_masks(n: int, r: int) -> list[int]:
-    return [sum(1 << v for v in combo) for combo in combinations(range(n), r)]
+@functools.cache
+def _subset_masks(n: int, r: int) -> tuple[int, ...]:
+    """The r-subsets of range(n) as bitmasks, in candidate (lexicographic)
+    order; built once per (n, r) and shared by every sweep."""
+    return tuple(sum(1 << v for v in combo) for combo in combinations(range(n), r))
 
 
 def _rank(combo, n: int) -> int:
@@ -163,14 +167,14 @@ def _without_zeros(ds: DegreeSequence) -> DegreeSequence:
     return ds if 0 not in ds.k else DegreeSequence(r=ds.r, k=tuple(v for v in ds.k if v))
 
 
-def _placed(ds: DegreeSequence, masks: list[int]) -> list[int]:
+def _placed(ds: DegreeSequence, masks: tuple[int, ...]) -> tuple[int, ...]:
     """Columns of ``_without_zeros(ds)`` as columns of ``ds``: bit v moves to
     the place of the v-th positive-degree vertex.  The relabeling is
     monotone, so it keeps the candidate order."""
     if 0 not in ds.k:
         return masks
     positive = [j for j, v in enumerate(ds.k) if v]
-    return [sum(1 << positive[v] for v in _bits(mask)) for mask in masks]
+    return tuple(sum(1 << positive[v] for v in _bits(mask)) for mask in masks)
 
 
 def _orbit_roots(k, r: int) -> list[tuple[int, int]]:

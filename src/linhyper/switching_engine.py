@@ -29,7 +29,7 @@ from operator import attrgetter
 import numpy as np
 
 from ._pool import map_tasks
-from .bigraph_core import BipartiteGraph, Classification, classify
+from .bigraph_core import BipartiteGraph, Classification, _bits, classify
 from .degree_model import DegreeSequence
 from .errors import (
     InvalidArgument,
@@ -153,27 +153,51 @@ def _orientations(cyc):
     return (a, b, x, y), (a, b, y, x), (b, a, x, y), (b, a, y, x)
 
 
+def _free_edges(graph: BipartiteGraph, cycles) -> dict:
+    """Per distinct left pair {a, b} of ``cycles``, the edges w-g with w not
+    in {a, b} and g on no 4-cycle, in edge order (by w, then g).  Only the
+    columns off every 4-cycle are decoded; when none is, every list is
+    empty."""
+    on_cycles = {i for c in cycles for i in c.right_pair}
+    pairs = dict.fromkeys((c.left_pair for c in cycles), ())
+    if len(on_cycles) == graph.n_right:
+        return pairs
+    free = sorted((w, g) for g, col in enumerate(graph.cols) if g not in on_cycles
+                  for w in _bits(col))
+    return {pair: [(w, g) for w, g in free if w not in pair] for pair in pairs}
+
+
+def _forward_tuples(graph: BipartiteGraph, cycles):
+    """Yield the forward 8-tuples on ``cycles``, the graph's 4-cycles, one at
+    a time: per cycle, in its four orientations, each pair of its free
+    edges (``_free_edges``) that share neither end."""
+    pairs = _free_edges(graph, cycles)
+    for cyc in cycles:
+        edges = pairs[cyc.left_pair]
+        for u1, u2, f1, f2 in _orientations(cyc):
+            for w1, g1 in edges:
+                for w2, g2 in edges:
+                    if w2 != w1 and g2 != g1:
+                        yield SwitchTuple(u1, u2, w1, w2, f1, f2, g1, g2)
+
+
 class _CandidateIndex:
-    """The tuples of ``forward_candidates`` as a counted, indexed view: per
-    4-cycle left pair {a, b}, the edges E of w-g with w not in {a, b} and g on
-    no 4-cycle.  An edge (w1, g1) has |E| - deg(w1) - deg(g1) + 1 partners in
-    E sharing neither end; ``index[i]`` bisects prefix sums of these counts."""
+    """The tuples of ``forward_candidates`` as a counted, indexed view over
+    the per-pair edges E of ``_free_edges``.  An edge (w1, g1) has
+    |E| - deg(w1) - deg(g1) + 1 partners in E sharing neither end;
+    ``index[i]`` bisects prefix sums of these counts."""
 
     def __init__(self, graph: BipartiteGraph, cls: Classification):
         if cls.d == 0:
             raise NoFourCycle("graph has no 4-cycle to dissolve")
-        on_cycles = {i for c in cls.four_cycles for i in c.right_pair}
-        free = [(w, g) for w, g in graph.edges() if g not in on_cycles]
         self.cycles = cls.four_cycles
         self.pairs = {}
-        self.starts = [0]
-        for cyc in self.cycles:
-            if cyc.left_pair not in self.pairs:
-                edges = [(w, g) for w, g in free if w not in cyc.left_pair]
-                dw, dg = Counter(w for w, _ in edges), Counter(g for _, g in edges)
-                self.pairs[cyc.left_pair] = edges, list(accumulate(
-                    (len(edges) - dw[w] - dg[g] + 1 for w, g in edges), initial=0))
-            self.starts.append(self.starts[-1] + 4 * self.pairs[cyc.left_pair][1][-1])
+        for pair, edges in _free_edges(graph, self.cycles).items():
+            dw, dg = Counter(w for w, _ in edges), Counter(g for _, g in edges)
+            self.pairs[pair] = edges, list(accumulate(
+                (len(edges) - dw[w] - dg[g] + 1 for w, g in edges), initial=0))
+        self.starts = list(accumulate(
+            (4 * self.pairs[c.left_pair][1][-1] for c in self.cycles), initial=0))
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -197,18 +221,15 @@ def forward_candidates(graph: BipartiteGraph, cls: Classification):
 
     These are the suitable tuples with a 4-cycle on {u1,u2} x {f1,f2} (each
     cycle in all four vertex orderings), edges w1-g1 and w2-g2 present, and
-    neither g1 nor g2 on any 4-cycle, in the order of ``_CandidateIndex``.  A
-    yielded tuple may still fail the apply_forward preconditions (an edge to
-    be created may exist); callers deciding legality must handle that.
+    neither g1 nor g2 on any 4-cycle, in the order of ``_CandidateIndex``.
+    The 4-cycles are ``cls.four_cycles``; the tuples are listed lazily by
+    ``_forward_tuples``, with no index built.  A yielded tuple may still
+    fail the apply_forward preconditions (an edge to be created may exist);
+    callers deciding legality must handle that.
     """
-    index = _CandidateIndex(graph, cls)
-    for cyc in index.cycles:
-        edges, _ = index.pairs[cyc.left_pair]
-        for u1, u2, f1, f2 in _orientations(cyc):
-            for w1, g1 in edges:
-                for w2, g2 in edges:
-                    if w2 != w1 and g2 != g1:
-                        yield SwitchTuple(u1, u2, w1, w2, f1, f2, g1, g2)
+    if cls.d == 0:
+        raise NoFourCycle("graph has no 4-cycle to dissolve")
+    yield from _forward_tuples(graph, cls.four_cycles)
 
 
 def _near(graph: BipartiteGraph, t: SwitchTuple, edges) -> bool:

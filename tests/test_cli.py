@@ -1,17 +1,22 @@
+import hashlib
 import json
 
 import pytest
 
-from linhyper import cli, exact_oracle
+from linhyper import cli, exact_oracle, switching_engine
+from linhyper.bigraph_core import BipartiteGraph, classify
 from linhyper.cli import _involution_spot_check, build_parser, main
 from linhyper.exact_oracle import (
     DEFAULT_MAX_SPACE,
     _first_switchable,
+    _subset_masks,
+    _without_zeros,
     canonical_battery,
     random_guarded_instances,
 )
 from linhyper.degree_model import new_degree_sequence
 from linhyper.errors import NonConforming, NotASwitching
+from linhyper.switching_engine import apply_forward, forward_candidates
 from support import reference_spot_graphs
 
 
@@ -294,6 +299,73 @@ def test_spot_check_skips_only_non_switchings(monkeypatch):
     monkeypatch.setattr(cli, "apply_forward", failing(NonConforming))
     with pytest.raises(NonConforming, match="injected"):
         _involution_spot_check(ds, DEFAULT_MAX_SPACE)
+
+
+def test_spot_check_round_trips_the_classified_candidates(monkeypatch):
+    # the spot check reads 4-cycles without classifying; graph by graph it
+    # must still try the tuples forward_candidates lists from a classification,
+    # up to and including the first switching that applies
+    tried = []
+
+    def recording(graph, t):
+        tried.append((graph.cols, t))
+        return apply_forward(graph, t)
+
+    monkeypatch.setattr(cli, "apply_forward", recording)
+    total = 0
+    for ds in canonical_battery(rs=(2, 3, 4)):
+        tried.clear()
+        checks = _involution_spot_check(ds, DEFAULT_MAX_SPACE)
+        want, applied = [], 0
+        for cols in _first_switchable(ds, 10):
+            graph = BipartiteGraph(ds.n, ds.edge_count(), cols)
+            for t in forward_candidates(graph, classify(graph, ds)):
+                want.append((graph.cols, t))
+                try:
+                    apply_forward(graph, t)
+                except NotASwitching:
+                    continue
+                applied += 1
+                break
+        assert tried == want and checks == applied, ds
+        total += checks
+    assert total == 8
+
+
+def test_spot_check_builds_no_index_and_classifies_nothing(monkeypatch, capsys):
+    # the round trip needs the 4-cycles and the tuples in order, not a
+    # classification or the walk's counted index
+    def refuse(*args, **kwargs):
+        raise AssertionError("not on the spot check's path")
+
+    monkeypatch.setattr(switching_engine, "_CandidateIndex", refuse)
+    monkeypatch.setattr(cli, "classify", refuse)
+    code, out, _ = run_cli(capsys, "verify", "-r", "3")
+    assert code == 0 and json.loads(out)["involution_spot_checks"] == 8
+
+
+def test_verify_builds_each_candidate_list_once(capsys):
+    # the candidate masks are shared by every sweep of one (n, r)
+    _subset_masks.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "-r", "3")
+    assert code == 0
+    shapes = {(_without_zeros(ds).n, ds.r) for ds in canonical_battery(rs=(3,))}
+    assert _subset_masks.cache_info().misses == len(shapes)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("-r", "3", "--ratio-check"),
+     "6971c2e4980dbeccb075b3e99110c4e3803e191e5947aece602e365a1352b157"),
+    (("-r", "3", "--format", "csv"),
+     "fcae0615d203cfd9ff5c47df1b3d16a6f994ba30908d155c8ad94168e3d173dd"),
+    (("-r", "4"),
+     "eec2b22fa3cb0c72adcb372b3f1e7f2311cac76934298c47753869876dd0853e"),
+], ids=["r3-json-ratio", "r3-csv", "r4-json"])
+def test_verify_stdout_pinned(capsys, argv, digest):
+    # byte for byte: every count, estimate, ratio and the spot-check count
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_spot_checks_only_switchable_instances(monkeypatch, capsys):
