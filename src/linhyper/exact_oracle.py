@@ -5,15 +5,17 @@ search runs through one backtracker, ``_sweep``: it fills the m = M/r
 incidence columns with r-subsets of the vertices of positive residual degree,
 each holding every vertex forced into all remaining columns.  It fixes the
 first column to each of a list of roots and fills the other m - 1 in
-non-decreasing candidate order, so it visits each rooted multiset once,
-weighted by the orderings of its other columns: column order changes no
-count and no 4-cycle.  Residual feasibility is checked only at the root;
-below it the forced vertices keep every residual feasible.  Each column
-after the root holds the lowest vertex of positive residual, so the sweep
-tries only that range of candidates.  The residuals are kept as one vertex
-mask per residual value, and the last two columns are closed in one loop:
-with two columns left, each candidate for the first fixes the second, the
-set of vertices it leaves needing one column (see ``_sweep``).
+non-decreasing candidate order (or, for counts invariant under relabeling
+equal-degree vertices, may fix the second column too; see below), so it
+visits each rooted multiset once, weighted by the orderings of its other
+columns: column order changes no count and no 4-cycle.  Residual
+feasibility is checked only at the root; below it the forced vertices keep
+every residual feasible.  Each column after the root holds the lowest
+vertex of positive residual, so the sweep tries only that range of
+candidates.  The residuals are kept as one vertex mask per residual value,
+and the last two columns are closed in one loop: with two columns left,
+each candidate for the first fixes the second, the set of vertices it
+leaves needing one column (see ``_sweep``).
 
 The sweep also carries each multiset's verdict under the property battery
 of ``bigraph_core`` down the recursion, so no leaf runs the battery: a
@@ -33,20 +35,29 @@ relabeling equal-degree vertices (``full_report``, ``pattern_expectation``,
 at one r-subset per orbit under those relabelings (``_orbit_roots``),
 weighted by the orbit's size prod C(|class|, t_class): on a single degree
 class, one root instead of C(n, r).  The roots are built from the takes
-t_class, not found by listing the C(n, r) subsets.  Labeled graphs in
-order (``enumerate_bigraphs`` with a visitor, ``_first_switchable``) root
-at every candidate in turn, merge the orderings of the multisets they keep
-(``_first_orderings``) and move each column back onto the vertices of k
-(``_placed``); that relabeling is monotone, so it keeps the order.
+t_class, not found by listing the C(n, r) subsets.  These callers go one
+level further (McKay 1998, "Isomorph-free exhaustive generation"): once
+the root R is fixed, every count is still invariant under R's stabiliser,
+which relabels the equal-degree vertices inside R among themselves and
+those outside it.  So where it is expected to reach fewer leaves
+(``_second_columns_pay``), the sweep fixes the second column to one
+representative per orbit of that stabiliser (``_second_columns``), weighted
+by the orbit's size, and sweeps the other m - 2 columns as a multiset.
+Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
+``_first_switchable``) root at every candidate in turn, merge the
+orderings of the multisets they keep (``_first_orderings``) and move each
+column back onto the vertices of k (``_placed``); that relabeling is
+monotone, so it keeps the order.
 
 A labeled graph with distinct columns stands for one hypergraph per m!
 orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide either
 is an identity violation, and so is a failed inclusion between classes.
 The independent check is |B| against ``count_b_dp``, a dynamic program
 over residual-degree classes, one column per level, that lists no graph
-and shares no code with the sweep, so a wrong orbit weight is caught at
-run time.  A failed identity raises InvariantViolation, which always
-means an implementation bug rather than bad input.
+and shares no code with the sweep, so a wrong orbit or orbit weight, of
+the first column or the second, is caught at run time.  A failed identity
+raises InvariantViolation, which always means an implementation bug
+rather than bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
 to 16 and up to 10 vertices of positive degree.  Exceeding the guard is an
@@ -57,6 +68,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -187,7 +199,10 @@ def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
     come from the multisets of r class labels, a label's multiplicity being
     its t_class, that take no more than |class| from any class, and no
     subset is listed: an orbit's first candidate is the first t_class
-    vertices of each class, and its index is that subset's ``_rank``.
+    vertices of each class, and its index is that subset's ``_rank``.  The
+    second column is rooted the same way, one level down, at the orbits of
+    each root's stabiliser (``_second_columns``), whose vertex groups are
+    each class's part inside the root and its part outside.
     """
     members: dict[int, list[int]] = {}
     for j, v in enumerate(k):
@@ -240,7 +255,85 @@ def _push_verdict(cols, mask: int, state, n2: int):
     return pairs + (pair,), on_cycle | 1 << hit | 1 << len(cols)
 
 
-def _sweep(ds: DegreeSequence, leaf, roots) -> None:
+@functools.cache
+def _take_count(sizes: tuple[int, ...], r: int) -> int:
+    """The ways to take r vertices in all from groups of the given sizes, up
+    to relabeling within each group: the coefficient of x^r in
+    prod (1 + x + ... + x^size), one factor per group."""
+    ways = [1] + [0] * r
+    for size in sizes:
+        # ways[t] becomes ways[t - size] + ... + ways[t], a window of sums
+        sums = list(accumulate(ways, initial=0))
+        ways = [sums[t + 1] - sums[max(0, t - size)] for t in range(r + 1)]
+    return ways[r]
+
+
+def _stabiliser_groups(classes, root: int, m: int) -> tuple[int, list[int]]:
+    """The vertex groups of the stabiliser of the first column ``root``:
+    the forced vertices, as one mask, and the other groups, as a list of
+    masks.
+
+    ``classes`` holds (degree, vertex mask) for each positive degree.  The
+    relabelings of equal-degree vertices that fix ``root`` permute among
+    themselves a class's vertices inside the root, of residual d - 1, and
+    those outside it, of residual d.  So these parts, less those of
+    residual 0, are the stabiliser's groups.  Those of residual m - 1 are
+    forced into every column left.
+    """
+    forced, groups = 0, []
+    for d, c in classes:
+        inside = c & root
+        outside = c ^ inside
+        if d == m:
+            forced |= inside
+        elif d > 1 and inside:
+            groups.append(inside)
+        if d == m - 1:
+            forced |= outside
+        elif d < m and outside:
+            groups.append(outside)
+    return forced, groups
+
+
+def _second_columns(forced: int, groups: list[int], r: int) -> list[tuple[int, int]]:
+    """One feasible second column per orbit of the stabiliser's vertex
+    groups (``_stabiliser_groups``), as (mask, orbit size).
+
+    A feasible second column holds every forced vertex and t vertices of
+    each other group; its orbit is fixed by the takes t and holds
+    prod C(|group|, t) columns, the first of which takes the first t
+    vertices of each group.
+    """
+    # (column so far, orbit size, vertices still to take), one group at a time
+    parts = [(forced, 1, r - forced.bit_count())]
+    for group in groups:
+        heads = list(accumulate((1 << v for v in _bits(group)), operator.or_, initial=0))
+        size = len(heads) - 1
+        parts = [(col | heads[t], orbit * math.comb(size, t), left - t)
+                 for col, orbit, left in parts for t in range(min(size, left) + 1)]
+    return [(col, orbit) for col, orbit, left in parts if left == 0]
+
+
+def _second_columns_pay(forced: int, groups: list[int], m: int, r: int) -> bool:
+    """Whether sweeping from the ``_second_columns`` of a root's stabiliser
+    groups is expected to reach fewer leaves than sweeping from the root
+    alone.
+
+    Each of the B orbits heads a sweep of the other m - 2 columns as a
+    multiset, where the root alone heads one of the other m - 1.  If the
+    root's completions spread evenly over its N feasible second columns,
+    the orbits' sweeps reach about (m - 1) B / N times as many leaves.  N =
+    C(f, need) for the f vertices of the groups and the ``need`` a column
+    takes besides the forced ones, and B is ``_take_count`` of the group
+    sizes, so the rule costs O(groups) and lists nothing.  It holds if
+    (m - 1) B < 0.85 N: near a ratio of 1 the two ways cost about the same.
+    """
+    sizes = tuple(map(int.bit_count, groups))
+    need = r - forced.bit_count()
+    return (m - 1) * _take_count(sizes, need) < 0.85 * math.comb(sum(sizes), need)
+
+
+def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
     """Visit each rooted column multiset conforming to ``ds`` = (k, r) once,
     with its weight and its battery verdict.
 
@@ -255,16 +348,27 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
     the cap n2 = ``ds.four_cycle_cap``), else None.  With no column (m = 0)
     the one leaf is the empty graph.
 
+    With ``invariant``, the caller sums over the leaves a value invariant
+    under relabeling equal-degree vertices, so only the weighted totals are
+    kept, not the leaves or their order.  Then, with m >= 4, a root for
+    which ``_second_columns_pay`` holds fixes the second column as well, to
+    each orbit of its stabiliser (``_second_columns``) in turn: the leaves
+    below it are the multisets of the other m - 2 columns, weighted by the
+    scale, the orbit's size and their (m - 2)!/prod(mult!) orderings.  The
+    other roots, and every root without ``invariant``, keep the
+    non-decreasing sweep of the other m - 1.
+
     The weight, the distinctness and the verdict are carried down the
     recursion as each column is pushed; a repeated column equals the one
-    before it or the root.  ``_push_verdict`` compares the pushed column
-    with each placed one: sharing two left vertices adds one 4-cycle,
-    sharing three fails (i), and (iii) covers (i) and (ii).  So a push fails
-    when a column meets two partners or one already on a 4-cycle (iii),
-    when the new 4-cycle's left pair and those of any two earlier ones span
-    fewer than five left vertices (iv), or when the 4-cycles outnumber n2
-    (v).  No property recovers, so a failed prefix does no battery work
-    below it; its subtree is still swept for |B| and |B0|.
+    before it or a fixed column.  ``_push_verdict`` compares the pushed
+    column with each placed one: sharing two left vertices adds one
+    4-cycle, sharing three fails (i), and (iii) covers (i) and (ii).  So a
+    push fails when a column meets two partners or one already on a
+    4-cycle (iii), when the new 4-cycle's left pair and those of any two
+    earlier ones span fewer than five left vertices (iv), or when the
+    4-cycles outnumber n2 (v).  No property recovers, so a failed prefix
+    does no battery work below it; its subtree is still swept for |B| and
+    |B0|.
 
     The residuals are kept as one vertex mask per value, ``level[v]`` for
     v = 0..remaining, where ``remaining`` counts the columns still to
@@ -278,7 +382,7 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
     vertex of ``level[0]``, which keeps the bound; so no push needs a
     residual check.
 
-    A column after the root must have as its smallest vertex ``low``, the
+    A column of the multiset must have as its smallest vertex ``low``, the
     lowest vertex of positive residual: below ``low`` every residual is
     zero, and if the column skipped ``low``, no later column, being no
     smaller in candidate order, could hold it.  So the sweep tries only the
@@ -301,12 +405,13 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
     # first[j]: the index of the first candidate whose smallest vertex is j
     # or above, as C(n - 1 - j, r - 1) candidates have smallest vertex j
     first = list(accumulate((math.comb(n - 1 - j, r - 1) for j in range(n)), initial=0))
-    orderings = math.factorial(m - 1)
     cols: list[int] = []
 
-    # ``level[v]``: the vertices of residual v, for v = 0..remaining;
-    # ``scale``: the root's (set by the loop below), ``div``: prod(mult!) over
-    # the columns after the root, ``run``: the multiplicity of the last one,
+    # ``level[v]``: the vertices of residual v, for v = 0..remaining; set by
+    # the root loop below: ``fixed``, the one or two fixed columns before
+    # the multiset, and ``scale``, their weight times the orderings of the
+    # multiset's columns; ``div``: prod(mult!) over the multiset, ``run``:
+    # the multiplicity of its last column (0 before its first),
     # ``state``: see ``_push_verdict``
     def rec(depth, level, start, div, run, distinct, state) -> None:
         remaining = m - depth
@@ -328,10 +433,10 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
                 differ = last ^ mask
                 if differ & -differ & last:
                     continue
-                run_next = run + 1 if depth > 1 and mask == cols[-1] else 1
+                run_next = run + 1 if run and mask == cols[-1] else 1
                 run_last = run_next + 1 if last == mask else 1
-                distinct_next = (distinct and mask != cols[-1] and mask != cols[0]
-                                 and last != mask and last != cols[0])
+                distinct_next = (distinct and mask != cols[-1] and last != mask
+                                 and mask not in fixed and last not in fixed)
                 state_next = (
                     None if state is None else _push_verdict(cols, mask, state, n2)
                 )
@@ -339,16 +444,16 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
                 if state_next is not None:
                     state_next = _push_verdict(cols, last, state_next, n2)
                 cols.append(last)
-                leaf(cols, scale * orderings // (div * run_next * run_last),
+                leaf(cols, scale // (div * run_next * run_last),
                      distinct_next, None if state_next is None else len(state_next[0]))
                 del cols[-2:]
             return
         for idx, mask in tries:
             if mask & zero or mask & forced != forced:
                 continue
-            run_next = run + 1 if depth > 1 and mask == cols[-1] else 1
-            # a repeated column follows its copy; the root may equal any
-            distinct_next = distinct and mask != cols[-1] and mask != cols[0]
+            run_next = run + 1 if run and mask == cols[-1] else 1
+            # a repeated column follows its copy; a fixed column may equal any
+            distinct_next = distinct and mask != cols[-1] and mask not in fixed
             state_next = (
                 None if state is None else _push_verdict(cols, mask, state, n2)
             )
@@ -360,24 +465,36 @@ def _sweep(ds: DegreeSequence, leaf, roots) -> None:
     if max(k) > m:
         return  # a vertex would need more columns than there are
     level = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
-    for idx, scale in roots:
+    classes = [(d, c) for d, c in enumerate(level) if d and c]
+    for idx, orbit in roots:
         mask = masks[idx]
         # feasible: it holds no vertex of degree 0 and every one of degree m
         if mask & level[0] or mask & level[m] != level[m]:
             continue
         cols.append(mask)
         if m == 1:
-            leaf(cols, scale, True, 0)
+            leaf(cols, orbit, True, 0)
         elif m == 2:
             # the root leaves the r vertices of the last column at residual 1
             last = level[1] & ~mask | level[2]
             state = _push_verdict(cols, last, ((), 0), n2)
             cols.append(last)
-            leaf(cols, scale, last != mask, None if state is None else len(state[0]))
+            leaf(cols, orbit, last != mask, None if state is None else len(state[0]))
             cols.pop()
         else:
-            rec(1, [a & ~mask | b & mask for a, b in zip(level, level[1:])],
-                0, 1, 1, True, ((), 0))
+            after = [a & ~mask | b & mask for a, b in zip(level, level[1:])]
+            stabiliser = invariant and m >= 4 and _stabiliser_groups(classes, mask, m)
+            if stabiliser and _second_columns_pay(*stabiliser, m, r):
+                for col, size in _second_columns(*stabiliser, r):
+                    scale, fixed = orbit * size * math.factorial(m - 2), (mask, col)
+                    state = _push_verdict(cols, col, ((), 0), n2)
+                    cols.append(col)
+                    rec(2, [a & ~col | b & col for a, b in zip(after, after[1:])],
+                        0, 1, 0, col != mask, state)
+                    cols.pop()
+            else:
+                scale, fixed = orbit * math.factorial(m - 1), (mask,)
+                rec(1, after, 0, 1, 0, True, ((), 0))
         cols.pop()
 
 
@@ -490,7 +607,7 @@ class _ReportCounts:
 def _report_branch(args) -> _ReportCounts:
     ds, roots = args
     counts = _ReportCounts(ds.four_cycle_cap)
-    _sweep(ds, counts.leaf, roots)
+    _sweep(ds, counts.leaf, roots, invariant=True)
     return counts
 
 
@@ -542,7 +659,7 @@ def enumerate_bigraphs(
 
     swept = _without_zeros(ds)
     if visitor is None:
-        _sweep(swept, leaf, _orbit_roots(swept.k, swept.r))
+        _sweep(swept, leaf, _orbit_roots(swept.k, swept.r), invariant=True)
         return count
     masks = _subset_masks(swept.n, swept.r)
     index = {mask: i for i, mask in enumerate(masks)}
@@ -612,7 +729,7 @@ def hyper_class_profile(
         if not dual_failed_properties(hg, n2):
             profile[len(hyper_properties(hg).double_links)] += weight
 
-    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r))
+    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r), invariant=True)
     fact = math.factorial(m)
     return tuple(
         _per_hypergraph(c, fact, f"the weight of class C_{d}")
@@ -747,7 +864,7 @@ def pattern_expectation(
         graphs += weight
         total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
-    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r))
+    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r), invariant=True)
     if graphs == 0:
         raise InvalidArgument("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)

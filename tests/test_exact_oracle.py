@@ -32,6 +32,7 @@ from linhyper import (
 from linhyper import _pool, exact_oracle
 from linhyper.bigraph_core import _battery_from_cols
 from linhyper.cli import main
+from linhyper.exact_oracle import DEFAULT_MAX_SPACE
 from linhyper.errors import (
     InvalidArgument,
     InvalidR,
@@ -223,8 +224,8 @@ def test_workers_deal_roots_round_robin(monkeypatch, pool_sizes):
     # min(workers, orbits) tasks of one sweep each, so one worker is one sweep
     calls = []
     sweep = exact_oracle._sweep
-    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots: (
-        calls.append(roots), sweep(ds, leaf, roots)))
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots, **kw: (
+        calls.append(roots), sweep(ds, leaf, roots, **kw)))
     monkeypatch.setattr(_pool.os, "cpu_count", lambda: 64)
     ds = new_degree_sequence((3, 3, 3, 2, 1), 3)  # 4 first-column orbits
     roots = _orbit_roots(ds.k, ds.r)
@@ -257,6 +258,54 @@ def test_orbit_roots_partition_the_first_columns():
         assert roots == [tuple(orbit) for orbit in orbits.values()], (k, r)
         n_pos = sum(1 for v in k if v > 0)
         assert sum(size for _, size in roots) == math.comb(n_pos, r), (k, r)
+
+
+def test_second_columns_partition_the_feasible_second_columns():
+    # under the relabelings of equal-degree vertices that fix a root, a
+    # second column's orbit is fixed by how many of its vertices lie in each
+    # class's part inside the root and outside it.  For each feasible root:
+    # each listed column is its orbit's first candidate, with the orbit's
+    # size, so the sizes sum to the number of feasible second columns (no
+    # vertex of residual 0, every vertex of residual m - 1), and the count
+    # from the group sizes is the number of orbits
+    cases = [((2,) * 8, 4)] + [((2,) * i + (3,) + (2,) * (6 - i), 3) for i in range(7)]
+    for r in range(2, 6):
+        for base in ((3, 2, 2, 1, 1, 2, 1, 3), (1,) * 8, (2,) * 8, (4, 3, 2, 1),
+                     (4, 4, 3, 3, 2, 2, 1, 1), (3, 3, 3, 1, 1, 1)):
+            cases += [(base[:i] + (0,) + base[i:], r) for i in range(len(base) + 1)]
+    cases += [(ds.k, ds.r) for ds in random_guarded_instances(
+        100, seed=20261022, max_n=9, rs=(2, 3, 4, 5), k_max=4)]
+    cases = [(k, r) for k, r in cases if sum(k) % r == 0 and sum(k) >= 2 * r]
+    assert max(len(k) for k, _ in cases) == 9
+    assert {r for _, r in cases} == {2, 3, 4, 5}
+    forced_seen = dropped_seen = 0
+    for k, r in cases:
+        m = sum(k) // r
+        classes = [(d, sum(1 << j for j, v in enumerate(k) if v == d))
+                   for d in sorted(set(k)) if d]
+        for root in combinations(range(len(k)), r):
+            residual = [v - (j in root) for j, v in enumerate(k)]
+            if min(residual) < 0 or max(residual) > m - 1:
+                continue
+            forced = [j for j, v in enumerate(residual) if v == m - 1]
+            orbits = {}
+            for combo in combinations(range(len(k)), r):
+                if min(residual[j] for j in combo) > 0 and set(forced) <= set(combo):
+                    signature = tuple(sorted((k[j], j in root) for j in combo))
+                    mask = sum(1 << j for j in combo)
+                    orbits.setdefault(signature, [mask, 0])[1] += 1
+            stabiliser = exact_oracle._stabiliser_groups(classes, sum(1 << j for j in root), m)
+            assert stabiliser[0] == sum(1 << j for j in forced), (k, r, root)
+            got = exact_oracle._second_columns(*stabiliser, r)
+            assert sorted(got) == sorted(tuple(orbit) for orbit in orbits.values()), (k, r, root)
+            groups = Counter((k[j], j in root) for j, v in enumerate(residual)
+                             if 0 < v < m - 1)
+            sizes = tuple(g.bit_count() for g in stabiliser[1])
+            assert sorted(sizes) == sorted(groups.values()), (k, r, root)
+            assert exact_oracle._take_count(sizes, r - len(forced)) == len(got), (k, r, root)
+            forced_seen += bool(forced)
+            dropped_seen += any(k[j] == 1 for j in root)
+    assert forced_seen and dropped_seen
 
 
 def test_rank_is_the_candidate_index():
@@ -301,8 +350,8 @@ def test_orbit_rooted_sweeps_skip_zero_degree_vertices(monkeypatch):
     # the positive-degree vertices only, with the zero-free instance's counts
     swept_n = []
     sweep = exact_oracle._sweep
-    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots: (
-        swept_n.append(ds.n), sweep(ds, leaf, roots)))
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots, **kw: (
+        swept_n.append(ds.n), sweep(ds, leaf, roots, **kw)))
     k = (2, 1, 2, 1, 1, 2)
     padded = new_degree_sequence((0,) * 30 + k[:3] + (0,) * 5 + k[3:] + (0,) * 30, 3)
     plain = new_degree_sequence(k, 3)
@@ -342,8 +391,8 @@ def test_labeled_sweeps_skip_zero_degree_vertices(monkeypatch):
     # vertices, not at each of the C(103, 3) = 176,851 over all of them
     read = []
     sweep = exact_oracle._sweep
-    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots: sweep(
-        ds, leaf, (read.append(root) or root for root in roots)))
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots, **kw: sweep(
+        ds, leaf, (read.append(root) or root for root in roots), **kw))
     ds = new_degree_sequence((1, 1, 1) + (0,) * 100, 3)
     seen = []
     assert enumerate_bigraphs(ds, seen.append) == 1
@@ -357,11 +406,11 @@ def test_no_column_instance_is_one_empty_leaf(monkeypatch):
     leaves = []
     sweep = exact_oracle._sweep
 
-    def recording(ds, leaf, roots):
+    def recording(ds, leaf, roots, **kw):
         def logged(cols, *rest):
             leaves.append((list(cols),) + rest)
             leaf(cols, *rest)
-        sweep(ds, logged, roots)
+        sweep(ds, logged, roots, **kw)
 
     monkeypatch.setattr(exact_oracle, "_sweep", recording)
     ds = new_degree_sequence((0, 0, 0), 3)
@@ -389,6 +438,40 @@ def test_full_report_past_the_guard():
         count_b=56586600, count_b0=56397600, count_bplus=30844800,
         count_h=469980, count_l=30240,
         cd_profile=(3628800, 0, 27216000) + (0,) * 52,
+    )
+
+
+def test_full_report_far_past_the_guard():
+    # M = 21 and M = 24, pinned to the reports of the sweep that rooted the
+    # second column in non-decreasing order only (about 4 s and 10 s to
+    # compute); orbit-rooting the second column takes about 1 s for both
+    rep = full_report(new_degree_sequence((2,) * 10 + (1,), 3), max_space=21)
+    assert rep == OracleReport(
+        count_b=63932652000, count_b0=62773704000, count_bplus=62773704000,
+        count_h=12455100, count_l=4082400,
+        cd_profile=(20575296000, 25338096000, 13145328000, 3714984000) + (0,) * 21,
+    )
+    rep = full_report(new_degree_sequence((2,) * 12, 4), max_space=24)
+    assert rep == OracleReport(
+        count_b=154700988750, count_b0=154369908000, count_bplus=95201568000,
+        count_h=214402650, count_l=9979200,
+        cd_profile=(7185024000, 21555072000, 48498912000, 17962560000) + (0,) * 51,
+    )
+
+
+@pytest.mark.deep
+def test_full_report_on_a_regular_instance_at_m24():
+    # k = 2^12, r = 3 (M = 24): pinned to the report of the sweep that rooted
+    # the second column in non-decreasing order only (135 s to compute);
+    # 9-18 s with the second column orbit-rooted.  Run with ``-m deep``
+    ds = new_degree_sequence((2,) * 12, 3)
+    rep = full_report(ds, max_space=24)
+    assert rep.count_b == count_b_dp(ds) == 31082452632000
+    assert rep == OracleReport(
+        count_b=31082452632000, count_b0=30533358240000, count_bplus=30533358240000,
+        count_h=757275750, count_l=229937400,
+        cd_profile=(9271075968000, 12070840320000, 6689257344000, 2313577728000,
+                    188606880000) + (0,) * 20,
     )
 
 
@@ -673,6 +756,42 @@ def test_sweep_leaves_match_unbounded_sweep():
     assert any(c[-1] == c[-2] for c in deep)
     assert any(c[-1] == c[-2] == c[-3] for c in deep if len(c) > 3)
     assert any(c[-2] != c[-1] and c[-2] & -c[-2] & c[-1] for c in deep)
+
+
+def test_second_column_orbits_keep_every_total(monkeypatch):
+    # rooting the second column at the root's stabiliser orbits changes the
+    # leaves but no weighted total: each orbit-rooted count equals the one
+    # from the non-decreasing sweep of the other m - 1 columns, and each way
+    # is taken somewhere.  The pattern and hypergraph sums, slow where there
+    # are many leaves, are compared inside the default guard with m <= 6
+    instances = [(ds, DEFAULT_MAX_SPACE) for ds in canonical_battery(rs=(2, 3, 4, 5))
+                 + random_guarded_instances(60, seed=20261022, rs=(2, 3, 4, 5))
+                 + random_guarded_instances(200, seed=20261023, max_n=9,
+                                            rs=(2, 3, 4, 5), k_max=4)]
+    instances += [(new_degree_sequence((2,) * i + (3,) + (2,) * (6 - i), 3), 16)
+                  for i in range(7)]
+    instances += [(new_degree_sequence((2,) * 8, 4), 16),
+                  (new_degree_sequence((2,) * 9, 3), 18),
+                  (new_degree_sequence((2,) * 10, 4), 20)]
+    assert any(0 in ds.k for ds, _ in instances)
+
+    def totals(ds, max_space):
+        report = full_report(ds, max_space=max_space)
+        if ds.edge_count() > 6 or ds.M > DEFAULT_MAX_SPACE:
+            return report
+        patterns = [pattern_expectation(ds, p, max_space=max_space) for p in Pattern
+                    if report.count_b]
+        return report, patterns, hyper_class_profile(ds, max_space=max_space)
+
+    taken = []
+    pay = exact_oracle._second_columns_pay
+    monkeypatch.setattr(exact_oracle, "_second_columns_pay",
+                        lambda *args: taken.append(pay(*args)) or taken[-1])
+    rooted = [totals(*case) for case in instances]
+    assert True in taken and False in taken
+    monkeypatch.setattr(exact_oracle, "_second_columns_pay", lambda *args: False)
+    for case, want in zip(instances, rooted):
+        assert totals(*case) == want, case
 
 
 def _cols(*columns):
