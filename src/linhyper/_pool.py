@@ -1,8 +1,18 @@
-"""The one worker-pool policy of the library's fan-out."""
+"""The one worker-pool policy of the library's fan-out.
+
+``concurrent.futures`` (and with it ``multiprocessing``) is imported only
+when a pool starts, so a command that runs in-process never loads it."""
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+
+
+def _executor(max_workers: int):
+    """A process pool of ``max_workers`` workers: the one seam through which
+    the library starts processes."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def map_tasks(fn, tasks, workers: int) -> list:
@@ -11,5 +21,5 @@ def map_tasks(fn, tasks, workers: int) -> list:
     pool_size = min(workers, len(tasks), os.cpu_count() or 1)
     if pool_size <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    with _executor(pool_size) as pool:
         return list(pool.map(fn, tasks))

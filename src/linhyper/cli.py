@@ -5,6 +5,10 @@ an identity violation), 1 for a bug: an internal counting identity that
 fails, or any other exception, reported as an internal error.  Randomized
 commands embed the effective seed in their output; replaying with the same
 seed and worker count reproduces the report byte for byte.
+
+Only ``sample`` and ``girth`` import ``sampler`` and with it numpy, and the
+process pool is imported only when ``--workers`` starts one, so the other
+commands start without either.
 """
 from __future__ import annotations
 
@@ -16,8 +20,6 @@ import json
 import secrets
 import sys
 import traceback
-
-import numpy as np
 
 from .asymptotics import (
     estimate_bigraph,
@@ -44,8 +46,6 @@ from .switching_engine import (
     apply_forward,
     apply_reverse,
     derive_degree_sequence,
-    monte_carlo_girth,
-    sample_no4cycle,
 )
 
 
@@ -80,11 +80,12 @@ class PositiveInt(NonNegativeInt):
 
 
 def _inline_ds(args) -> DegreeSequence:
-    """The degree sequence given by ``-r`` and ``-k``."""
+    """The degree sequence given by ``-r`` and ``-k``; every comma-separated
+    field must be an integer, so an empty one is rejected, not dropped."""
     if args.r is None:
         raise InputError("-r is required when -k is given")
     try:
-        k = [int(part) for part in args.k.split(",") if part.strip() != ""]
+        k = [int(part) for part in args.k.split(",")]
     except ValueError:
         raise InputError(
             f"argument -k: expected comma-separated integers, got {args.k!r}"
@@ -201,6 +202,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    import numpy as np
+
+    from .sampler import sample_no4cycle
+
     ds = _resolve_ds(args)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     rng = np.random.default_rng(seed)
@@ -222,6 +227,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_girth(args) -> int:
+    from .sampler import monte_carlo_girth
+
     ds = _resolve_ds(args)
     seed = args.seed if args.seed is not None else secrets.randbits(32)
     est = monte_carlo_girth(ds, seed=seed, trials=args.trials, workers=args.workers)

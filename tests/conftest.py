@@ -35,5 +35,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(_pool, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(_pool, "_executor", RecordingPool)
     return sizes

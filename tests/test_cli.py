@@ -454,6 +454,8 @@ def test_library_value_error_is_an_internal_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("exact", "-r", "3", "-k", "1,x,1"), "argument -k"),
+    (("exact", "-r", "3", "-k", "1,,1,1"), "expected comma-separated integers"),
+    (("exact", "-r", "3", "-k", "1,1,1,"), "expected comma-separated integers"),
     (("exact", "-r", "3", "-k", "1,1,1", "--max-space", "-1"),
      "argument --max-space: must be a non-negative integer, got -1"),
     (("verify", "--max-space", "-1"),
@@ -461,7 +463,8 @@ def test_library_value_error_is_an_internal_error(monkeypatch, capsys):
     (("verify", "-r", "0"), "edge size r must be >= 2, got 0"),
     (("exact", "-r", "3", "-k", "1,1,1", "--format", "csv"), "JSON only"),
     (("classify",), "requires --input"),
-], ids=["bad-k", "exact-max-space", "verify-max-space", "verify-r0", "exact-csv", "classify"])
+], ids=["bad-k", "empty-k-field", "trailing-k-comma", "exact-max-space",
+        "verify-max-space", "verify-r0", "exact-csv", "classify"])
 def test_malformed_arguments_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and message in err

@@ -1,10 +1,15 @@
 """Source checks that need no linter: every name a library module imports is
-used in that module (``__init__.py`` is exempt, since its imports are the
-package's exports), and every private top-level name a library module
-defines is read somewhere in the library.  A name read only inside a quoted
-annotation counts as unused; the modules use ``from __future__ import
-annotations`` instead."""
+used in that module (``__init__.py`` is exempt), and every private top-level
+name a library module defines is read somewhere in the library.  A name read
+only inside a quoted annotation counts as unused; the modules use ``from
+__future__ import annotations`` instead.  Also the lazy package: what a
+fresh interpreter loads, and that every export resolves."""
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -101,3 +106,39 @@ def test_dead_private_check_sees_defs_and_reads():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text() for p in SOURCES}
     assert dead_private_names(sources) == []
+
+
+def test_fresh_imports_load_no_submodule_numpy_or_pool():
+    # ``import linhyper`` imports no submodule, and the CLI loads numpy and
+    # the process pool only in the commands that use them
+    script = (
+        "import json, sys\n"
+        "import linhyper\n"
+        "first = sorted(m for m in sys.modules if m.startswith('linhyper.'))\n"
+        "import linhyper.cli\n"
+        "heavy = ('numpy', 'concurrent.futures', 'multiprocessing')\n"
+        "print(json.dumps([first, [m for m in heavy if m in sys.modules]]))\n"
+    )
+    src = str(Path(linhyper.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, check=True)
+    assert json.loads(proc.stdout) == [[], []]
+
+
+def test_every_export_resolves_to_its_defining_module():
+    for name, module in linhyper._SUBMODULE.items():
+        defining = importlib.import_module(f"linhyper.{module}")
+        namespace = {}
+        exec(f"from linhyper import {name}", namespace)
+        assert namespace[name] is (defining if name == module else getattr(defining, name))
+    assert set(linhyper._SUBMODULE) <= set(dir(linhyper))
+    namespace = {}
+    exec("from linhyper import *", namespace)
+    assert set(linhyper._SUBMODULE) <= set(namespace)
+    with pytest.raises(AttributeError):
+        linhyper.no_such_name
+    from linhyper import _pool  # not an export: the submodule itself
+
+    assert _pool is sys.modules["linhyper._pool"]

@@ -31,7 +31,8 @@ from linhyper.errors import (
     PreconditionFailed,
     RetryLimitExceeded,
 )
-from linhyper.switching_engine import _forward_step, _reclassified, _uniform_order
+from linhyper.sampler import _forward_step, _uniform_order
+from linhyper.switching_engine import _reclassified
 
 from support import all_pairs_distances
 
@@ -427,7 +428,7 @@ def test_girth_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
 def test_pairing_kernel_matches_unique_count_and_graph_scan(r):
     # the stub-pair tests against a distinct-key count and the graph's own
     # 4-cycle scan, on every draw over mixed degrees (0 and 1 included)
-    from linhyper.switching_engine import _PairingKernel, _simple_pairing
+    from linhyper.sampler import _PairingKernel, _simple_pairing
 
     rng = np.random.default_rng(70 + r)
     outcomes = set()
