@@ -25,7 +25,10 @@ battery, the oracle's pattern counts) reads the one list ``_four_cycles``
 builds: the wedge buckets of ``_cycles_of_rows`` over the left neighbour
 lists of ``_neighbour_lists``.  ``classify`` runs the battery on a whole
 graph (``_battery_from_cols``), decoding its columns once: the same lists
-give the left degrees it checks and the 4-cycles.
+give the left degrees it checks and the 4-cycles.  ``_classification`` turns
+any sorted 4-cycle list into the verdict, so the switching walk, which
+finds a switched graph's 4-cycles from the columns the switch changes, gets
+the same ``Classification`` as ``classify``.
 The exhaustive oracle derives the same verdict column by column as its sweep
 pushes columns (``exact_oracle._push_verdict``), and is tested against
 ``_battery_from_cols``.
@@ -427,9 +430,13 @@ def classify(graph: BipartiteGraph, ds: DegreeSequence) -> Classification:
             f"graph degrees {graph.left_degrees()}/{graph.right_degrees()} "
             f"do not conform to r={ds.r}, k={ds.k}"
         )
-    cycles, failed, in_b0 = _battery_from_cols(
-        graph.n_left, graph.cols, ds.four_cycle_cap, _cycles_of_rows(rows)
-    )
+    return _classification(graph.n_left, graph.cols, ds.four_cycle_cap, _cycles_of_rows(rows))
+
+
+def _classification(n_left: int, cols: tuple[int, ...], n2: int, cycles) -> Classification:
+    """The battery's verdict on the columns ``cols``, whose 4-cycles are the
+    sorted list ``cycles``, however that list was found."""
+    _, failed, in_b0 = _battery_from_cols(n_left, cols, n2, cycles)
     four = _as_four_cycles(cycles)
     return Classification(
         four_cycles=four,

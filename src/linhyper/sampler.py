@@ -19,7 +19,7 @@ import numpy as np
 
 from ._pool import map_tasks
 from .asymptotics import girth6_probability
-from .bigraph_core import BipartiteGraph, classify
+from .bigraph_core import BipartiteGraph, _classification, _cycles_of_rows, _neighbour_lists
 from .degree_model import DegreeSequence
 from .errors import (
     InvalidArgument,
@@ -110,14 +110,22 @@ def pairing_sample(
     The expected number of rejections per acceptance grows with the loop
     exponent (r-1) M_2 / (2M) of the instance.
     """
+    return next(_pairing_samples(ds, rng, max_retries))
+
+
+def _pairing_samples(ds: DegreeSequence, rng, max_retries: int):
+    """``pairing_sample``'s results, one per ``next``, all drawn with one
+    ``_PairingKernel``: the random stream is that of repeated calls."""
     if ds.M < 1:
         raise PreconditionFailed("pairing sample requires at least one half-edge")
     kernel = _PairingKernel(ds)
-    perm, _, rejections = _simple_pairing(rng, kernel, max_retries)
-    cols = [0] * kernel.m
-    for j, i in zip(kernel.left_owner.tolist(), perm.tolist()):
-        cols[i] |= 1 << j
-    return PairingResult(BipartiteGraph(ds.n, kernel.m, cols), rejections)
+    owners = kernel.left_owner.tolist()
+    while True:
+        perm, _, rejections = _simple_pairing(rng, kernel, max_retries)
+        cols = [0] * kernel.m
+        for j, i in zip(owners, perm.tolist()):
+            cols[i] |= 1 << j
+        yield PairingResult(BipartiteGraph(ds.n, kernel.m, cols), rejections)
 
 
 def _uniform_order(n: int, rng):
@@ -132,20 +140,24 @@ def _uniform_order(n: int, rng):
         moved[j] = moved.pop(t, t)
 
 
-def _forward_step(graph: BipartiteGraph, cls, ds: DegreeSequence, rng):
+def _forward_step(graph: BipartiteGraph, cls, ds: DegreeSequence, rng, candidates=None):
     """One walk step: the first legal forward switch in a uniformly random
     order of the candidates (``_uniform_order``, one draw per tried
     candidate), as (graph, classification), or None if no candidate is
     legal.  Only the tried tuples are decoded from the counted
-    ``_CandidateIndex``; an empty index draws nothing."""
-    candidates = _CandidateIndex(graph, cls)
+    ``_CandidateIndex`` of (graph, cls), ``candidates`` when given, which a
+    legal step advances to the switched graph; an empty index draws
+    nothing."""
+    if candidates is None:
+        candidates = _CandidateIndex(graph, cls)
     for idx in _uniform_order(len(candidates), rng):
+        t = candidates[idx]
         try:
-            switched, after, legal = _reclassified(
-                graph, cls, ds, candidates[idx], apply_forward, -1)
+            switched, after, legal = _reclassified(graph, cls, ds, t, apply_forward, -1)
         except NotASwitching:
             continue
         if legal:
+            candidates.advance(t, switched, after)
             return switched, after
     return None
 
@@ -163,7 +175,9 @@ def sample_no4cycle(
     4-cycle remains, restarting when none is legal.  A step makes one
     ``rng.integers`` draw per candidate it tries, however many it counts
     (about two tried of tens of thousands counted on k=3^30 and k=2^90,
-    r=3).  The output is
+    r=3).  A tried tuple is reclassified from the four columns it changes,
+    and the candidate index, built from the pairing graph's one decode, is
+    advanced by each step's trade of eight edges.  The output is
     *approximately* uniform over the 4-cycle-free graphs: the switching walk
     is a generator here, not an exactly-uniform sampler, and the residual
     bias is not quantified.  Step counts and the 4-cycle-count trajectory
@@ -173,22 +187,27 @@ def sample_no4cycle(
     pairing_rejections = 0
     bplus_rejections = 0
     restarts = 0
+    pairings = _pairing_samples(ds, rng, max_retries)
     while True:
-        res = pairing_sample(ds, rng, max_retries=max_retries)
+        res = next(pairings)
         pairing_rejections += res.rejections
         graph = res.graph
-        cls = classify(graph, ds)
+        # a pairing graph conforms by construction; the candidate index
+        # reuses the one decode that classifies it
+        nbrs = _neighbour_lists(ds.n, graph.cols)
+        cls = _classification(ds.n, graph.cols, ds.four_cycle_cap, _cycles_of_rows(nbrs))
         if not cls.in_bplus:
             bplus_rejections += 1
             if bplus_rejections > max_retries:
                 raise RetryLimitExceeded("no well-behaved pairing sample found")
             continue
         trajectory = [cls.d]
+        candidates = _CandidateIndex(graph, cls, nbrs) if cls.d else None
         while cls.d > 0:
             if steps >= max_steps:
                 raise StepLimit(f"step budget {max_steps} exhausted")
             steps += 1
-            step = _forward_step(graph, cls, ds, rng)
+            step = _forward_step(graph, cls, ds, rng, candidates)
             if step is None:
                 break
             graph, cls = step

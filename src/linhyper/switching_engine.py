@@ -5,11 +5,14 @@ on the left; f1, f2, g1, g2 on the right) and trades eight edges.  A forward
 switch removes u1-f1, u2-f2, w1-g1 and w2-g2 and adds u1-g1, u2-g2, w1-f1 and
 w2-f2; u1-f2 and u2-f1 stay.  It dissolves the 4-cycle on {u1,u2} x {f1,f2},
 and the reverse switch, the same trade the other way, creates it.  Legality
-of a switch is *defined* by reclassifying the rewired graph: a legal switch
-from a well-behaved graph with d 4-cycles must land on a well-behaved graph
-with d-1 (forward) or d+1 (reverse).  The named illegality conditions are
-necessary conditions only and are reported as explanations, never trusted as
-a characterization.
+of a switch is *defined* by the rewired graph's classification: a legal
+switch from a well-behaved graph with d 4-cycles must land on a
+well-behaved graph with d-1 (forward) or d+1 (reverse).  That
+classification is ``classify``'s, computed from the four columns the switch
+changes (``_reclassified``): the old 4-cycles off them are kept and the
+ones through them are read off row intersections.  The named illegality
+conditions are necessary conditions only and are reported as explanations,
+never trusted as a characterization.
 
 Condition II uses the j-indexed distances dist(u_j, g_j), dist(w_j, f_j); the
 symmetric variant with u_1 throughout is not what is implemented.
@@ -20,13 +23,13 @@ and the Monte Carlo girth estimate, live in ``sampler``.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, combinations, islice
 from operator import attrgetter
 
-from .bigraph_core import BipartiteGraph, Classification, _bits, classify
+from .bigraph_core import (BipartiteGraph, Classification, _bits, _classification,
+                           _neighbour_lists, classify)
 from .degree_model import DegreeSequence
 from .errors import (
     InvalidArgument,
@@ -148,22 +151,81 @@ def _forward_tuples(graph: BipartiteGraph, cycles):
 
 
 class _CandidateIndex:
-    """The tuples of ``forward_candidates`` as a counted, indexed view over
-    the per-pair edges E of ``_free_edges``.  An edge (w1, g1) has
-    |E| - deg(w1) - deg(g1) + 1 partners in E sharing neither end;
-    ``index[i]`` bisects prefix sums of these counts."""
+    """The tuples of ``forward_candidates`` as a counted, indexed view that a
+    walk carries from step to step.
 
-    def __init__(self, graph: BipartiteGraph, cls: Classification):
+    E holds the free edges w-g (g on no 4-cycle) by w then g; a cycle on the
+    left pair p = {a, b} pairs those of E_p, with w off p (``_free_edges``).
+    With F(w) the free edges at w and N = |E_p|, an edge (w1, g1) of E_p has
+    N + 1 - F(w1) - (r - |g1 & p|) partners sharing neither end, so p holds
+    T_p = N(N+1) - sum_{w off p} F(w)^2 - sum_{free g} (r - |g & p|)^2 of
+    them.  ``index[i]`` bisects the prefix sums of the partner counts, built
+    only for a pair an index lands in."""
+
+    def __init__(self, graph: BipartiteGraph, cls: Classification, nbrs=None):
+        """``nbrs``, the graph's ``_neighbour_lists`` if at hand, spares a
+        second decode; the rows decoded here are set on the graph."""
         if cls.d == 0:
             raise NoFourCycle("graph has no 4-cycle to dissolve")
-        self.cycles = cls.four_cycles
-        self.pairs = {}
-        for pair, edges in _free_edges(graph, self.cycles).items():
-            dw, dg = Counter(w for w, _ in edges), Counter(g for _, g in edges)
-            self.pairs[pair] = edges, list(accumulate(
-                (len(edges) - dw[w] - dg[g] + 1 for w, g in edges), initial=0))
+        self.graph, self.cycles, self.r = graph, cls.four_cycles, graph.cols[0].bit_count()
+        free = (1 << graph.n_right) - 1  # the columns on no 4-cycle
+        for i in (i for c in self.cycles for i in c.right_pair):
+            free &= ~(1 << i)
+        rows, self.edges = [], []
+        for w, nbr in enumerate(nbrs or _neighbour_lists(graph.n_left, graph.cols)):
+            row = 0
+            for g in nbr:
+                row |= 1 << g
+                if free >> g & 1:
+                    self.edges.append((w, g))
+            rows.append(row)
+        graph.rows = tuple(rows)
+        self.free_deg = [(row & free).bit_count() for row in rows]
+        self.squares = sum(f * f for f in self.free_deg)
+        self._count()
+
+    def _count(self) -> None:
+        """Each cycle's first index, from the T_p.  No free column holds both
+        a and b, so sum_{free g} (r - |g & p|)^2 = r|E| - (2r-1)(F(a)+F(b))."""
+        r, n_free, deg, totals = self.r, len(self.edges), self.free_deg, {}
+        for a, b in (c.left_pair for c in self.cycles):
+            n = n_free - deg[a] - deg[b]
+            totals[a, b] = (n * (n + 1) - self.squares + deg[a] ** 2 + deg[b] ** 2
+                            - r * n_free + (2 * r - 1) * (deg[a] + deg[b]))
         self.starts = list(accumulate(
-            (4 * self.pairs[c.left_pair][1][-1] for c in self.cycles), initial=0))
+            (4 * totals[c.left_pair] for c in self.cycles), initial=0))
+        self.pairs = {}
+
+    def _pair(self, pair):
+        """(E_p, the prefix sums of its partner counts), built on first use:
+        E less the runs of a's and b's edges, and |g & p| is 1 exactly when
+        g is in the row of a or of b."""
+        if pair not in self.pairs:
+            (a, b), edges, deg = pair, self.edges, self.free_deg
+            ia, ib = bisect_left(edges, (a,)), bisect_left(edges, (b,))
+            edges = edges[:ia] + edges[ia + deg[a]:ib] + edges[ib + deg[b]:]
+            base, on_p = len(edges) + 1 - self.r, self.graph.rows[a] | self.graph.rows[b]
+            self.pairs[pair] = edges, list(accumulate(
+                [base - deg[w] + (on_p >> g & 1) for w, g in edges], initial=0))
+        return self.pairs[pair]
+
+    def advance(self, t: SwitchTuple, switched: BipartiteGraph, after: Classification) -> None:
+        """Move to ``switched``, reached by the legal forward switch ``t`` and
+        classified by ``after``.  From a well-behaved graph, where no right
+        vertex is on two 4-cycles, such a step keeps every 4-cycle but the
+        dissolved one, so f1 and f2 join the free columns and E trades w1g1
+        and w2g2 for u1g1, u2g2 and the edges of f1 and f2."""
+        new = [(t.u1, t.g1), (t.u2, t.g2)]
+        new += [(w, f) for f in (t.f1, t.f2) for w in _bits(switched.cols[f])]
+        for e in (t.w1, t.g1), (t.w2, t.g2):
+            del self.edges[bisect_left(self.edges, e)]
+        for e in new:
+            insort(self.edges, e)
+        for w, step in [(t.w1, -1), (t.w2, -1)] + [(w, 1) for w, _ in new]:
+            self.squares += step * (2 * self.free_deg[w] + step)
+            self.free_deg[w] += step
+        self.graph, self.cycles = switched, after.four_cycles
+        self._count()
 
     def __len__(self) -> int:
         return self.starts[-1]
@@ -172,7 +234,7 @@ class _CandidateIndex:
         if not 0 <= i < len(self):
             raise IndexError(i)
         c = bisect_right(self.starts, i) - 1
-        edges, cum = self.pairs[self.cycles[c].left_pair]
+        edges, cum = self._pair(self.cycles[c].left_pair)
         block, i = divmod(i - self.starts[c], cum[-1])
         e = bisect_right(cum, i) - 1
         w1, g1 = edges[e]
@@ -244,9 +306,28 @@ def reverse_conditions(graph: BipartiteGraph, t: SwitchTuple) -> frozenset[str]:
 
 def _reclassified(graph, cls, ds, t, apply, step):
     """(switched graph, its classification, legal): a switch is legal when it
-    lands on a well-behaved graph with ``step`` more 4-cycles than ``cls``."""
+    lands on a well-behaved graph with ``step`` more 4-cycles than ``cls``,
+    the classification of ``graph``.  The switch changes the columns f1, f2,
+    g1, g2 and the rows of u1, u2, w1, w2 (set on the switched graph), so
+    its 4-cycles are those of ``cls`` off the four columns plus those read
+    off the rows two left vertices of a changed column share."""
     switched = apply(graph, t)
-    after = classify(switched, ds)
+    rows = list(graph.rows)
+    for j, f, g in ((t.u1, t.f1, t.g1), (t.w1, t.f1, t.g1),
+                    (t.u2, t.f2, t.g2), (t.w2, t.f2, t.g2)):
+        rows[j] ^= 1 << f | 1 << g
+    switched.rows = rows = tuple(rows)
+    changed, cols = (t.f1, t.f2, t.g1, t.g2), switched.cols
+    cycles = [c.left_pair + c.right_pair for c in cls.four_cycles
+              if c.right_pair[0] not in changed and c.right_pair[1] not in changed]
+    for i in changed:
+        for a, b in combinations(_bits(cols[i]), 2):
+            shared = rows[a] & rows[b] & ~(1 << i)
+            for j in _bits(shared) if shared else ():
+                if j not in changed or j > i:  # a pair of changed columns once
+                    cycles.append((a, b) + ((i, j) if i < j else (j, i)))
+    cycles.sort()
+    after = _classification(graph.n_left, cols, ds.four_cycle_cap, cycles)
     return switched, after, after.in_bplus and after.d == cls.d + step
 
 

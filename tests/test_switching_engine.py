@@ -31,8 +31,15 @@ from linhyper.errors import (
     PreconditionFailed,
     RetryLimitExceeded,
 )
+from linhyper import sampler
+from linhyper.exact_oracle import DEFAULT_MAX_SPACE, _first_switchable
 from linhyper.sampler import _forward_step, _uniform_order
-from linhyper.switching_engine import _reclassified
+from linhyper.switching_engine import (
+    _CandidateIndex,
+    _forward_tuples,
+    _free_edges,
+    _reclassified,
+)
 
 from support import all_pairs_distances
 
@@ -525,6 +532,142 @@ def test_candidate_index_empty_and_no_cycle(demo_graph, demo_ds):
     ds = new_degree_sequence((1,) * 6, 3)
     with pytest.raises(NoFourCycle):
         _CandidateIndex(g, classify(g, ds))
+
+
+WALK_FAMILIES = {
+    "3^30": (3, (3,) * 30),
+    "2^90": (3, (2,) * 90),
+    "mixed-r3": (3, (3, 3, 2, 2, 1, 1, 0, 2, 3, 2, 3, 3, 3, 2, 0, 4, 1,
+                     2, 2, 2, 1, 2, 3, 3, 3, 1, 2, 3, 2, 2, 1, 4, 2, 2)),
+    "r4": (4, (2,) * 16 + (4,) * 4),
+}
+CLASSIFICATION_FIELDS = ("four_cycles", "d", "in_b0", "in_bplus", "failed_properties")
+
+
+def _assert_reclassified(graph, cls, ds, t, apply, step):
+    """``_reclassified`` against ``classify`` of the switched graph, field
+    by field, and the rows it sets against the switched columns'."""
+    switched, after, legal = _reclassified(graph, cls, ds, t, apply, step)
+    assert switched == apply(graph, t)
+    assert switched.rows == BipartiteGraph(switched.n_left, switched.n_right, switched.cols).rows
+    want = classify(switched, ds)
+    for field in CLASSIFICATION_FIELDS:
+        assert getattr(after, field) == getattr(want, field), (field, graph.cols, t)
+    assert legal == (want.in_bplus and want.d == cls.d + step)
+    return switched, after, legal
+
+
+@pytest.mark.parametrize("family", WALK_FAMILIES)
+def test_reclassified_matches_classify_on_every_tried_tuple(family, monkeypatch):
+    # every tuple seeded walks try, not-a-switching and illegal landings
+    # included, is reclassified from its changed columns as classify would
+    r, k = WALK_FAMILIES[family]
+    ds = new_degree_sequence(k, r)
+    tried = Counter()
+
+    def checked(graph, cls, ds, t, apply, step):
+        try:
+            out = _assert_reclassified(graph, cls, ds, t, apply, step)
+        except NotASwitching:
+            tried["not a switching"] += 1
+            raise
+        tried["legal" if out[2] else "illegal"] += 1
+        return out
+
+    monkeypatch.setattr(sampler, "_reclassified", checked)
+    for seed in range(6):
+        sample_no4cycle(ds, np.random.default_rng(seed))
+    assert tried["legal"] >= 5 and tried["illegal"] >= 1, tried
+
+
+def test_reverse_reclassification_on_spot_check_graphs():
+    # verify's spot-check graphs, switched forward by every tuple that
+    # applies and back again: the reverse classification is classify's, and
+    # check_reverse's verdict follows it
+    checked = 0
+    for r in (3, 4):
+        for ds in canonical_battery(rs=(r,)):
+            for cols in _first_switchable(ds, 10, DEFAULT_MAX_SPACE):
+                graph = BipartiteGraph(ds.n, ds.edge_count(), cols)
+                for t in _forward_tuples(graph, graph.four_cycles()):
+                    try:
+                        switched = apply_forward(graph, t)
+                    except NotASwitching:
+                        continue
+                    cls = classify(switched, ds)
+                    back, after, legal = _assert_reclassified(
+                        switched, cls, ds, t, apply_reverse, +1)
+                    assert back == graph
+                    if cls.in_bplus:
+                        assert check_reverse(switched, t).legal == legal
+                    checked += 1
+    assert checked >= 90
+
+
+def _assert_same_index(carried, graph, cls, rng):
+    fresh = _CandidateIndex(graph, cls)
+    size = len(fresh)
+    assert len(carried) == size
+    for pair, edges in _free_edges(graph, cls.four_cycles).items():
+        assert carried._pair(pair)[0] == fresh._pair(pair)[0] == edges
+    picks = range(size) if size <= 2000 else rng.integers(0, size, 2000).tolist()
+    for i in picks:
+        assert carried[i] == fresh[i], (graph.cols, i)
+
+
+def test_carried_index_matches_a_fresh_one_after_every_step():
+    # the index a walk advances equals the one built afresh on each graph
+    # it reaches: size, per-pair free edges (those of _free_edges) and tuples
+    steps = Counter()
+    for family, (r, k) in WALK_FAMILIES.items():
+        ds = new_degree_sequence(k, r)
+        rng, picks = np.random.default_rng(len(k)), np.random.default_rng(r)
+        while steps[family] < 25:
+            graph = pairing_sample(ds, rng).graph
+            cls = classify(graph, ds)
+            if not cls.in_bplus or cls.d == 0:
+                continue
+            index = _CandidateIndex(graph, cls)
+            _assert_same_index(index, graph, cls, picks)
+            while cls.d > 0:
+                step = _forward_step(graph, cls, ds, rng, index)
+                if step is None:
+                    break
+                graph, cls = step
+                steps[family] += 1
+                if cls.d:
+                    _assert_same_index(index, graph, cls, picks)
+                else:
+                    assert len(index) == 0
+    assert sum(steps.values()) >= 100
+
+
+def test_sample_no4cycle_pinned_through_rejections_and_restarts(monkeypatch):
+    # recorded before the pairing draws shared one kernel: repeated edges,
+    # pairings outside the well-behaved graphs and a stuck walk all leave
+    # the random stream as it was
+    kernels = []
+
+    class Counted(sampler._PairingKernel):
+        def __init__(self, ds):
+            kernels.append(ds)
+            super().__init__(ds)
+
+    monkeypatch.setattr(sampler, "_PairingKernel", Counted)
+    for r, k, seed, want, digest in [
+        (4, (2,) * 16 + (4,) * 4, 100, (5, (4, 3, 2, 1, 0), 1130, 94, 1),
+         "cab781549e813da4f4158b1d8ca7fedbc39b569320a9471a6ab2b2e62c380420"),
+        (3, (2,) * 90, 82, (2, (2, 1, 0), 1, 1, 0),
+         "ed5fdf68fe4168fca8addeb77d05a8df83d55b98b1b4fd7c4f244bd9423cf015"),
+        (3, (3,) * 30, 3, (4, (4, 3, 2, 1, 0), 42, 2, 0),
+         "d552c7d1d8f9cb215573e21a94573c2be8d030b602ada888e143954044921baf"),
+    ]:
+        kernels.clear()
+        res = sample_no4cycle(new_degree_sequence(k, r), np.random.default_rng(seed))
+        assert (res.steps, res.d_trajectory, res.pairing_rejections,
+                res.bplus_rejections, res.restarts) == want
+        assert hashlib.sha256(repr(sorted(res.graph.edges())).encode()).hexdigest() == digest
+        assert len(kernels) == 1
 
 
 @pytest.mark.parametrize("k, seed, steps, trajectory, digest", [
