@@ -18,7 +18,9 @@ def _executor(max_workers: int):
 def map_tasks(fn, tasks, workers: int) -> list:
     """``[fn(task) for task in tasks]`` on min(workers, tasks, CPU count)
     processes, in-process when that is 1 (or the CPU count is unknown)."""
-    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    pool_size = min(workers, len(tasks))
+    if pool_size > 1:  # only then can a pool start, so only then is the CPU count read
+        pool_size = min(pool_size, os.cpu_count() or 1)
     if pool_size <= 1:
         return [fn(task) for task in tasks]
     with _executor(pool_size) as pool:

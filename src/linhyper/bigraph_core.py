@@ -107,6 +107,15 @@ class BipartiteGraph:
         self.cols = cols
 
     @classmethod
+    def _unchecked(cls, n_left: int, n_right: int, cols: tuple[int, ...]) -> "BipartiteGraph":
+        """The graph on ``cols``, a tuple of ``n_right`` ints each already
+        known to be a mask of left vertices below ``n_left``: the checks of
+        ``__init__`` are skipped."""
+        graph = cls.__new__(cls)
+        graph.n_left, graph.n_right, graph.cols = n_left, n_right, cols
+        return graph
+
+    @classmethod
     def from_edges(cls, n_left: int, n_right: int, edges) -> "BipartiteGraph":
         """Build from (left, right) index pairs (0-based); duplicates rejected."""
         cols = [0] * n_right
@@ -132,9 +141,10 @@ class BipartiteGraph:
         return bool(self.cols[i] >> j & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = [(j, i) for i, c in enumerate(self.cols) for j in _bits(c)]
-        out.sort()
-        return out
+        """All (left, right) edges in ascending order: row by row, each row
+        ascending, as ``_neighbour_lists`` gives them."""
+        return [(j, i) for j, nbrs in enumerate(_neighbour_lists(self.n_left, self.cols))
+                for i in nbrs]
 
     def left_degrees(self) -> tuple[int, ...]:
         return tuple(r.bit_count() for r in self.rows)
@@ -257,7 +267,8 @@ class BipartiteGraph:
         return hash((self.n_left, self.cols))
 
     def __repr__(self) -> str:
-        return f"BipartiteGraph({self.n_left}x{self.n_right}, {len(self.edges())} edges)"
+        edges = sum(map(int.bit_count, self.cols))
+        return f"BipartiteGraph({self.n_left}x{self.n_right}, {edges} edges)"
 
 
 class Hypergraph:

@@ -9,6 +9,13 @@ seed and worker count reproduces the report byte for byte.
 Only ``sample`` and ``girth`` import ``sampler`` and with it numpy, and the
 process pool is imported only when ``--workers`` starts one, so the other
 commands start without either.
+
+JSON reports are written by ``_json_text``, whose text is byte for byte that
+of ``json.dumps(obj, indent=2, allow_nan=False)``.  It writes the exact types
+the commands emit itself and joins a list of ints, or of [int, int] pairs
+(a sampled graph's edges), in one step instead of one encoder call per leaf,
+so a ``sample`` report costs a fraction of the walk that drew it.  Any other
+object, and every error, is left to ``json.dumps``.
 """
 from __future__ import annotations
 
@@ -20,6 +27,9 @@ import json
 import secrets
 import sys
 import traceback
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .asymptotics import (
     estimate_bigraph,
@@ -114,8 +124,70 @@ def _resolve_ds(args) -> DegreeSequence:
     raise InputError("provide a degree sequence with -r/-k or --input")
 
 
+class _Unwritten(Exception):
+    """Raised by ``_text`` at a value it does not write itself."""
+
+
+def _text(obj, nl: str) -> str:
+    """The text ``json.dumps(obj, indent=2)`` gives ``obj`` at the level
+    whose newline and indent is ``nl``.  Only the exact types the commands
+    emit are written: dict with str keys, list, str, int, finite float,
+    True, False and None.  At anything else (a subclass, a tuple, a non-str
+    key, NaN or ±inf) it raises _Unwritten.
+
+    A list of ints, or of [int, int] pairs (a graph's edges), is joined
+    with one indent string or template, not written leaf by leaf."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and isfinite(obj):
+        return float.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is not list and kind is not dict:
+        raise _Unwritten
+    if not obj:
+        return "[]" if kind is list else "{}"
+    inner = nl + "  "
+    sep = "," + inner
+    if kind is dict:
+        if set(map(type, obj)) != {str}:
+            raise _Unwritten
+        items = sep.join([f"{encode_basestring_ascii(key)}: {_text(value, inner)}"
+                          for key, value in obj.items()])
+        return f"{{{inner}{items}{nl}}}"
+    kinds = set(map(type, obj))
+    pairs = kinds == {list} and set(map(len, obj)) == {2}
+    flat = tuple(chain.from_iterable(obj)) if pairs else ()
+    if kinds == {int}:
+        items = sep.join(map(int.__repr__, obj))
+    elif pairs and set(map(type, flat)) == {int}:
+        items = sep.join([f"[{inner}  %d,{inner}  %d{inner}]"] * len(obj)) % flat
+    else:
+        items = sep.join([_text(item, inner) for item in obj])
+    return f"[{inner}{items}{nl}]"
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte: written
+    by ``_text``, or else by ``json.dumps`` itself, which also raises its
+    errors.  ``_text`` leaves to it what it does not write, an int too long
+    to print (ValueError) and a container inside itself (RecursionError,
+    where json.dumps raises ValueError)."""
+    try:
+        return _text(obj, "\n")
+    except (_Unwritten, ValueError, RecursionError):
+        return json.dumps(obj, indent=2, allow_nan=False)
+
+
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, allow_nan=False))
+    print(_json_text(obj))
 
 
 def _cell(v) -> str:

@@ -102,8 +102,15 @@ def _trade(graph: BipartiteGraph, t: SwitchTuple, remove, add) -> BipartiteGraph
     for e in add:
         if graph.has_edge(*_ENDS[e](t)):
             raise NotASwitching(f"edge {e} to be created already present")
-    return graph.replace_edges(remove=[_ENDS[e](t) for e in remove],
-                               add=[_ENDS[e](t) for e in add])
+    # Every end of an added edge is also an end of a kept or removed edge just
+    # found present, so every traded column is in range, and the eight edges
+    # are distinct, so flipping their bits removes and adds them: the checks
+    # of replace_edges and of BipartiteGraph.__init__ would only repeat these.
+    cols = list(graph.cols)
+    for e in remove + add:
+        j, i = _ENDS[e](t)
+        cols[i] ^= 1 << j
+    return BipartiteGraph._unchecked(graph.n_left, graph.n_right, tuple(cols))
 
 
 def apply_forward(graph: BipartiteGraph, t: SwitchTuple) -> BipartiteGraph:

@@ -32,6 +32,22 @@ def test_degrees_and_edges(demo_graph):
     assert (1, 0) in demo_graph.edges() and len(demo_graph.edges()) == 12
 
 
+def test_edges_are_the_sorted_bits_of_the_columns(demo_graph):
+    # edges() and the 1-based edge list of to_json_dict, against every bit of
+    # every column sorted; repr counts the same edges
+    rng = random.Random(25)
+    graphs = [demo_graph, BipartiteGraph(3, 0, []), BipartiteGraph(0, 2, [0, 0])]
+    for _ in range(30):
+        n, m = rng.randrange(1, 70), rng.randrange(0, 40)
+        graphs.append(BipartiteGraph(n, m, [rng.getrandbits(n) for _ in range(m)]))
+    for g in graphs:
+        want = sorted((j, i) for i, c in enumerate(g.cols) for j in range(g.n_left)
+                      if c >> j & 1)
+        assert g.edges() == want
+        assert g.to_json_dict()["edges"] == [[j + 1, i + 1] for j, i in want]
+        assert repr(g) == f"BipartiteGraph({g.n_left}x{g.n_right}, {len(want)} edges)"
+
+
 def test_to_hypergraph(demo_graph):
     hg = to_hypergraph(demo_graph, 3)
     assert hg.edges == ((0, 1, 2), (0, 1, 3), (1, 4, 5), (3, 4, 5))

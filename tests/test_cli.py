@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linhyper import cli, exact_oracle, switching_engine
 from linhyper.bigraph_core import BipartiteGraph, classify
@@ -368,6 +369,21 @@ def test_verify_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("k, seed, digest", [
+    ("3^30", 3, "267cb4dc5639f53ce17b8cf571450ce9ce8471353aabc560ca9aaa8090325f9f"),
+    ("2^90", 3, "9492beebfca3400572f876e672f8d85fb8023fd736fda4de59b0b6eb19681499"),
+    ("3^30", 17, "b852e75ac59213d3d42821ef56060ca89cd9d14f153b3db56f8ed3446c9df37d"),
+    ("2^90", 17, "743c0ab0a4174e21f034efbe46c52656653e5f8e5595442e6eb7307ffeb8401f"),
+], ids=["3^30-s3", "2^90-s3", "3^30-s17", "2^90-s17"])
+def test_sample_stdout_pinned(capsys, k, seed, digest):
+    # byte for byte: the walk's draws, the graph's edge order and the text
+    degree, count = k.split("^")
+    code, out, _ = run_cli(capsys, "sample", "-r", "3", "-k", ",".join([degree] * int(count)),
+                           "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_spot_checks_only_switchable_instances(monkeypatch, capsys):
     # verify sweeps for spot-check graphs only where |B+| > |C0|, that is
     # where some well-behaved graph has a 4-cycle
@@ -515,3 +531,86 @@ def test_csv_cells_pinned(capsys):
                    "0.32,0.129298216491,50,0.367879441171,11\r\n")
     _, out, _ = run_cli(capsys, "estimate", "-r", "3", "-k", "1,1,1", "--format", "csv")
     assert out.split("\r\n")[4] == "girth6,0,1,108"
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "-r", "3", "-k", "2,2,2,2,2,2"),
+    ("estimate", "-r", "3", "-k", "1,1,1,1,1,1"),
+    ("estimate", "-r", "3", "-k", ",".join(["2"] * 3000)),
+    ("classify",),
+    ("sample", "-r", "3", "-k", ",".join(["2"] * 90), "--seed", "5"),
+    ("girth", "-r", "3", "-k", "2,2,2,2,2,2", "--seed", "11", "--trials", "50"),
+    ("verify", "--max-space", "9", "--ratio-check"),
+], ids=["exact", "estimate", "estimate-null", "classify", "sample", "girth", "verify"])
+def test_every_json_output_is_json_dumps(monkeypatch, capsys, tmp_path, demo_graph, argv):
+    # each command's stdout, written by the writer and by json.dumps
+    if argv == ("classify",):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(demo_graph.to_json_dict()))
+        argv += ("--input", str(path))
+    code, out, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_emit_json", lambda obj: print(_dumps(obj)))
+    assert run_cli(capsys, *argv) == (code, out, "") and code == 0
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], {"a": {}}, {"a": []}, [[]], [{}], [[], {}, [[]]], {"a": {"b": {}}},
+    "", "héllo ☃ \U0001f600", "\x00\x1f\x7f\"\\/\n\t", {"é\n": "\u2028"},
+    -0.0, 1e300, 1e-300, 5e-324, 0.1, 1e16, 10 ** 400, -(10 ** 400), [10 ** 400, 1],
+    [True, 1], [[1, True]], [[1, 2, 3]], [[1, 2], [3]], [[1, 2], [3, 4.0]], [[1, 2], (3, 4)],
+    [1, 2.0], [1, None], [[-1, 0], [2, 10 ** 30]], [3, -3, 0],
+    (1, 2), {"a": (1, [2])}, {1: "a"}, {"a": 1, 2: "b"}, {True: 1}, {None: 1},
+    None, True, False, 0, "x", 1.5,
+], ids=repr)
+def test_json_writer_edge_cases(obj):
+    assert cli._json_text(obj) == _dumps(obj)
+
+
+def test_json_writer_falls_back_on_subclasses():
+    import enum
+
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    class Text(str):
+        pass
+
+    class Ratio(float):
+        def __repr__(self):
+            return "Ratio"
+
+    for obj in ([Level.LOW, 2], [[Level.LOW, 2]], {Text("k"): Text("v")}, [Ratio(0.5)]):
+        assert cli._json_text(obj) == _dumps(obj)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner)
+    | st.lists(st.lists(st.integers(), min_size=2, max_size=2)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_dumps(obj):
+    assert cli._json_text(obj) == _dumps(obj)
+
+
+def test_json_writer_raises_what_dumps_raises():
+    loop = [1]
+    loop.append(loop)
+    for bad in (float("nan"), [1.0, float("inf")], {"a": [[-float("inf")]]}, loop):
+        with pytest.raises(ValueError) as info:
+            cli._json_text(bad)
+        with pytest.raises(ValueError) as want:
+            _dumps(bad)
+        assert str(info.value) == str(want.value)
+    for bad in ({"a": object()}, [{1, 2}], [[1, b"2"]]):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_text(bad)

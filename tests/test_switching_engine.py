@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from dataclasses import replace
 from itertools import islice, permutations
 
 import numpy as np
@@ -26,6 +27,7 @@ from linhyper import (
     sample_no4cycle,
 )
 from linhyper.errors import (
+    InvalidArgument,
     NoFourCycle,
     NotASwitching,
     PreconditionFailed,
@@ -130,6 +132,36 @@ def test_each_switch_precondition_names_its_edge(switch_graph, switch_tuple, rev
         broken, match = graph.replace_edges(remove=[], add=[edge]), f"{label} to be created"
     with pytest.raises(NotASwitching, match=match):
         apply(broken, switch_tuple)
+
+
+@pytest.mark.parametrize("change, forward, reverse", [
+    ({"g1": 4}, IndexError, IndexError),
+    ({"f1": 4}, IndexError, IndexError),
+    ({"g2": 9}, IndexError, "u1g1"),
+    ({"w1": 4}, "w1g1", "u1g1"),
+    ({"w2": 7}, "w2g2", "u1g1"),
+    ({"u1": 5}, "u1f2", "u1f2"),
+    ({"w1": -1}, ValueError, "u1g1"),
+    ({"g1": -1}, "w1g1", "u1g1"),
+    ({"g2": -1}, None, "u1g1"),
+])
+def test_out_of_range_tuples_fail_in_the_checks(switch_graph, switch_tuple, change,
+                                                forward, reverse):
+    # a tuple index past either side fails where the presence checks read it:
+    # IndexError reading a column, ValueError shifting by a negative left
+    # index, or NotASwitching naming the first edge found missing.  A negative
+    # right index reads a column from the end, as a tuple index does: g2=-1
+    # is g2=3 here, and the forward switch applies (None)
+    t = replace(switch_tuple, **change)
+    for apply, want in ((apply_forward, forward), (apply_reverse, reverse)):
+        if want is None:
+            assert apply(switch_graph, t) == apply(switch_graph, switch_tuple)
+        elif isinstance(want, str):
+            with pytest.raises(NotASwitching, match=f"^required edge {want} missing$"):
+                apply(switch_graph, t)
+        else:
+            with pytest.raises(want):
+                apply(switch_graph, t)
 
 
 def test_forward_candidates_empty_when_rights_all_on_cycles(demo_graph, demo_ds):
@@ -431,6 +463,19 @@ def test_girth_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
     assert sizes == [3, 3, 2]
 
 
+def test_pool_reads_the_cpu_count_only_when_a_pool_could_start(monkeypatch):
+    # one worker or at most one task runs in-process without asking
+    from linhyper import _pool
+
+    def unread():
+        raise AssertionError("the CPU count was read")
+
+    monkeypatch.setattr(_pool.os, "cpu_count", unread)
+    assert _pool.map_tasks(abs, [-1, -2], 1) == [1, 2]
+    assert _pool.map_tasks(abs, [-3], 4) == [3]
+    assert _pool.map_tasks(abs, [], 4) == []
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_pairing_kernel_matches_unique_count_and_graph_scan(r):
     # the stub-pair tests against a distinct-key count and the graph's own
@@ -542,6 +587,39 @@ WALK_FAMILIES = {
     "r4": (4, (2,) * 16 + (4,) * 4),
 }
 CLASSIFICATION_FIELDS = ("four_cycles", "d", "in_b0", "in_bplus", "failed_properties")
+
+
+@pytest.mark.parametrize("family", WALK_FAMILIES)
+def test_trade_builds_what_replace_edges_builds(family):
+    # random candidates of pairing draws with a 4-cycle, each that applies
+    # switched forward and back: the traded graph equals replace_edges' on
+    # the same eight edges, and its columns pass BipartiteGraph's checks
+    r, k = WALK_FAMILIES[family]
+    ds = new_degree_sequence(k, r)
+    rng = np.random.default_rng(2525 + r)
+    applied = 0
+    while applied < 60:
+        graph = pairing_sample(ds, rng).graph
+        cls = classify(graph, ds)
+        if cls.d == 0:
+            continue
+        index = _CandidateIndex(graph, cls)
+        for i in rng.integers(0, len(index), 20).tolist() if len(index) else ():
+            t = index[i]
+            removed = [(t.u1, t.f1), (t.u2, t.f2), (t.w1, t.g1), (t.w2, t.g2)]
+            added = [(t.u1, t.g1), (t.u2, t.g2), (t.w1, t.f1), (t.w2, t.f2)]
+            try:
+                switched = apply_forward(graph, t)
+            except NotASwitching:
+                with pytest.raises(InvalidArgument, match="already present"):
+                    graph.replace_edges(remove=removed, add=added)
+                continue
+            assert switched == graph.replace_edges(remove=removed, add=added)
+            assert BipartiteGraph(ds.n, ds.edge_count(), switched.cols) == switched
+            back = apply_reverse(switched, t)
+            assert back == switched.replace_edges(remove=added, add=removed) == graph
+            assert BipartiteGraph(ds.n, ds.edge_count(), back.cols) == back
+            applied += 1
 
 
 def _assert_reclassified(graph, cls, ds, t, apply, step):
