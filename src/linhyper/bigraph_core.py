@@ -94,7 +94,8 @@ class BipartiteGraph:
     """Labeled bipartite graph with bitmask columns."""
 
     def __init__(self, n_left: int, n_right: int, cols) -> None:
-        cols = tuple(int(c) for c in cols)
+        n_left, n_right = _as_int(n_left), _as_int(n_right)
+        cols = tuple(map(_as_int, cols))
         if len(cols) != n_right:
             raise InvalidArgument(f"expected {n_right} columns, got {len(cols)}")
         if n_left < 0 or n_right < 0:
@@ -280,6 +281,8 @@ class Hypergraph:
 
     def __init__(self, n: int, edges) -> None:
         self.n = _as_int(n)
+        if self.n < 0:
+            raise InvalidArgument(f"vertex count must be nonnegative, got {n}")
         self.edges = tuple(tuple(sorted(map(_as_int, e))) for e in edges)
         for e in self.edges:
             for v in e:

@@ -29,25 +29,25 @@ prefix inherit its failure, and leaves sharing a prefix share its
 ``_battery_from_cols``, which the verdict is tested against.
 
 Every sweep leaves out the zero-degree vertices (``_without_zeros``),
-which enter no column.  There are two root lists.  Counts invariant under
-relabeling equal-degree vertices (``full_report``, ``pattern_expectation``,
-``hyper_class_profile`` and ``enumerate_bigraphs`` without a visitor) root
-at one r-subset per orbit under those relabelings (``_orbit_roots``),
-weighted by the orbit's size prod C(|class|, t_class): on a single degree
-class, one root instead of C(n, r).  The roots are built from the takes
-t_class, not found by listing the C(n, r) subsets.  These callers go one
-level further (McKay 1998, "Isomorph-free exhaustive generation"): once
-the root R is fixed, every count is still invariant under R's stabiliser,
-which relabels the equal-degree vertices inside R among themselves and
-those outside it.  So where it is expected to reach fewer leaves
-(``_second_columns_pay``), the sweep fixes the second column to one
-representative per orbit of that stabiliser (``_second_columns``), weighted
-by the orbit's size, and sweeps the other m - 2 columns as a multiset.
-Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
-``_first_switchable``) root at every candidate in turn, merge the
-orderings of the multisets they keep (``_first_orderings``) and move each
-column back onto the vertices of k (``_placed``); that relabeling is
-monotone, so it keeps the order.
+which enter no column.  Roots are column masks, and there are two root
+lists.  Counts invariant under relabeling equal-degree vertices
+(``full_report``, ``pattern_expectation``, ``hyper_class_profile`` and
+``enumerate_bigraphs`` without a visitor) root at one r-subset per orbit
+under those relabelings (``_orbit_roots``), weighted by the orbit's size
+prod C(|class|, t_class): on a single degree class, one root instead of
+C(n, r).  These callers go one level further (McKay 1998, "Isomorph-free
+exhaustive generation"): once the root R is fixed, every count is still
+invariant under R's stabiliser, which relabels the equal-degree vertices
+inside R among themselves and those outside it.  So where it is expected
+to reach fewer leaves (``_second_columns_pay``), the sweep fixes the second
+column to one representative per orbit of that stabiliser, weighted by the
+orbit's size, and sweeps the other m - 2 columns as a multiset.  Both
+rooted columns come from one orbit lister, ``_orbit_columns``, which builds
+each orbit's first column from its takes per vertex group and lists no
+subset.  Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
+``_first_switchable``) share one helper, ``_labelled``: it roots at every
+candidate in turn, merges the orderings of the multisets it keeps
+(``_first_orderings``) and moves each column back onto the vertices of k.
 
 A labeled graph with distinct columns stands for one hypergraph per m!
 orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide either
@@ -74,7 +74,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, combinations, combinations_with_replacement, groupby, islice
+from itertools import accumulate, combinations, islice
 
 from ._pool import map_tasks
 from .asymptotics import mckay_upper_bound
@@ -156,73 +156,13 @@ def _subset_masks(n: int, r: int) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in combo) for combo in combinations(range(n), r))
 
 
-def _rank(combo, n: int) -> int:
-    """The index of the ascending subset ``combo`` in
-    combinations(range(n), len(combo)): the subsets before it agree with it
-    up to some position and hold a smaller vertex there."""
-    r = len(combo)
-    rank = 0
-    prev = -1
-    for i, c in enumerate(combo):
-        for v in range(prev + 1, c):
-            rank += math.comb(n - 1 - v, r - 1 - i)
-        prev = c
-    return rank
-
-
 def _without_zeros(ds: DegreeSequence) -> DegreeSequence:
     """``ds`` without its zero-degree vertices.  They enter no column, so no
     count depends on them and a sweep of ``ds``'s graphs is a sweep of this
-    instance's with its columns moved back (``_placed``), while a sweep over
+    instance's with its columns moved back (``_labelled``), while a sweep over
     ``ds`` would list all C(n, r) candidates, zero-degree vertices
     included."""
     return ds if 0 not in ds.k else DegreeSequence(r=ds.r, k=tuple(v for v in ds.k if v))
-
-
-def _placed(ds: DegreeSequence, masks: tuple[int, ...]) -> tuple[int, ...]:
-    """Columns of ``_without_zeros(ds)`` as columns of ``ds``: bit v moves to
-    the place of the v-th positive-degree vertex.  The relabeling is
-    monotone, so it keeps the candidate order."""
-    if 0 not in ds.k:
-        return masks
-    positive = [j for j, v in enumerate(ds.k) if v]
-    return tuple(sum(1 << positive[v] for v in _bits(mask)) for mask in masks)
-
-
-def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
-    """One first column per orbit of the r-subsets of positive-degree vertices
-    under permutations of equal-degree vertices, as (candidate index, orbit
-    size), in candidate order.
-
-    A subset's orbit is fixed by how many of its vertices lie in each degree
-    class, t_class, and holds prod C(|class|, t_class) subsets.  So the roots
-    come from the multisets of r class labels, a label's multiplicity being
-    its t_class, that take no more than |class| from any class, and no
-    subset is listed: an orbit's first candidate is the first t_class
-    vertices of each class, and its index is that subset's ``_rank``.  The
-    second column is rooted the same way, one level down, at the orbits of
-    each root's stabiliser (``_second_columns``), whose vertex groups are
-    each class's part inside the root and its part outside.
-    """
-    members: dict[int, list[int]] = {}
-    for j, v in enumerate(k):
-        if v > 0:
-            members.setdefault(v, []).append(j)
-    classes = list(members.values())
-    roots = []
-    # each multiset of r class labels is one tuple of takes
-    for labels in combinations_with_replacement(range(len(classes)), r):
-        first, size = [], 1
-        for c, run in groupby(labels):
-            take = len(list(run))
-            if take > len(classes[c]):
-                break
-            first += classes[c][:take]
-            size *= math.comb(len(classes[c]), take)
-        else:
-            roots.append((_rank(sorted(first), len(k)), size))
-    roots.sort()
-    return roots
 
 
 def _push_verdict(cols, mask: int, state, n2: int):
@@ -295,14 +235,17 @@ def _stabiliser_groups(classes, root: int, m: int) -> tuple[int, list[int]]:
     return forced, groups
 
 
-def _second_columns(forced: int, groups: list[int], r: int) -> list[tuple[int, int]]:
-    """One feasible second column per orbit of the stabiliser's vertex
-    groups (``_stabiliser_groups``), as (mask, orbit size).
+def _orbit_columns(forced: int, groups: list[int], r: int) -> list[tuple[int, int]]:
+    """One column per orbit of the r-subsets holding every ``forced``
+    vertex, under permutations within each of the vertex masks ``groups``,
+    as (mask, orbit size).
 
-    A feasible second column holds every forced vertex and t vertices of
-    each other group; its orbit is fixed by the takes t and holds
-    prod C(|group|, t) columns, the first of which takes the first t
-    vertices of each group.
+    Such a column holds the forced vertices and t vertices of each group;
+    its orbit is fixed by the takes t and holds prod C(|group|, t) columns,
+    the first of which, in candidate order, takes the first t vertices of
+    each group.  The first column's groups are the degree classes
+    (``_orbit_roots``), a root's second column's those of its stabiliser
+    (``_stabiliser_groups``).
     """
     # (column so far, orbit size, vertices still to take), one group at a time
     parts = [(forced, 1, r - forced.bit_count())]
@@ -314,8 +257,18 @@ def _second_columns(forced: int, groups: list[int], r: int) -> list[tuple[int, i
     return [(col, orbit) for col, orbit, left in parts if left == 0]
 
 
+def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
+    """One first column per orbit of the r-subsets of positive-degree vertices
+    under permutations of equal-degree vertices, as (column mask, orbit
+    size): the ``_orbit_columns`` whose groups are the degree classes, with
+    nothing forced.  An orbit is fixed by how many vertices it takes from
+    each class, so no subset is listed."""
+    classes = [sum(1 << j for j, v in enumerate(k) if v == d) for d in set(k) if d > 0]
+    return _orbit_columns(0, classes, r)
+
+
 def _second_columns_pay(forced: int, groups: list[int], m: int, r: int) -> bool:
-    """Whether sweeping from the ``_second_columns`` of a root's stabiliser
+    """Whether sweeping from the ``_orbit_columns`` of a root's stabiliser
     groups is expected to reach fewer leaves than sweeping from the root
     alone.
 
@@ -338,21 +291,21 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
     with its weight and its battery verdict.
 
     Candidates are the r-subsets of range(len(k)) in lexicographic order.
-    ``roots`` yields (candidate index, scale) pairs and is read lazily: the
+    ``roots`` yields (column mask, scale) pairs and is read lazily: the
     first column is fixed to each root in turn, and the other m - 1 come in
-    non-decreasing candidate order.  ``leaf(cols, weight, distinct, d)``
-    receives each multiset with its weight, the scale times the
-    (m - 1)!/prod(mult!) orderings of the columns after the root, whether its
-    columns are pairwise distinct, and its verdict: d, the number of
-    4-cycles, if it is well-behaved (distinct columns passing (i)-(v) with
-    the cap n2 = ``ds.four_cycle_cap``), else None.  With no column (m = 0)
-    the one leaf is the empty graph.
+    non-decreasing candidate order from the first candidate on.
+    ``leaf(cols, weight, distinct, d)`` receives each multiset with its
+    weight, the scale times the (m - 1)!/prod(mult!) orderings of the
+    columns after the root, whether its columns are pairwise distinct, and
+    its verdict: d, the number of 4-cycles, if it is well-behaved (distinct
+    columns passing (i)-(v) with the cap n2 = ``ds.four_cycle_cap``), else
+    None.  With no column (m = 0) the one leaf is the empty graph.
 
     With ``invariant``, the caller sums over the leaves a value invariant
     under relabeling equal-degree vertices, so only the weighted totals are
     kept, not the leaves or their order.  Then, with m >= 4, a root for
     which ``_second_columns_pay`` holds fixes the second column as well, to
-    each orbit of its stabiliser (``_second_columns``) in turn: the leaves
+    each orbit of its stabiliser (``_orbit_columns``) in turn: the leaves
     below it are the multisets of the other m - 2 columns, weighted by the
     scale, the orbit's size and their (m - 2)!/prod(mult!) orderings.  The
     other roots, and every root without ``invariant``, keep the
@@ -466,8 +419,7 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
         return  # a vertex would need more columns than there are
     level = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
     classes = [(d, c) for d, c in enumerate(level) if d and c]
-    for idx, orbit in roots:
-        mask = masks[idx]
+    for mask, orbit in roots:
         # feasible: it holds no vertex of degree 0 and every one of degree m
         if mask & level[0] or mask & level[m] != level[m]:
             continue
@@ -485,7 +437,7 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
             after = [a & ~mask | b & mask for a, b in zip(level, level[1:])]
             stabiliser = invariant and m >= 4 and _stabiliser_groups(classes, mask, m)
             if stabiliser and _second_columns_pay(*stabiliser, m, r):
-                for col, size in _second_columns(*stabiliser, r):
+                for col, size in _orbit_columns(*stabiliser, r):
                     scale, fixed = orbit * size * math.factorial(m - 2), (mask, col)
                     state = _push_verdict(cols, col, ((), 0), n2)
                     cols.append(col)
@@ -620,6 +572,49 @@ def _per_hypergraph(count: int, fact: int, what: str) -> int:
     return quotient
 
 
+# whether a multiset passes each filter, from the distinctness and verdict
+# ``_sweep`` gives it; for r >= 2 a repeated column or a failed property
+# means a 4-cycle
+_KEEPS = {ClassFilter.ALL: lambda distinct, d: True,
+          ClassFilter.B0: lambda distinct, d: distinct,
+          ClassFilter.BPLUS: lambda distinct, d: d is not None,
+          ClassFilter.NO_FOUR_CYCLE: lambda distinct, d: d == 0}
+
+
+def _labelled(ds: DegreeSequence, keep, limit: int | None = None):
+    """The columns of the labeled graphs conforming to ``ds`` whose
+    multiset passes ``keep(distinct, d)``, lazily and in lexicographic order
+    of their candidate indices; with ``limit``, only the first ``limit``.
+
+    The sweep roots at every candidate in turn; no kept property depends on
+    the order of the other columns, so the graphs wanted are the smallest
+    orderings of the kept rooted multisets.  No graph of a later root comes
+    before a graph of an earlier one, so the roots stop once the kept
+    multisets stand for ``limit`` graphs.  The sweep leaves out the
+    zero-degree vertices, and each column is moved back onto the vertices
+    of k; that relabeling is monotone, so it keeps the order.
+    """
+    swept = _without_zeros(ds)
+    masks = _subset_masks(swept.n, swept.r)
+    index = {mask: i for i, mask in enumerate(masks)}
+    kept: list[tuple[int, ...]] = []
+    graphs = 0
+
+    def leaf(cols, weight: int, distinct: bool, d) -> None:
+        nonlocal graphs
+        if keep(distinct, d):
+            kept.append(tuple(index[c] for c in cols))
+            graphs += weight
+
+    # read lazily: no root is yielded once ``limit`` graphs are kept
+    _sweep(swept, leaf, ((mask, 1) for mask in masks if limit is None or graphs < limit))
+    # bit v of a swept column is the v-th positive-degree vertex of ``ds``
+    positive = [j for j, v in enumerate(ds.k) if v]
+    columns = masks if swept is ds else [sum(1 << positive[v] for v in _bits(c)) for c in masks]
+    for t in _first_orderings(kept, limit):
+        yield [columns[i] for i in t]
+
+
 def enumerate_bigraphs(
     ds: DegreeSequence,
     visitor=None,
@@ -636,37 +631,25 @@ def enumerate_bigraphs(
     once and counted with its orderings, and the count sweeps from the
     first-column orbits.  ``visitor``, if given, is then called with each
     passing BipartiteGraph, in lexicographic order of its columns' candidate
-    indices: the sweep roots at every candidate in turn, and the graphs of a
-    root are its multisets' orderings, merged.
+    indices (``_labelled``), and the count is the number of visits.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
+    keep = _KEEPS[class_filter]
     count = 0
-    kept: list[tuple[int, ...]] = []
+    if visitor is not None:
+        for cols in _labelled(ds, keep):
+            visitor(BipartiteGraph(ds.n, m, cols))
+            count += 1
+        return count
 
     def leaf(cols, weight: int, distinct: bool, d) -> None:
         nonlocal count
-        if class_filter is ClassFilter.B0 and not distinct:
-            return
-        # for r >= 2 a repeated column or a failed property means a 4-cycle
-        if class_filter is ClassFilter.NO_FOUR_CYCLE and d != 0:
-            return
-        if class_filter is ClassFilter.BPLUS and d is None:
-            return
-        count += weight
-        if visitor is not None:
-            kept.append(tuple(index[c] for c in cols))
+        if keep(distinct, d):
+            count += weight
 
     swept = _without_zeros(ds)
-    if visitor is None:
-        _sweep(swept, leaf, _orbit_roots(swept.k, swept.r), invariant=True)
-        return count
-    masks = _subset_masks(swept.n, swept.r)
-    index = {mask: i for i, mask in enumerate(masks)}
-    _sweep(swept, leaf, [(idx, 1) for idx in range(len(masks))])
-    columns = _placed(ds, masks)
-    for t in _first_orderings(kept):
-        visitor(BipartiteGraph(ds.n, m, [columns[i] for i in t]))
+    _sweep(swept, leaf, _orbit_roots(swept.k, swept.r), invariant=True)
     return count
 
 
@@ -674,34 +657,10 @@ def _first_switchable(
     ds: DegreeSequence, limit: int, max_space: int = DEFAULT_MAX_SPACE
 ) -> list[list[int]]:
     """Columns of the first ``limit`` well-behaved graphs with a 4-cycle, in
-    the order ``enumerate_bigraphs`` visits labeled graphs.
-
-    That order is lexicographic in the candidate indices of the columns.
-    The sweep roots at every candidate in turn; conformity and the property
-    battery ignore the order of the other columns, so the labeled graphs
-    wanted are the ``limit`` smallest orderings of the qualifying rooted
-    multisets.  No graph of a later root comes before a graph of an earlier
-    one, so the roots stop once the kept multisets stand for ``limit``
-    graphs.
-    """
+    the order ``enumerate_bigraphs`` visits labeled graphs (``_labelled``)."""
     ds.edge_count()
     check_guard(ds, max_space)
-    swept = _without_zeros(ds)
-    masks = _subset_masks(swept.n, swept.r)
-    index = {mask: i for i, mask in enumerate(masks)}
-    found: list[tuple[int, ...]] = []
-    graphs = 0
-
-    def leaf(cols, weight: int, distinct: bool, d) -> None:
-        nonlocal graphs
-        if d:
-            found.append(tuple(index[c] for c in cols))
-            graphs += weight
-
-    # read lazily: no root is yielded once ``limit`` graphs are kept
-    _sweep(swept, leaf, ((idx, 1) for idx in range(len(masks)) if graphs < limit))
-    columns = _placed(ds, masks)
-    return [[columns[i] for i in t] for t in _first_orderings(found, limit)]
+    return list(_labelled(ds, lambda distinct, d: bool(d), limit))
 
 
 def hyper_class_profile(

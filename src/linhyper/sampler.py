@@ -125,7 +125,8 @@ def _pairing_samples(ds: DegreeSequence, rng, max_retries: int):
         cols = [0] * kernel.m
         for j, i in zip(owners, perm.tolist()):
             cols[i] |= 1 << j
-        yield PairingResult(BipartiteGraph(ds.n, kernel.m, cols), rejections)
+        # each owner is a left vertex below n and each slot a column
+        yield PairingResult(BipartiteGraph._unchecked(ds.n, kernel.m, tuple(cols)), rejections)
 
 
 def _uniform_order(n: int, rng):
@@ -140,16 +141,13 @@ def _uniform_order(n: int, rng):
         moved[j] = moved.pop(t, t)
 
 
-def _forward_step(graph: BipartiteGraph, cls, ds: DegreeSequence, rng, candidates=None):
+def _forward_step(graph: BipartiteGraph, cls, ds: DegreeSequence, rng, candidates):
     """One walk step: the first legal forward switch in a uniformly random
     order of the candidates (``_uniform_order``, one draw per tried
     candidate), as (graph, classification), or None if no candidate is
-    legal.  Only the tried tuples are decoded from the counted
-    ``_CandidateIndex`` of (graph, cls), ``candidates`` when given, which a
-    legal step advances to the switched graph; an empty index draws
-    nothing."""
-    if candidates is None:
-        candidates = _CandidateIndex(graph, cls)
+    legal.  Only the tried tuples are decoded from ``candidates``, the
+    counted ``_CandidateIndex`` of (graph, cls), which a legal step advances
+    to the switched graph; an empty index draws nothing."""
     for idx in _uniform_order(len(candidates), rng):
         t = candidates[idx]
         try:

@@ -763,5 +763,6 @@ def reference_multiset_sweep(k, r, m, leaf, roots) -> None:
             for j in _bits(mask):
                 residual[j] += 1
 
-    for idx, scale in roots:
-        rec(0, idx, idx + 1)
+    index = {mask: idx for idx, mask in enumerate(masks)}
+    for mask, scale in roots:
+        rec(0, index[mask], index[mask] + 1)

@@ -293,6 +293,31 @@ def test_hypergraph_rejects_non_integers_and_accepts_numpy_ints():
     assert type(hg.n) is int and all(type(v) is int for v in hg.edges[0])
 
 
+@pytest.mark.parametrize("args", [
+    (3, 1, [7.9]), (3, 1, [True]), (3, 1, ["1"]), (2.5, 1, [1]), (3, 1.0, [1]),
+    (True, 1, [1]),
+], ids=["float-column", "bool-column", "str-column", "float-n-left", "float-n-right",
+        "bool-n-left"])
+def test_graph_rejects_non_integers(args):
+    # int(7.9) would store column 7, and True would store column 1
+    with pytest.raises(InvalidArgument, match="expected an integer"):
+        BipartiteGraph(*args)
+
+
+def test_graph_accepts_numpy_ints():
+    graph = BipartiteGraph(np.int64(3), np.int64(2), np.array([3, 6], dtype=np.int64))
+    assert graph == BipartiteGraph(3, 2, [0b011, 0b110])
+    assert type(graph.n_left) is int and all(type(c) is int for c in graph.cols)
+
+
+def test_hypergraph_rejects_a_negative_vertex_count():
+    with pytest.raises(InvalidArgument, match="nonnegative"):
+        Hypergraph(-2, [])
+    with pytest.raises(InvalidArgument, match="nonnegative"):
+        Hypergraph.from_json_dict({"n": -2, "edges": []})
+    assert Hypergraph(0, []).degrees() == ()
+
+
 def test_hypergraph_equality_is_multiset():
     a = Hypergraph(4, [(0, 1, 2), (0, 1, 3)])
     b = Hypergraph(4, [(0, 1, 3), (0, 1, 2)])

@@ -281,7 +281,7 @@ def test_spot_check_lister_stops_rooting_at_its_limit(monkeypatch):
     monkeypatch.setattr(exact_oracle, "_sweep", counting)
     ds = new_degree_sequence((3, 3, 3, 2, 2, 2), 3)  # C(6, 3) = 20 candidates
     assert len(_first_switchable(ds, 10)) == 10
-    assert pulled == [(0, 1), (1, 1)]
+    assert pulled == [(0b000111, 1), (0b001011, 1)]
 
 
 def test_spot_check_skips_only_non_switchings(monkeypatch):

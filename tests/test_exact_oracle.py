@@ -237,7 +237,8 @@ def test_workers_deal_roots_round_robin(monkeypatch, pool_sizes):
 
 def test_orbit_roots_partition_the_first_columns():
     # the orbit of a first column under relabeling equal-degree vertices is
-    # fixed by its degree multiset; each root is its orbit's first candidate.
+    # fixed by its degree multiset; each root is its orbit's first candidate,
+    # as a column mask, in no set order.
     # Besides the gate instances: a vertex of degree 0 at every position,
     # r = 2..5 with n up to 9, and the desk instances (2^8 at r = 4, the 3
     # of 3.2^6 at each of its seven places at r = 3)
@@ -250,12 +251,12 @@ def test_orbit_roots_partition_the_first_columns():
     assert max(len(k) for k, _ in cases) == 9
     for k, r in cases:
         orbits = {}
-        for idx, combo in enumerate(combinations(range(len(k)), r)):
+        for combo in combinations(range(len(k)), r):
             degrees = tuple(sorted(k[j] for j in combo))
             if degrees[0] > 0:
-                orbits.setdefault(degrees, [idx, 0])[1] += 1
+                orbits.setdefault(degrees, [sum(1 << j for j in combo), 0])[1] += 1
         roots = _orbit_roots(k, r)
-        assert roots == [tuple(orbit) for orbit in orbits.values()], (k, r)
+        assert sorted(roots) == sorted(tuple(orbit) for orbit in orbits.values()), (k, r)
         n_pos = sum(1 for v in k if v > 0)
         assert sum(size for _, size in roots) == math.comb(n_pos, r), (k, r)
 
@@ -296,7 +297,7 @@ def test_second_columns_partition_the_feasible_second_columns():
                     orbits.setdefault(signature, [mask, 0])[1] += 1
             stabiliser = exact_oracle._stabiliser_groups(classes, sum(1 << j for j in root), m)
             assert stabiliser[0] == sum(1 << j for j in forced), (k, r, root)
-            got = exact_oracle._second_columns(*stabiliser, r)
+            got = exact_oracle._orbit_columns(*stabiliser, r)
             assert sorted(got) == sorted(tuple(orbit) for orbit in orbits.values()), (k, r, root)
             groups = Counter((k[j], j in root) for j, v in enumerate(residual)
                              if 0 < v < m - 1)
@@ -308,20 +309,12 @@ def test_second_columns_partition_the_feasible_second_columns():
     assert forced_seen and dropped_seen
 
 
-def test_rank_is_the_candidate_index():
-    for n in range(8):
-        for r in range(1, n + 1):
-            for idx, combo in enumerate(combinations(range(n), r)):
-                assert exact_oracle._rank(combo, n) == idx, (combo, n)
-
-
 @pytest.mark.parametrize("k, r", [((1, 1, 1, 0), 3), ((1, 0, 1), 2), ((0, 1, 1, 1, 1), 4)])
 def test_rooted_sweep_skips_infeasible_roots_at_one_column(k, r):
     # at m = 1 a root is the whole graph: only the candidate covering every
     # positive-degree vertex, once each, is a leaf
     leaves = []
-    masks = exact_oracle._subset_masks(len(k), r)
-    roots = [(idx, 1) for idx in range(len(masks))]
+    roots = [(mask, 1) for mask in exact_oracle._subset_masks(len(k), r)]
     exact_oracle._sweep(new_degree_sequence(k, r), lambda cols, w, distinct, d:
                         leaves.append((list(cols), w, distinct, d)), roots=roots)
     assert leaves == [([sum(1 << j for j, v in enumerate(k) if v)], 1, True, 0)]
@@ -340,7 +333,7 @@ def test_rooted_sweep_over_every_candidate_counts_b():
             nonlocal total
             total += weight
 
-        roots = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))]
+        roots = [(mask, 1) for mask in exact_oracle._subset_masks(ds.n, ds.r)]
         exact_oracle._sweep(ds, leaf, roots=roots)
         assert total == count_b_dp(ds), ds
 
@@ -398,7 +391,7 @@ def test_labeled_sweeps_skip_zero_degree_vertices(monkeypatch):
     assert enumerate_bigraphs(ds, seen.append) == 1
     assert seen == [BipartiteGraph(103, 1, [0b111])]
     assert _first_switchable(ds, 10) == []
-    assert read == [(0, 1), (0, 1)]
+    assert read == [(0b111, 1), (0b111, 1)]
 
 
 def test_no_column_instance_is_one_empty_leaf(monkeypatch):
@@ -733,7 +726,7 @@ def test_sweep_leaves_match_unbounded_sweep():
     deep = []
     for ds in instances:
         m = ds.edge_count()
-        every = [(idx, 1) for idx in range(math.comb(ds.n, ds.r))]
+        every = [(mask, 1) for mask in exact_oracle._subset_masks(ds.n, ds.r)]
         for roots in (_orbit_roots(ds.k, ds.r), every):
             got, want = [], []
             exact_oracle._sweep(
@@ -844,6 +837,6 @@ def test_sweep_verdict_on_hand_made_multisets(cols, r, n2, failed, verdict):
         exact_oracle._sweep(
             ds,
             lambda c, w, dist, d: leaves.setdefault(tuple(sorted(c)), (dist, d)),
-            [(idx, 1) for idx in range(math.comb(ds.n, r))],
+            [(mask, 1) for mask in exact_oracle._subset_masks(ds.n, r)],
         )
         assert leaves[tuple(sorted(cols))] == (distinct, verdict)

@@ -2,12 +2,15 @@
 used in that module (``__init__.py`` is exempt), and every private top-level
 name a library module defines is read somewhere in the library.  A name read
 only inside a quoted annotation counts as unused; the modules use ``from
-__future__ import annotations`` instead.  Also the lazy package: what a
-fresh interpreter loads, and that every export resolves."""
+__future__ import annotations`` instead.  Every private name the library's
+text or README.md quotes in double backticks is still defined.  Also the
+lazy package: what a fresh interpreter loads, and that every export
+resolves."""
 import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -19,6 +22,7 @@ import linhyper
 
 SOURCES = sorted(Path(linhyper.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+README = Path(linhyper.__file__).parents[2] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -106,6 +110,55 @@ def test_dead_private_check_sees_defs_and_reads():
 def test_no_dead_private_names():
     sources = {p.name: p.read_text() for p in SOURCES}
     assert dead_private_names(sources) == []
+
+
+def _defined_names(sources: dict[str, str]) -> set[str]:
+    """Every function, class, assignment target (a bare name or an
+    attribute) and argument that ``sources`` define, at any depth."""
+    names = set()
+    for text in sources.values():
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(n.name)
+            elif isinstance(n, ast.arg):
+                names.add(n.arg)
+            elif isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Store):
+                names.add(n.id if isinstance(n, ast.Name) else n.attr)
+    return names
+
+
+def stale_private_names(texts: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """Private names quoted in double backticks in ``texts`` (file name to
+    text) that ``sources`` do not define; a dotted name such as
+    ``module._name`` is checked by its last part."""
+    defined = _defined_names(sources)
+    return sorted(
+        f"{file}: {quoted}"
+        for file, text in texts.items()
+        for quoted in set(re.findall(r"``([A-Za-z_][\w.]*)``", text))
+        if quoted.rsplit(".", 1)[-1].startswith("_")
+        and quoted.rsplit(".", 1)[-1] not in defined
+    )
+
+
+def test_stale_private_check_sees_every_kind_of_definition():
+    sources = {"a.py": (
+        "_CAP = 2\nclass _Box: pass\n"
+        "def _walk(_depth):\n    self._seen = _CAP\n    for _i in range(3): pass\n"
+    )}
+    texts = {
+        "a.py": "``_CAP`` ``_Box`` ``_walk`` ``_depth`` ``mod._seen`` ``_i`` ``public`` "
+                "``_walk(n)`` ``_gone`` ``pkg._old`` ``_old.public``",
+        "README.md": "``_missing``, twice: ``_missing``",
+    }
+    assert stale_private_names(texts, sources) == [
+        "README.md: _missing", "a.py: _gone", "a.py: pkg._old",
+    ]
+
+
+def test_no_stale_private_names():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    assert stale_private_names({**sources, "README.md": README.read_text()}, sources) == []
 
 
 def test_fresh_imports_load_no_submodule_numpy_or_pool():

@@ -310,6 +310,22 @@ def test_pairing_sample_deterministic_and_conforming():
     assert a.graph.conforms(ds)
 
 
+def test_pairing_samples_skip_the_graph_checks(monkeypatch):
+    # a pairing's columns are in-range masks by construction, so its graph
+    # is built without ``BipartiteGraph.__init__`` and equals a checked one
+    ds = new_degree_sequence((3,) * 30, 3)
+    rng = np.random.default_rng(7)
+
+    def refused(*args):
+        raise AssertionError("BipartiteGraph.__init__ called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(BipartiteGraph, "__init__", refused)
+        graph = pairing_sample(ds, rng).graph
+    assert type(graph.cols) is tuple and graph.conforms(ds)
+    assert BipartiteGraph(graph.n_left, graph.n_right, graph.cols) == graph
+
+
 def test_pairing_sample_retry_limit():
     # a single column cannot host a degree-2 vertex twice: always rejected
     ds = new_degree_sequence((2, 1), 3)
@@ -333,7 +349,7 @@ def test_forward_step_on_an_empty_index_draws_nothing():
     assert cls.in_bplus and cls.d == 2
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    assert _forward_step(graph, cls, ds, rng) is None
+    assert _forward_step(graph, cls, ds, rng, _CandidateIndex(graph, cls)) is None
     assert rng.bit_generator.state == state
 
 
@@ -390,7 +406,9 @@ def test_forward_step_is_uniform_over_legal_switchings():
             tuples[switched] += 1
     assert sum(tuples.values()) == 16 and len(tuples) == 8
     draws = 2000
-    hits = Counter(_forward_step(graph, cls, ds, np.random.default_rng(seed))[0]
+    # a legal step advances its index, so each draw gets a fresh one
+    hits = Counter(_forward_step(graph, cls, ds, np.random.default_rng(seed),
+                                 _CandidateIndex(graph, cls))[0]
                    for seed in range(draws))
     assert set(hits) == set(tuples)
     expected = {g: draws * c / 16 for g, c in tuples.items()}
