@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .degree_model import DegreeSequence, _error_scale, _falling, _loop_exponent
+from .degree_model import DegreeSequence, _as_int, _error_scale, _falling, _loop_exponent
 from .errors import InvalidArgument, InvariantViolation, PreconditionFailed
 
 
@@ -121,10 +121,8 @@ def mckay_upper_bound(g_left, g_right, l_left, l_right) -> Fraction:
     E_g - Gamma >= E_l; otherwise the bound is not asserted and
     PreconditionFailed is raised.
     """
-    g_left = [int(v) for v in g_left]
-    g_right = [int(v) for v in g_right]
-    l_left = [int(v) for v in l_left]
-    l_right = [int(v) for v in l_right]
+    g_left, g_right, l_left, l_right = (
+        [_as_int(v) for v in side] for side in (g_left, g_right, l_left, l_right))
     if len(l_left) != len(g_left) or len(l_right) != len(g_right):
         raise InvalidArgument("subgraph degree vectors must match the host bipartition")
     e_g = sum(g_left)

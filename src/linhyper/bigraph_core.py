@@ -20,18 +20,18 @@ its hypergraph is then simple with exactly one double link per 4-cycle.  For
 r >= 3, (i) already forces distinct columns; for r = 2 two equal columns form
 one 4-cycle that passes all five.
 
+A 4-cycle has one record, ``FourCycle``, from the lister to every reader.
 Every whole-graph 4-cycle question (``four_cycles``, ``has_four_cycle``, the
-battery, the oracle's pattern counts) reads the one list ``_four_cycles``
-builds: the wedge buckets of ``_cycles_of_rows`` over the left neighbour
-lists of ``_neighbour_lists``.  ``classify`` runs the battery on a whole
-graph (``_battery_from_cols``), decoding its columns once: the same lists
-give the left degrees it checks and the 4-cycles.  ``_classification`` turns
-any sorted 4-cycle list into the verdict, so the switching walk, which
-finds a switched graph's 4-cycles from the columns the switch changes, gets
-the same ``Classification`` as ``classify``.
-The exhaustive oracle derives the same verdict column by column as its sweep
-pushes columns (``exact_oracle._push_verdict``), and is tested against
-``_battery_from_cols``.
+battery, the oracle's pattern counts) reads the one sorted list of them that
+``_four_cycles`` builds: the wedge buckets of ``_cycles_of_rows`` over the
+left neighbour lists of ``_neighbour_lists``.  ``_classification`` is the
+only verdict builder: it runs the battery on any sorted 4-cycle list.
+``classify`` decodes a whole graph's columns once (the same lists give the
+left degrees it checks and the 4-cycles) and hands them to it, and the
+switching walk, which finds a switched graph's 4-cycles from the columns the
+switch changes, gets its ``Classification`` from it too.  The exhaustive
+oracle derives the same verdict column by column as its sweep pushes columns
+(``exact_oracle._push_verdict``), and is tested against ``_classification``.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .degree_model import DegreeSequence, _as_int
 from .errors import InvalidArgument, LoopPresent, NonConforming, WrongRightDegree
@@ -53,10 +54,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class FourCycle:
+class FourCycle(NamedTuple):
     """An unordered copy of the complete 2x2 bipartite subgraph; ``left_pair``
-    and ``right_pair`` are ascending."""
+    and ``right_pair`` are ascending.  The one 4-cycle record: the lister
+    builds it and every reader takes it as it is.  As the tuple of its two
+    pairs it sorts as (j1, j2, i1, i2) does."""
 
     left_pair: tuple[int, int]
     right_pair: tuple[int, int]
@@ -119,8 +121,10 @@ class BipartiteGraph:
     @classmethod
     def from_edges(cls, n_left: int, n_right: int, edges) -> "BipartiteGraph":
         """Build from (left, right) index pairs (0-based); duplicates rejected."""
+        n_left, n_right = _as_int(n_left), _as_int(n_right)
         cols = [0] * n_right
         for j, i in edges:
+            j, i = _as_int(j), _as_int(i)
             if not (0 <= j < n_left and 0 <= i < n_right):
                 raise InvalidArgument(f"edge ({j},{i}) out of range")
             if cols[i] >> j & 1:
@@ -139,6 +143,8 @@ class BipartiteGraph:
         return tuple(rows)
 
     def has_edge(self, j: int, i: int) -> bool:
+        if not (0 <= j < self.n_left and 0 <= i < self.n_right):
+            raise InvalidArgument(f"edge ({j},{i}) out of range")
         return bool(self.cols[i] >> j & 1)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -178,7 +184,7 @@ class BipartiteGraph:
 
     def four_cycles(self) -> tuple[FourCycle, ...]:
         """All copies of the complete 2x2 subgraph, in lexicographic order."""
-        return _as_four_cycles(_four_cycles(self.n_left, self.cols))
+        return tuple(_four_cycles(self.n_left, self.cols))
 
     def has_four_cycle(self) -> bool:
         """True iff the 4-cycle list is non-empty; it is built in full,
@@ -255,7 +261,7 @@ class BipartiteGraph:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BipartiteGraph":
         edges = [(_as_int(j) - 1, _as_int(i) - 1) for j, i in obj["edges"]]
-        return cls.from_edges(_as_int(obj["n_left"]), _as_int(obj["n_right"]), edges)
+        return cls.from_edges(obj["n_left"], obj["n_right"], edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -361,9 +367,8 @@ def _neighbour_lists(n_left: int, cols: tuple[int, ...]) -> list[list[int]]:
     return rows
 
 
-def _cycles_of_rows(rows: list[list[int]]) -> list[tuple[int, int, int, int]]:
-    """All 4-cycles of the graph with left neighbour lists ``rows``, as the
-    sorted list of (j1, j2, i1, i2), j1 < j2, i1 < i2.
+def _cycles_of_rows(rows: list[list[int]]) -> list[FourCycle]:
+    """All 4-cycles of the graph with left neighbour lists ``rows``, sorted.
 
     Left vertices are bucketed by the right pairs of their wedges, which is
     linear in the wedge count rather than quadratic in the right vertices.
@@ -373,63 +378,18 @@ def _cycles_of_rows(rows: list[list[int]]) -> list[tuple[int, int, int, int]]:
         for pair in combinations(nbrs, 2):
             buckets.setdefault(pair, []).append(j)
     cycles = [
-        (j1, j2, i1, i2)
-        for (i1, i2), lefts in buckets.items()
+        FourCycle(left, right)
+        for right, lefts in buckets.items()
         if len(lefts) > 1
-        for j1, j2 in combinations(lefts, 2)
+        for left in combinations(lefts, 2)
     ]
     cycles.sort()
     return cycles
 
 
-def _four_cycles(n_left: int, cols: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    """All 4-cycles as the sorted list of (j1, j2, i1, i2), j1 < j2, i1 < i2
-    (see ``_cycles_of_rows``)."""
+def _four_cycles(n_left: int, cols: tuple[int, ...]) -> list[FourCycle]:
+    """All 4-cycles, sorted (see ``_cycles_of_rows``)."""
     return _cycles_of_rows(_neighbour_lists(n_left, cols))
-
-
-def _as_four_cycles(cycles) -> tuple[FourCycle, ...]:
-    return tuple(FourCycle((j1, j2), (i1, i2)) for j1, j2, i1, i2 in cycles)
-
-
-def _battery_from_cols(n_left: int, cols: tuple[int, ...], n2: int, cycles=None):
-    """Evaluate the property battery on raw columns.
-
-    Returns (cycles, failed, in_b0).  This is the classifier's battery, on
-    the 30-60 columns of a sampled graph as on a desk-scale one: wedge
-    buckets list the 4-cycles in time linear in the wedges, unless the
-    caller passes them as ``cycles``.  It is also the reference the
-    exhaustive oracle's incremental verdict is tested against.
-    """
-    if cycles is None:
-        cycles = _four_cycles(n_left, cols)
-    failed = set()
-    # s vertices on one side sharing a pair on the other give C(s, 2) cycles
-    # on that pair, so a K_{3,2} (K_{2,3}) is a right (left) pair on two cycles
-    if len({(i1, i2) for _, _, i1, i2 in cycles}) < len(cycles):
-        failed.add("i")
-    if len({(j1, j2) for j1, j2, _, _ in cycles}) < len(cycles):
-        failed.add("ii")
-
-    right_use: Counter = Counter()
-    for _, _, i1, i2 in cycles:
-        right_use[i1] += 1
-        right_use[i2] += 1
-    if any(v >= 2 for v in right_use.values()):
-        failed.add("iii")
-
-    if len(cycles) >= 3:
-        for trio in combinations(cycles, 3):
-            lefts = {trio[0][0], trio[0][1], trio[1][0], trio[1][1], trio[2][0], trio[2][1]}
-            if len(lefts) < 5:
-                failed.add("iv")
-                break
-
-    if len(cycles) > n2:
-        failed.add("v")
-
-    in_b0 = len(set(cols)) == len(cols)
-    return cycles, failed, in_b0
 
 
 def classify(graph: BipartiteGraph, ds: DegreeSequence) -> Classification:
@@ -444,17 +404,37 @@ def classify(graph: BipartiteGraph, ds: DegreeSequence) -> Classification:
             f"graph degrees {graph.left_degrees()}/{graph.right_degrees()} "
             f"do not conform to r={ds.r}, k={ds.k}"
         )
-    return _classification(graph.n_left, graph.cols, ds.four_cycle_cap, _cycles_of_rows(rows))
+    return _classification(graph.cols, ds.four_cycle_cap, _cycles_of_rows(rows))
 
 
-def _classification(n_left: int, cols: tuple[int, ...], n2: int, cycles) -> Classification:
+def _classification(cols: tuple[int, ...], n2: int, cycles) -> Classification:
     """The battery's verdict on the columns ``cols``, whose 4-cycles are the
-    sorted list ``cycles``, however that list was found."""
-    _, failed, in_b0 = _battery_from_cols(n_left, cols, n2, cycles)
-    four = _as_four_cycles(cycles)
+    sorted ``FourCycle`` list ``cycles``, however that list was found.
+
+    This is the one verdict builder: ``classify`` and the switching walk
+    call it, on the 30-60 columns of a sampled graph as on a desk-scale
+    one, and it is the reference the exhaustive oracle's incremental
+    verdict is tested against.
+    """
+    failed = set()
+    # s vertices on one side sharing a pair on the other give C(s, 2) cycles
+    # on that pair, so a K_{3,2} (K_{2,3}) is a right (left) pair on two cycles
+    if len({c.right_pair for c in cycles}) < len(cycles):
+        failed.add("i")
+    if len({c.left_pair for c in cycles}) < len(cycles):
+        failed.add("ii")
+    # each cycle has two right vertices: all distinct iff none is on two
+    if len({i for c in cycles for i in c.right_pair}) < 2 * len(cycles):
+        failed.add("iii")
+    if any(len({*a.left_pair, *b.left_pair, *c.left_pair}) < 5
+           for a, b, c in combinations(cycles, 3)):
+        failed.add("iv")
+    if len(cycles) > n2:
+        failed.add("v")
+    in_b0 = len(set(cols)) == len(cols)
     return Classification(
-        four_cycles=four,
-        d=len(four),
+        four_cycles=tuple(cycles),
+        d=len(cycles),
         in_b0=in_b0,
         in_bplus=in_b0 and not failed,
         failed_properties=frozenset(failed),

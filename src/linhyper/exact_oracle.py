@@ -25,8 +25,8 @@ For pass or fail, (iii) (no right vertex on two 4-cycles) covers (i) and
 (ii): a K_{3,2} puts a right vertex on three 4-cycles and a K_{2,3} one on
 two.  No property recovers when a column is added, so leaves below a failed
 prefix inherit its failure, and leaves sharing a prefix share its
-4-cycles.  ``classify`` keeps the whole-graph battery,
-``_battery_from_cols``, which the verdict is tested against.
+4-cycles.  The verdict is tested against ``bigraph_core._classification``,
+the one whole-graph verdict builder.
 
 Every sweep leaves out the zero-degree vertices (``_without_zeros``),
 which enter no column.  Roots are column masks, and there are two root
@@ -787,21 +787,18 @@ def _occurrences_from_cols(n_left: int, cols: tuple[int, ...], pattern: Pattern)
     if pattern is Pattern.TWO_FOUR_CYCLES_SHARED_RIGHT:
         total = 0
         for a, b in combinations(cycles, 2):
-            shared_right = len({a[2], a[3]} & {b[2], b[3]})
-            if shared_right == 1 and (a[0], a[1]) != (b[0], b[1]):
+            shared_right = len(set(a.right_pair) & set(b.right_pair))
+            if shared_right == 1 and a.left_pair != b.left_pair:
                 total += 1
         return total
     if pattern is Pattern.THREE_FOUR_CYCLES_FOUR_LEFT:
         total = 0
         for a, b, c in combinations(cycles, 3):
-            pairs = {(a[0], a[1]), (b[0], b[1]), (c[0], c[1])}
-            if len(pairs) < 3:
+            if len({a.left_pair, b.left_pair, c.left_pair}) < 3:
                 continue
-            rights = {a[2], a[3], b[2], b[3], c[2], c[3]}
-            if len(rights) < 6:
+            if len({*a.right_pair, *b.right_pair, *c.right_pair}) < 6:
                 continue
-            lefts = {a[0], a[1], b[0], b[1], c[0], c[1]}
-            if len(lefts) <= 4:
+            if len({*a.left_pair, *b.left_pair, *c.left_pair}) <= 4:
                 total += 1
         return total
     raise InvalidArgument(f"unknown pattern {pattern!r}")

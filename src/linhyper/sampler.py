@@ -193,7 +193,7 @@ def sample_no4cycle(
         # a pairing graph conforms by construction; the candidate index
         # reuses the one decode that classifies it
         nbrs = _neighbour_lists(ds.n, graph.cols)
-        cls = _classification(ds.n, graph.cols, ds.four_cycle_cap, _cycles_of_rows(nbrs))
+        cls = _classification(graph.cols, ds.four_cycle_cap, _cycles_of_rows(nbrs))
         if not cls.in_bplus:
             bplus_rejections += 1
             if bplus_rejections > max_retries:

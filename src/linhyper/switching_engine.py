@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, islice
 from operator import attrgetter
 
-from .bigraph_core import (BipartiteGraph, Classification, _bits, _classification,
+from .bigraph_core import (BipartiteGraph, Classification, FourCycle, _bits, _classification,
                            _neighbour_lists, classify)
-from .degree_model import DegreeSequence
+from .degree_model import DegreeSequence, _as_int
 from .errors import (
     InvalidArgument,
     NoFourCycle,
@@ -40,9 +40,13 @@ from .errors import (
 )
 
 
+_FIELDS = ("u1", "u2", "w1", "w2", "f1", "f2", "g1", "g2")
+
+
 @dataclass(frozen=True)
 class SwitchTuple:
-    """Suitable 8-tuple: four distinct left and four distinct right vertices."""
+    """Suitable 8-tuple: four distinct left and four distinct right vertices,
+    each a nonnegative integer."""
 
     u1: int
     u2: int
@@ -54,9 +58,12 @@ class SwitchTuple:
     g2: int
 
     def __post_init__(self):
-        lefts = (self.u1, self.u2, self.w1, self.w2)
-        rights = (self.f1, self.f2, self.g1, self.g2)
-        if len(set(lefts)) != 4 or len(set(rights)) != 4:
+        values = [_as_int(getattr(self, name)) for name in _FIELDS]
+        if min(values) < 0:
+            raise InvalidArgument(f"switch tuple vertices must be nonnegative: {self}")
+        for name, v in zip(_FIELDS, values):
+            object.__setattr__(self, name, v)
+        if len(set(values[:4])) != 4 or len(set(values[4:])) != 4:
             raise InvalidArgument(f"switch tuple vertices must be distinct: {self}")
 
 
@@ -93,20 +100,27 @@ _ENDS = {e: attrgetter(e[:2], e[2:]) for e in _KEPT + _FORWARD_REMOVES + _FORWAR
 
 
 def _trade(graph: BipartiteGraph, t: SwitchTuple, remove, add) -> BipartiteGraph:
-    """Swap the ``remove`` edges of ``t`` for its ``add`` edges.  The kept and
+    """Swap the ``remove`` edges of ``t`` for its ``add`` edges.  A tuple
+    naming a vertex outside the graph is InvalidArgument.  The kept and
     removed edges must be present and the added ones absent, in that order;
     NotASwitching names the first edge that is not."""
+    cols = graph.cols
+    if (max(t.u1, t.u2, t.w1, t.w2) >= graph.n_left
+            or max(t.f1, t.f2, t.g1, t.g2) >= graph.n_right):
+        raise InvalidArgument(f"switch tuple {t} names a vertex outside the "
+                              f"{graph.n_left}x{graph.n_right} graph")
     for e in _KEPT + remove:
-        if not graph.has_edge(*_ENDS[e](t)):
+        j, i = _ENDS[e](t)
+        if not cols[i] >> j & 1:
             raise NotASwitching(f"required edge {e} missing")
     for e in add:
-        if graph.has_edge(*_ENDS[e](t)):
+        j, i = _ENDS[e](t)
+        if cols[i] >> j & 1:
             raise NotASwitching(f"edge {e} to be created already present")
-    # Every end of an added edge is also an end of a kept or removed edge just
-    # found present, so every traded column is in range, and the eight edges
-    # are distinct, so flipping their bits removes and adds them: the checks
-    # of replace_edges and of BipartiteGraph.__init__ would only repeat these.
-    cols = list(graph.cols)
+    # Every vertex is in range and the eight edges are distinct, so flipping
+    # their bits removes and adds them: the checks of replace_edges and of
+    # BipartiteGraph.__init__ would only repeat these.
+    cols = list(cols)
     for e in remove + add:
         j, i = _ENDS[e](t)
         cols[i] ^= 1 << j
@@ -325,16 +339,16 @@ def _reclassified(graph, cls, ds, t, apply, step):
         rows[j] ^= 1 << f | 1 << g
     switched.rows = rows = tuple(rows)
     changed, cols = (t.f1, t.f2, t.g1, t.g2), switched.cols
-    cycles = [c.left_pair + c.right_pair for c in cls.four_cycles
+    cycles = [c for c in cls.four_cycles
               if c.right_pair[0] not in changed and c.right_pair[1] not in changed]
     for i in changed:
         for a, b in combinations(_bits(cols[i]), 2):
             shared = rows[a] & rows[b] & ~(1 << i)
             for j in _bits(shared) if shared else ():
                 if j not in changed or j > i:  # a pair of changed columns once
-                    cycles.append((a, b) + ((i, j) if i < j else (j, i)))
+                    cycles.append(FourCycle((a, b), (i, j) if i < j else (j, i)))
     cycles.sort()
-    after = _classification(graph.n_left, cols, ds.four_cycle_cap, cycles)
+    after = _classification(cols, ds.four_cycle_cap, cycles)
     return switched, after, after.in_bplus and after.d == cls.d + step
 
 

@@ -22,7 +22,7 @@ from linhyper import (
     OracleReport,
     Pattern,
 )
-from linhyper.bigraph_core import _battery_from_cols, _bits
+from linhyper.bigraph_core import _bits, _classification, _four_cycles
 from linhyper.exact_oracle import (  # noqa: F401  (count_b_dp is re-exported)
     _occurrences_from_cols,
     _subset_masks,
@@ -234,9 +234,9 @@ def sweep_switchings(ds: DegreeSequence, spot_check_every: int = 211):
     graphs_by_d: dict[int, list] = {}
 
     def collect(graph):
-        cycles, failed, in_b0 = _battery_from_cols(graph.n_left, graph.cols, n2)
-        if in_b0 and not failed:
-            graphs_by_d.setdefault(len(cycles), []).append((graph, cycles))
+        cls = _classification(graph.cols, n2, _four_cycles(graph.n_left, graph.cols))
+        if cls.in_bplus:
+            graphs_by_d.setdefault(cls.d, []).append((graph, cls.four_cycles))
 
     reference_enumerate(ds, collect)
 
@@ -248,15 +248,15 @@ def sweep_switchings(ds: DegreeSequence, spot_check_every: int = 211):
         for graph, cycles in items:
             dist = all_pairs_distances(graph)
             edges = graph.edges()
-            rights_on = {i for c in cycles for i in (c[2], c[3])}
-            lefts_on = {j for c in cycles for j in (c[0], c[1])}
+            rights_on = {i for c in cycles for i in c.right_pair}
+            lefts_on = {j for c in cycles for j in c.left_pair}
 
             def dist_le3(j, i):
                 dd = dist[("v", j)].get(("e", i))
                 return dd is not None and dd <= 3
 
             if d >= 1:
-                for a, b, x, y in cycles:
+                for (a, b), (x, y) in cycles:
                     for u1, u2, f1, f2 in (
                         (a, b, x, y),
                         (a, b, y, x),
@@ -294,10 +294,9 @@ def sweep_switchings(ds: DegreeSequence, spot_check_every: int = 211):
                                         remove=[(u1, f1), (u2, f2), (w1, g1), (w2, g2)],
                                         add=[(u1, g1), (u2, g2), (w1, f1), (w2, f2)],
                                     )
-                                    c2, failed2, _ = _battery_from_cols(
-                                        switched.n_left, switched.cols, n2
-                                    )
-                                    legal = (not failed2) and len(c2) == d - 1
+                                    c2 = _classification(switched.cols, n2, _four_cycles(
+                                        switched.n_left, switched.cols))
+                                    legal = not c2.failed_properties and c2.d == d - 1
                                     back = switched.replace_edges(
                                         remove=[(u1, g1), (u2, g2), (w1, f1), (w2, f2)],
                                         add=[(u1, f1), (u2, f2), (w1, g1), (w2, g2)],
@@ -376,12 +375,12 @@ def sweep_switchings(ds: DegreeSequence, spot_check_every: int = 211):
                                                             (w2, gg2),
                                                         ],
                                                     )
-                                                    c3, failed3, _ = _battery_from_cols(
-                                                        switched.n_left, switched.cols, n2
-                                                    )
+                                                    c3 = _classification(
+                                                        switched.cols, n2, _four_cycles(
+                                                            switched.n_left, switched.cols))
                                                     legal = (
-                                                        not failed3
-                                                    ) and len(c3) == d + 1
+                                                        not c3.failed_properties
+                                                    ) and c3.d == d + 1
                                                     back = switched.replace_edges(
                                                         remove=[
                                                             (u1, f1),
@@ -571,8 +570,7 @@ def reference_enumerate(ds: DegreeSequence, visitor=None,
     def leaf(cols) -> None:
         nonlocal count
         if class_filter is ClassFilter.BPLUS:
-            _, failed, in_b0 = _battery_from_cols(n, tuple(cols), n2)
-            if failed or not in_b0:
+            if not _classification(tuple(cols), n2, _four_cycles(n, cols)).in_bplus:
                 return
         count += 1
         if visitor is not None:
@@ -658,12 +656,12 @@ def reference_report(ds: DegreeSequence) -> OracleReport:
     def leaf(cols) -> None:
         nonlocal b, b0, bplus
         b += 1
-        cycles, failed, in_b0 = _battery_from_cols(n, tuple(cols), n2)
-        if in_b0:
+        cls = _classification(tuple(cols), n2, _four_cycles(n, cols))
+        if cls.in_b0:
             b0 += 1
-        if in_b0 and not failed:
+        if cls.in_bplus:
             bplus += 1
-            cd[len(cycles)] += 1
+            cd[cls.d] += 1
 
     _column_sweep(ds.k, ds.r, m, leaf)
     count_h, count_l = reference_hypergraph_counts(ds)

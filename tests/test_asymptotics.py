@@ -166,6 +166,18 @@ def test_evaluators_match_exact_rational_reference():
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("args", [
+    ([3.9] * 30, [3] * 30, [1.5] + [0] * 29, [1] + [0] * 29),
+    ([1] * 30, [3] * 10, [True] + [0] * 29, [1] + [0] * 9),
+    ([1] * 30, [3] * 10, ["1"] + [0] * 29, [1] + [0] * 9),
+], ids=["float", "bool", "str"])
+def test_mckay_upper_bound_rejects_non_integers(args):
+    # int() read each of these as an integer degree (the float case as the
+    # 9/70 example below) with no error
+    with pytest.raises(InvalidArgument, match="expected an integer"):
+        mckay_upper_bound(*args)
+
+
 def test_mckay_upper_bound_examples():
     g_left, g_right = [1] * 30, [3] * 10
     one_edge = ([1] + [0] * 29, [1] + [0] * 9)
@@ -175,6 +187,8 @@ def test_mckay_upper_bound_examples():
         mckay_upper_bound([1] * 6, [3, 3], [1] + [0] * 5, [1, 0])
 
     assert mckay_upper_bound(g_left, g_right, [0] * 30, [0] * 10) == 1
+    one_edge_square = ([1] + [0] * 29, [1] + [0] * 29)
+    assert mckay_upper_bound([3] * 30, [3] * 30, *one_edge_square) == Fraction(9, 70)
 
     with pytest.raises(ValueError):
         mckay_upper_bound([1, 1], [3], [1, 0], [1])  # unbalanced host

@@ -26,6 +26,19 @@ def test_from_edges_rejects_duplicates():
         BipartiteGraph.from_edges(2, 1, [(0, 0), (0, 0)])
 
 
+@pytest.mark.parametrize("edge", [(0.5, 0), (True, 0), (0, 0.0), ("0", 0)])
+def test_from_edges_rejects_non_integers(edge):
+    # (0.5, 0) used to raise a bare TypeError and (True, 0) to store (1, 0)
+    with pytest.raises(InvalidArgument, match="expected an integer"):
+        BipartiteGraph.from_edges(3, 1, [edge])
+
+
+def test_from_edges_accepts_numpy_ints():
+    graph = BipartiteGraph.from_edges(np.int64(3), 1, [(np.int64(2), np.int64(0))])
+    assert graph == BipartiteGraph(3, 1, [0b100])
+    assert type(graph.cols[0]) is int
+
+
 def test_degrees_and_edges(demo_graph):
     assert demo_graph.left_degrees() == (2, 3, 1, 2, 2, 2)
     assert demo_graph.right_degrees() == (3, 3, 3, 3)
@@ -113,8 +126,8 @@ def test_four_cycles_match_naive_scan():
         m = rng.randint(1, 8)
         cols = [rng.getrandbits(n) for _ in range(m)]
         g = BipartiteGraph(n, m, cols)
-        got = [(c.left_pair[0], c.left_pair[1], c.right_pair[0], c.right_pair[1]) for c in g.four_cycles()]
-        assert sorted(got) == sorted(naive_four_cycles(g))
+        got = [c.left_pair + c.right_pair for c in g.four_cycles()]
+        assert got == sorted(naive_four_cycles(g))
         assert g.has_four_cycle() == bool(got)
 
     # classify reports the same 4-cycles, pairs ascending, in the same order;

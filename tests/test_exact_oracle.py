@@ -30,7 +30,7 @@ from linhyper import (
     switching_ratio,
 )
 from linhyper import _pool, exact_oracle
-from linhyper.bigraph_core import _battery_from_cols
+from linhyper.bigraph_core import _classification, _four_cycles
 from linhyper.cli import main
 from linhyper.exact_oracle import DEFAULT_MAX_SPACE
 from linhyper.errors import (
@@ -704,10 +704,9 @@ def test_battery_shape():
 def battery_verdict(ds, cols, n2=None):
     """(distinct, verdict) of the columns by the battery: the verdict is the
     4-cycle count of a well-behaved multiset, else None."""
-    cycles, failed, in_b0 = _battery_from_cols(
-        ds.n, tuple(cols), ds.four_cycle_cap if n2 is None else n2
-    )
-    return in_b0, len(cycles) if in_b0 and not failed else None
+    cls = _classification(tuple(cols), ds.four_cycle_cap if n2 is None else n2,
+                          _four_cycles(ds.n, cols))
+    return cls.in_b0, cls.d if cls.in_bplus else None
 
 
 def test_sweep_leaves_match_unbounded_sweep():
@@ -820,7 +819,8 @@ def test_sweep_verdict_on_hand_made_multisets(cols, r, n2, failed, verdict):
     k = tuple(sum(c >> j & 1 for c in cols) for j in range(max(cols).bit_length()))
     ds = new_degree_sequence(k, r)
     cap = ds.four_cycle_cap if n2 is None else n2
-    assert _battery_from_cols(ds.n, tuple(cols), cap)[1] == failed
+    cls = _classification(tuple(cols), cap, _four_cycles(ds.n, cols))
+    assert cls.failed_properties == failed
     distinct = len(set(cols)) == len(cols)
     assert battery_verdict(ds, cols, cap) == (distinct, verdict)
     # the verdict carried by pushes does not depend on the push order

@@ -3,8 +3,9 @@ used in that module (``__init__.py`` is exempt), and every private top-level
 name a library module defines is read somewhere in the library.  A name read
 only inside a quoted annotation counts as unused; the modules use ``from
 __future__ import annotations`` instead.  Every private name the library's
-text or README.md quotes in double backticks is still defined.  Also the
-lazy package: what a fresh interpreter loads, and that every export
+text or README.md quotes in double backticks is still defined.  No library
+module but the CLI's argv parser truncates a value with ``int(name)``.  Also
+the lazy package: what a fresh interpreter loads, and that every export
 resolves."""
 import ast
 import importlib
@@ -159,6 +160,33 @@ def test_stale_private_check_sees_every_kind_of_definition():
 def test_no_stale_private_names():
     sources = {p.name: p.read_text() for p in SOURCES}
     assert stale_private_names({**sources, "README.md": README.read_text()}, sources) == []
+
+
+def truncating_ints(source: str) -> list[int]:
+    """Lines of ``source`` that call the builtin ``int`` on a bare name:
+    ``int(x)`` truncates a float and reads a bool or a numeric string as a
+    number, where ``degree_model._as_int`` rejects them."""
+    return sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "int"
+        and len(n.args) == 1 and isinstance(n.args[0], ast.Name)
+    )
+
+
+def test_truncating_int_check_sees_only_bare_names():
+    source = (
+        "def f(x, rng, s):\n"
+        "    a = [int(v) for v in x]\n"
+        "    b = int(rng.integers(3)) + int(s[0]) + int('7') + int(s, 2)\n"
+        "    return math.int(x), int(\n        x)\n"
+    )
+    assert truncating_ints(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_no_truncating_ints(path):
+    assert truncating_ints(path.read_text()) == [], path.name
 
 
 def test_fresh_imports_load_no_submodule_numpy_or_pool():

@@ -9,6 +9,7 @@ from scipy.stats import chi2
 
 from linhyper import (
     BipartiteGraph,
+    FourCycle,
     SwitchTuple,
     apply_forward,
     apply_reverse,
@@ -32,6 +33,7 @@ from linhyper.errors import (
     NotASwitching,
     PreconditionFailed,
     RetryLimitExceeded,
+    StepLimit,
 )
 from linhyper import sampler
 from linhyper.exact_oracle import DEFAULT_MAX_SPACE, _first_switchable
@@ -134,34 +136,49 @@ def test_each_switch_precondition_names_its_edge(switch_graph, switch_tuple, rev
         apply(broken, switch_tuple)
 
 
-@pytest.mark.parametrize("change, forward, reverse", [
-    ({"g1": 4}, IndexError, IndexError),
-    ({"f1": 4}, IndexError, IndexError),
-    ({"g2": 9}, IndexError, "u1g1"),
-    ({"w1": 4}, "w1g1", "u1g1"),
-    ({"w2": 7}, "w2g2", "u1g1"),
-    ({"u1": 5}, "u1f2", "u1f2"),
-    ({"w1": -1}, ValueError, "u1g1"),
-    ({"g1": -1}, "w1g1", "u1g1"),
-    ({"g2": -1}, None, "u1g1"),
+@pytest.mark.parametrize("change", [
+    {"g1": 4}, {"f1": 4}, {"g2": 9}, {"w1": 4}, {"w2": 7}, {"u1": 5},
+    {"w1": -1}, {"g1": -1}, {"g2": -1},
 ])
-def test_out_of_range_tuples_fail_in_the_checks(switch_graph, switch_tuple, change,
-                                                forward, reverse):
-    # a tuple index past either side fails where the presence checks read it:
-    # IndexError reading a column, ValueError shifting by a negative left
-    # index, or NotASwitching naming the first edge found missing.  A negative
-    # right index reads a column from the end, as a tuple index does: g2=-1
-    # is g2=3 here, and the forward switch applies (None)
+def test_out_of_range_tuples_fail_in_the_checks(switch_graph, switch_tuple, change):
+    # a tuple index past either side of the 4x4 graph is InvalidArgument in
+    # both directions, before any edge is read; a negative one already when
+    # the tuple is made, so it never reads a column from the end
+    if min(change.values()) < 0:
+        with pytest.raises(InvalidArgument, match="nonnegative"):
+            replace(switch_tuple, **change)
+        return
     t = replace(switch_tuple, **change)
-    for apply, want in ((apply_forward, forward), (apply_reverse, reverse)):
-        if want is None:
-            assert apply(switch_graph, t) == apply(switch_graph, switch_tuple)
-        elif isinstance(want, str):
-            with pytest.raises(NotASwitching, match=f"^required edge {want} missing$"):
-                apply(switch_graph, t)
-        else:
-            with pytest.raises(want):
-                apply(switch_graph, t)
+    for apply in (apply_forward, apply_reverse):
+        with pytest.raises(InvalidArgument, match="outside the 4x4 graph"):
+            apply(switch_graph, t)
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1", None])
+def test_switch_tuple_rejects_non_integers(value):
+    # int(1.0) and int("1") would read vertex 1, and True would too
+    with pytest.raises(InvalidArgument, match="expected an integer"):
+        SwitchTuple(u1=0, u2=value, w1=4, w2=7, f1=0, f2=1, g1=2, g2=3)
+
+
+def test_switch_tuple_fields_become_ints():
+    t = SwitchTuple(*map(np.int64, (0, 1, 4, 7, 0, 1, 2, 3)))
+    assert t == SwitchTuple(0, 1, 4, 7, 0, 1, 2, 3)
+    assert all(type(v) is int for v in vars(t).values())
+
+
+def test_out_of_range_switches_of_an_embedded_instance():
+    g = _embed_switchable_instance()  # 10 left, 4 right vertices
+    with pytest.raises(InvalidArgument, match="nonnegative"):
+        SwitchTuple(0, 1, 4, 7, 0, 1, 2, -1)  # would read column 3
+    for t in (SwitchTuple(0, 1, 4, 7, 0, 1, 2, 9), SwitchTuple(0, 1, 4, 10, 0, 1, 2, 3)):
+        for call in (apply_forward, apply_reverse, check_forward):
+            with pytest.raises(InvalidArgument, match="outside the 10x4 graph"):
+                call(g, t)
+    for j, i in ((0, -4), (-1, 0), (10, 0), (0, 4)):
+        with pytest.raises(InvalidArgument, match="out of range"):
+            g.has_edge(j, i)
+    assert g.has_edge(9, 3) and not g.has_edge(0, 3)
 
 
 def test_forward_candidates_empty_when_rights_all_on_cycles(demo_graph, demo_ds):
@@ -338,6 +355,16 @@ def test_sample_no4cycle_trivial_instance():
     res = sample_no4cycle(ds, np.random.default_rng(3))
     assert res.steps == 0 and res.d_trajectory == (0,)
     assert not res.graph.has_four_cycle()
+
+
+def test_sample_no4cycle_step_budget():
+    # this walk starts at d=7 and dissolves one 4-cycle per step
+    ds = new_degree_sequence((3,) * 30, 3)
+    with pytest.raises(StepLimit, match="^step budget 3 exhausted$"):
+        sample_no4cycle(ds, np.random.default_rng(1), max_steps=3)
+    res = sample_no4cycle(ds, np.random.default_rng(1), max_steps=7)
+    assert res.steps == 7 and res.restarts == 0
+    assert res.d_trajectory == (7, 6, 5, 4, 3, 2, 1, 0)
 
 
 def test_forward_step_on_an_empty_index_draws_nothing():
@@ -651,6 +678,28 @@ def _assert_reclassified(graph, cls, ds, t, apply, step):
         assert getattr(after, field) == getattr(want, field), (field, graph.cols, t)
     assert legal == (want.in_bplus and want.d == cls.d + step)
     return switched, after, legal
+
+
+def test_four_cycles_are_four_cycle_records():
+    # a plain tuple of the two pairs equals its FourCycle, so only the type
+    # shows that no reader is handed a bare tuple: not classify, not
+    # four_cycles, and not _reclassified for the cycles it keeps or finds
+    ds = new_degree_sequence((3,) * 30, 3)
+    graph = pairing_sample(ds, np.random.default_rng(1)).graph
+    cls = classify(graph, ds)
+    assert cls.d >= 2
+    records = [*cls.four_cycles, *graph.four_cycles()]
+    for t in islice(forward_candidates(graph, cls), 40):
+        try:
+            switched, after, _ = _reclassified(graph, cls, ds, t, apply_forward, -1)
+        except NotASwitching:
+            continue
+        back = _reclassified(switched, after, ds, t, apply_reverse, +1)[1]
+        assert back.four_cycles == cls.four_cycles
+        records += [*after.four_cycles, *back.four_cycles]
+    assert len(records) > 4 * cls.d
+    assert all(type(c) is FourCycle for c in records)
+    assert FourCycle((0, 1), (2, 3)) == ((0, 1), (2, 3))
 
 
 @pytest.mark.parametrize("family", WALK_FAMILIES)
