@@ -92,6 +92,15 @@ class HyperProperties:
     is_linear: bool
 
 
+def _edge(j, i, n_left: int, n_right: int) -> tuple[int, int]:
+    """The edge (j, i) of a graph with ``n_left`` left and ``n_right`` right
+    vertices, read as ints (``_as_int``); out of range is InvalidArgument."""
+    j, i = _as_int(j), _as_int(i)
+    if not (0 <= j < n_left and 0 <= i < n_right):
+        raise InvalidArgument(f"edge ({j},{i}) out of range")
+    return j, i
+
+
 class BipartiteGraph:
     """Labeled bipartite graph with bitmask columns."""
 
@@ -124,9 +133,7 @@ class BipartiteGraph:
         n_left, n_right = _as_int(n_left), _as_int(n_right)
         cols = [0] * n_right
         for j, i in edges:
-            j, i = _as_int(j), _as_int(i)
-            if not (0 <= j < n_left and 0 <= i < n_right):
-                raise InvalidArgument(f"edge ({j},{i}) out of range")
+            j, i = _edge(j, i, n_left, n_right)
             if cols[i] >> j & 1:
                 raise InvalidArgument(f"duplicate edge ({j},{i})")
             cols[i] |= 1 << j
@@ -143,8 +150,7 @@ class BipartiteGraph:
         return tuple(rows)
 
     def has_edge(self, j: int, i: int) -> bool:
-        if not (0 <= j < self.n_left and 0 <= i < self.n_right):
-            raise InvalidArgument(f"edge ({j},{i}) out of range")
+        j, i = _edge(j, i, self.n_left, self.n_right)
         return bool(self.cols[i] >> j & 1)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -173,10 +179,12 @@ class BipartiteGraph:
         """
         cols = list(self.cols)
         for j, i in remove:
+            j, i = _edge(j, i, self.n_left, self.n_right)
             if not cols[i] >> j & 1:
                 raise InvalidArgument(f"edge ({j},{i}) not present")
             cols[i] ^= 1 << j
         for j, i in add:
+            j, i = _edge(j, i, self.n_left, self.n_right)
             if cols[i] >> j & 1:
                 raise InvalidArgument(f"edge ({j},{i}) already present")
             cols[i] |= 1 << j

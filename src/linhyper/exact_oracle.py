@@ -44,7 +44,23 @@ column to one representative per orbit of that stabiliser, weighted by the
 orbit's size, and sweeps the other m - 2 columns as a multiset.  Both
 rooted columns come from one orbit lister, ``_orbit_columns``, which builds
 each orbit's first column from its takes per vertex group and lists no
-subset.  Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
+subset.
+
+Both rooted columns keep only the orbits that meet one vertex group.  Let
+f, summed over labeled graphs, not change when columns are reordered (every
+invariant caller's value) and let K_S be the degree sum of a vertex set S.
+Every graph has K_S incidences in S, and over the orderings of a column
+multiset each column comes first equally often, so sum f = (m / K_S) sum f
+|c_1 & S|.  As S is a degree class (``_root_group``), |c_1 & S| is constant
+on each orbit: the roots that avoid S drop out, and a kept root R weighs
+its orbit's size times |R & S| (``_invariant_roots``).  Below R the same
+holds for the other m - 1 columns with their residuals, for S' one of R's
+stabiliser groups (``_second_group``) and K' = |S'| rho.  To keep weights
+whole, every weight is multiplied by one D that each K' divides
+(``_second_scale``); the totals, D K_S / m times the counts, are divided
+back (``_quotient``), where a remainder is an identity violation.
+
+Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
 ``_first_switchable``) share one helper, ``_labelled``: it roots at every
 candidate in turn, merges the orderings of the multisets it keeps
 (``_first_orderings``) and moves each column back onto the vertices of k.
@@ -55,9 +71,9 @@ is an identity violation, and so is a failed inclusion between classes.
 The independent check is |B| against ``count_b_dp``, a dynamic program
 over residual-degree classes, one column per level, that lists no graph
 and shares no code with the sweep, so a wrong orbit or orbit weight, of
-the first column or the second, is caught at run time.  A failed identity
-raises InvariantViolation, which always means an implementation bug
-rather than bad input.
+the first column or the second, or a wrong rescale, is caught at run
+time.  A failed identity raises InvariantViolation, which always means an
+implementation bug rather than bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
 to 16 and up to 10 vertices of positive degree.  Exceeding the guard is an
@@ -262,9 +278,54 @@ def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
     under permutations of equal-degree vertices, as (column mask, orbit
     size): the ``_orbit_columns`` whose groups are the degree classes, with
     nothing forced.  An orbit is fixed by how many vertices it takes from
-    each class, so no subset is listed."""
+    each class, so no subset is listed.  The invariant sweeps keep those
+    that meet one class (``_invariant_roots``)."""
     classes = [sum(1 << j for j, v in enumerate(k) if v == d) for d in set(k) if d > 0]
     return _orbit_columns(0, classes, r)
+
+
+def _root_group(k, roots) -> int:
+    """S, the vertex group the invariant sweeps' roots must meet (see
+    ``_invariant_roots``), as a mask: the positive-degree class met by the
+    fewest of ``roots``, the lowest degree on a tie, or 0 (none) if every
+    class meets every root, as a single class does."""
+    group, met = 0, len(roots)
+    for d in sorted(set(k) - {0}):
+        mask = sum(1 << j for j, v in enumerate(k) if v == d)
+        n_met = sum(1 for root, _ in roots if root & mask)
+        if n_met < met:
+            group, met = mask, n_met
+    return group
+
+
+@functools.cache
+def _second_scale(r: int, m: int) -> int:
+    """D, the factor of every weight of an invariant sweep: lcm(1..r(m-2)),
+    as a second level's K' = |S'| rho has |S'| <= r and rho <= m - 2, or 1
+    below m = 4, where no second column is fixed."""
+    return math.lcm(*range(1, r * (m - 2) + 1)) if m >= 4 else 1
+
+
+def _invariant_roots(ds: DegreeSequence) -> tuple[list[tuple[int, int]], int, int]:
+    """The roots of an invariant sweep of ``ds`` (zero-free): the orbits of
+    ``_orbit_roots`` that meet S = ``_root_group``, weighted by size times
+    |R & S|, or all of them if there is no S; and the num and den that turn
+    the sweep's totals into counts (``_quotient``)."""
+    k, r, m = ds.k, ds.r, ds.edge_count()
+    roots = _orbit_roots(k, r)
+    group = _root_group(k, roots)
+    if not group:
+        return roots, 1, _second_scale(r, m)
+    kept = [(mask, orbit * (mask & group).bit_count()) for mask, orbit in roots if mask & group]
+    return kept, m, _second_scale(r, m) * sum(k[j] for j in _bits(group))
+
+
+def _second_group(groups: list[int], root: int, k) -> int:
+    """S', the group a root's fixed second columns must meet: the stabiliser
+    group inside ``root`` of lowest residual, or 0 if there is none.  Those
+    groups come from distinct classes, so no two share a residual."""
+    return min((g for g in groups if g & root), key=lambda g: k[(g & -g).bit_length() - 1],
+               default=0)
 
 
 def _second_columns_pay(forced: int, groups: list[int], m: int, r: int) -> bool:
@@ -302,13 +363,16 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
     None.  With no column (m = 0) the one leaf is the empty graph.
 
     With ``invariant``, the caller sums over the leaves a value invariant
-    under relabeling equal-degree vertices, so only the weighted totals are
-    kept, not the leaves or their order.  Then, with m >= 4, a root for
-    which ``_second_columns_pay`` holds fixes the second column as well, to
-    each orbit of its stabiliser (``_orbit_columns``) in turn: the leaves
-    below it are the multisets of the other m - 2 columns, weighted by the
-    scale, the orbit's size and their (m - 2)!/prod(mult!) orderings.  The
-    other roots, and every root without ``invariant``, keep the
+    under relabeling equal-degree vertices and unchanged by reordering
+    columns, so only the weighted totals are kept, not the leaves or their
+    order, and every weight is multiplied by D = ``_second_scale``.  Then,
+    with m >= 4, a root for which ``_second_columns_pay`` holds fixes the
+    second column as well, to each orbit of its stabiliser
+    (``_orbit_columns``) in turn: the leaves below it are the multisets of
+    the other m - 2 columns, weighted by the scale, the orbit's size and
+    their (m - 2)!/prod(mult!) orderings; if there is an S'
+    (``_second_group``), only those that meet it, times |col & S'| (m - 1) /
+    K' (see the module docstring).  The other roots, and every root without ``invariant``, keep the
     non-decreasing sweep of the other m - 1.
 
     The weight, the distinctness and the verdict are carried down the
@@ -419,6 +483,7 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
         return  # a vertex would need more columns than there are
     level = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
     classes = [(d, c) for d, c in enumerate(level) if d and c]
+    unit = _second_scale(r, m) if invariant else 1
     for mask, orbit in roots:
         # feasible: it holds no vertex of degree 0 and every one of degree m
         if mask & level[0] or mask & level[m] != level[m]:
@@ -437,15 +502,23 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
             after = [a & ~mask | b & mask for a, b in zip(level, level[1:])]
             stabiliser = invariant and m >= 4 and _stabiliser_groups(classes, mask, m)
             if stabiliser and _second_columns_pay(*stabiliser, m, r):
-                for col, size in _orbit_columns(*stabiliser, r):
-                    scale, fixed = orbit * size * math.factorial(m - 2), (mask, col)
+                seconds = _orbit_columns(*stabiliser, r)
+                group = _second_group(stabiliser[1], mask, k)
+                per = unit * math.factorial(m - 2)
+                if group:
+                    # weighted by |col & S'| (m - 1) / K', K' = |S'| rho
+                    share = group.bit_count() * (k[(group & -group).bit_length() - 1] - 1)
+                    per = unit // share * math.factorial(m - 1)
+                    seconds = [(c, n * (c & group).bit_count()) for c, n in seconds if c & group]
+                for col, size in seconds:
+                    scale, fixed = orbit * size * per, (mask, col)
                     state = _push_verdict(cols, col, ((), 0), n2)
                     cols.append(col)
                     rec(2, [a & ~col | b & col for a, b in zip(after, after[1:])],
                         0, 1, 0, col != mask, state)
                     cols.pop()
             else:
-                scale, fixed = orbit * math.factorial(m - 1), (mask,)
+                scale, fixed = orbit * unit * math.factorial(m - 1), (mask,)
                 rec(1, after, 0, 1, 0, True, ((), 0))
         cols.pop()
 
@@ -533,42 +606,33 @@ def count_b_dp(ds: DegreeSequence) -> int:
     )
 
 
-class _ReportCounts:
-    """Weighted class counts over the leaves of one sweep."""
-
-    def __init__(self, n2: int):
-        self.b = self.b0 = self.bplus = 0
-        self.cd = [0] * (n2 + 1)
-
-    def leaf(self, cols, weight: int, distinct: bool, d) -> None:
-        self.b += weight
-        if distinct:
-            self.b0 += weight
-        if d is not None:
-            self.bplus += weight
-            self.cd[d] += weight
-
-    def add(self, other: "_ReportCounts") -> None:
-        self.b += other.b
-        self.b0 += other.b0
-        self.bplus += other.bplus
-        for d, c in enumerate(other.cd):
-            self.cd[d] += c
-
-
-def _report_branch(args) -> _ReportCounts:
+def _report_branch(args) -> list[int]:
+    """One task's weighted totals: |B|, |B0|, |B+|, then the well-behaved
+    graphs by their number d of 4-cycles.  Their 4-cycles use disjoint right
+    pairs (iii), so d <= min(n2, m // 2)."""
     ds, roots = args
-    counts = _ReportCounts(ds.four_cycle_cap)
-    _sweep(ds, counts.leaf, roots, invariant=True)
-    return counts
+    totals = [0] * (min(ds.four_cycle_cap, ds.edge_count() // 2) + 4)
+
+    def leaf(cols, weight: int, distinct: bool, d) -> None:
+        totals[0] += weight
+        if distinct:
+            totals[1] += weight
+        if d is not None:
+            totals[2] += weight
+            totals[3 + d] += weight
+
+    _sweep(ds, leaf, roots, invariant=True)
+    return totals
 
 
-def _per_hypergraph(count: int, fact: int, what: str) -> int:
-    """``count`` labeled graphs with distinct columns as hypergraphs: each
-    one stands for ``fact`` = m! column orders."""
-    quotient, rest = divmod(count, fact)
+def _quotient(count: int, divisor: int, what: str) -> int:
+    """``count`` / ``divisor``, which must be whole, or an identity
+    violation: labeled graphs with distinct columns as hypergraphs (m!
+    column orders each), or an invariant sweep's totals, times num / den,
+    as the counts they stand for (``_invariant_roots``)."""
+    quotient, rest = divmod(count, divisor)
     if rest:
-        raise InvariantViolation(f"(M/r)! = {fact} does not divide {what} = {count}")
+        raise InvariantViolation(f"{divisor} does not divide {what} = {count}")
     return quotient
 
 
@@ -628,10 +692,11 @@ def enumerate_bigraphs(
     Columns are labeled (ordered), so two graphs differing only in column
     order are distinct.  Returns the number of graphs passing the filter.
     No filter depends on column order, so each column multiset is tested
-    once and counted with its orderings, and the count sweeps from the
-    first-column orbits.  ``visitor``, if given, is then called with each
-    passing BipartiteGraph, in lexicographic order of its columns' candidate
-    indices (``_labelled``), and the count is the number of visits.
+    once and counted with its orderings, and the count sweeps from the kept
+    first-column orbits (``_invariant_roots``).  ``visitor``, if given, is
+    then called with each passing BipartiteGraph, in lexicographic order of
+    its columns' candidate indices (``_labelled``), and the count is the
+    number of visits.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
@@ -649,8 +714,9 @@ def enumerate_bigraphs(
             count += weight
 
     swept = _without_zeros(ds)
-    _sweep(swept, leaf, _orbit_roots(swept.k, swept.r), invariant=True)
-    return count
+    roots, num, den = _invariant_roots(swept)
+    _sweep(swept, leaf, roots, invariant=True)
+    return _quotient(count * num, den, "the rescaled count")
 
 
 def _first_switchable(
@@ -673,7 +739,8 @@ def hyper_class_profile(
     and have exactly d double links.  Multiplying entry d by (M/r)! must reproduce the bipartite
     4-cycle profile; that identity is exercised in the test-suite.  The
     rooted sweep of ``full_report`` visits the hypergraphs as labeled graphs
-    with distinct columns; their weights sum to (M/r)! per hypergraph.
+    with distinct columns; their weights, rescaled (``_invariant_roots``),
+    sum to (M/r)! per hypergraph.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
@@ -688,10 +755,11 @@ def hyper_class_profile(
         if not dual_failed_properties(hg, n2):
             profile[len(hyper_properties(hg).double_links)] += weight
 
-    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r), invariant=True)
+    roots, num, den = _invariant_roots(ds)
+    _sweep(ds, leaf, roots, invariant=True)
     fact = math.factorial(m)
     return tuple(
-        _per_hypergraph(c, fact, f"the weight of class C_{d}")
+        _quotient(c * num, den * fact, f"the rescaled weight of class C_{d}")
         for d, c in enumerate(profile)
     )
 
@@ -705,10 +773,11 @@ def full_report(
     """All exact counts in one orbit-rooted sweep (see the module docstring),
     with every identity asserted.
 
-    With ``workers > 1`` the sweep fans out over the first-column orbits
-    (``_orbit_roots``), dealt round-robin into min(workers, orbits) tasks
-    run under the library's pool policy (``_pool.map_tasks``); totals are
-    merged by summation and do not depend on the worker count.
+    With ``workers > 1`` the sweep fans out over its roots, the kept
+    first-column orbits (``_invariant_roots``), dealt round-robin into
+    min(workers, roots) tasks run under the library's pool policy
+    (``_pool.map_tasks``); totals are merged by summation and do not depend
+    on the worker count.
     """
     if workers < 1:
         raise InvalidArgument("workers must be >= 1")
@@ -717,21 +786,21 @@ def full_report(
 
     # roots dealt round-robin, one sweep per task
     swept = _without_zeros(ds)
-    roots = _orbit_roots(swept.k, swept.r)
+    roots, num, den = _invariant_roots(swept)
     n_tasks = max(1, min(workers, len(roots)))
     tasks = [(swept, roots[w::n_tasks]) for w in range(n_tasks)]
-    counts = _ReportCounts(ds.four_cycle_cap)
-    for part in map_tasks(_report_branch, tasks, workers):
-        counts.add(part)
+    parts = map_tasks(_report_branch, tasks, workers)
+    b, b0, bplus, *cd = (_quotient(sum(totals) * num, den, "a rescaled total")
+                         for totals in zip(*parts))
 
     fact = math.factorial(m)
     report = OracleReport(
-        count_b=counts.b,
-        count_b0=counts.b0,
-        count_bplus=counts.bplus,
-        count_h=_per_hypergraph(counts.b0, fact, "|B0|"),
-        count_l=_per_hypergraph(counts.cd[0], fact, "|C0|"),
-        cd_profile=tuple(counts.cd),
+        count_b=b,
+        count_b0=b0,
+        count_bplus=bplus,
+        count_h=_quotient(b0, fact, "|B0|"),
+        count_l=_quotient(cd[0], fact, "|C0|"),
+        cd_profile=tuple(cd) + (0,) * (ds.four_cycle_cap + 1 - len(cd)),
     )
     _assert_report_invariants(report, ds)
     return report
@@ -820,7 +889,8 @@ def pattern_expectation(
         graphs += weight
         total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
-    _sweep(ds, leaf, _orbit_roots(ds.k, ds.r), invariant=True)
+    # both sums carry the same factor (``_invariant_roots``), which cancels
+    _sweep(ds, leaf, _invariant_roots(ds)[0], invariant=True)
     if graphs == 0:
         raise InvalidArgument("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)

@@ -39,6 +39,32 @@ def test_from_edges_accepts_numpy_ints():
     assert type(graph.cols[0]) is int
 
 
+@pytest.mark.parametrize("remove, add, match", [
+    ([(1, -1)], [(0, -1)], "out of range"),  # edited column 1 through index -1
+    ([], [(-1, 0)], "out of range"),  # a bare ValueError
+    ([], [(0.0, 0)], "expected an integer"),  # a bare TypeError
+    ([], [(0, 5)], "out of range"),  # a bare IndexError
+    ([(True, 0)], [], "expected an integer"),  # removed edge (1, 0)
+])
+def test_replace_edges_checks_its_edges(remove, add, match):
+    graph = BipartiteGraph(3, 2, [0b011, 0b110])
+    with pytest.raises(InvalidArgument, match=match):
+        graph.replace_edges(remove=remove, add=add)
+
+
+@pytest.mark.parametrize("edge, match", [
+    ((0.5, 0), "expected an integer"),  # a bare TypeError
+    ((True, 0), "expected an integer"),  # read left vertex 1
+    ((0, 2), "out of range"),
+    ((-1, 0), "out of range"),
+])
+def test_has_edge_checks_its_edge(edge, match):
+    graph = BipartiteGraph(3, 2, [0b011, 0b110])
+    with pytest.raises(InvalidArgument, match=match):
+        graph.has_edge(*edge)
+    assert graph.has_edge(np.int64(1), np.int64(0)) and not graph.has_edge(2, 0)
+
+
 def test_degrees_and_edges(demo_graph):
     assert demo_graph.left_degrees() == (2, 3, 1, 2, 2, 2)
     assert demo_graph.right_degrees() == (3, 3, 3, 3)

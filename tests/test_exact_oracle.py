@@ -210,7 +210,7 @@ def test_workers_do_not_change_totals():
 
 def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
     sizes = pool_sizes
-    ds = new_degree_sequence((3, 3, 3, 2, 1), 3)  # 4 first-column orbits
+    ds = new_degree_sequence((4, 3, 2, 2, 1), 3)  # 4 kept roots of 7 orbits
     serial = full_report(ds)
     for cpus, workers in ((3, 64), (64, 64), (64, 2), (None, 64), (64, 1)):
         monkeypatch.setattr(_pool.os, "cpu_count", lambda: cpus)
@@ -221,14 +221,16 @@ def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
 
 
 def test_workers_deal_roots_round_robin(monkeypatch, pool_sizes):
-    # min(workers, orbits) tasks of one sweep each, so one worker is one sweep
+    # min(workers, roots) tasks of one sweep each, so one worker is one
+    # sweep; the roots are the orbits that meet the class of degree 1
     calls = []
     sweep = exact_oracle._sweep
     monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots, **kw: (
         calls.append(roots), sweep(ds, leaf, roots, **kw)))
     monkeypatch.setattr(_pool.os, "cpu_count", lambda: 64)
-    ds = new_degree_sequence((3, 3, 3, 2, 1), 3)  # 4 first-column orbits
-    roots = _orbit_roots(ds.k, ds.r)
+    ds = new_degree_sequence((4, 3, 2, 2, 1), 3)  # 4 kept roots of 7 orbits
+    roots = exact_oracle._invariant_roots(ds)[0]
+    assert roots == [(0b10011, 1), (0b10101, 2), (0b10110, 2), (0b11100, 1)]
     for workers, n_tasks in ((1, 1), (3, 3), (64, 4)):
         calls.clear()
         full_report(ds, workers=workers)
@@ -456,7 +458,8 @@ def test_full_report_far_past_the_guard():
 def test_full_report_on_a_regular_instance_at_m24():
     # k = 2^12, r = 3 (M = 24): pinned to the report of the sweep that rooted
     # the second column in non-decreasing order only (135 s to compute);
-    # 9-18 s with the second column orbit-rooted.  Run with ``-m deep``
+    # 9-18 s with the second column orbit-rooted, 4-5 s once a fixed second
+    # column must meet a vertex group inside the root.  Run with ``-m deep``
     ds = new_degree_sequence((2,) * 12, 3)
     rep = full_report(ds, max_space=24)
     assert rep.count_b == count_b_dp(ds) == 31082452632000
@@ -751,11 +754,14 @@ def test_sweep_leaves_match_unbounded_sweep():
 
 
 def test_second_column_orbits_keep_every_total(monkeypatch):
-    # rooting the second column at the root's stabiliser orbits changes the
-    # leaves but no weighted total: each orbit-rooted count equals the one
-    # from the non-decreasing sweep of the other m - 1 columns, and each way
-    # is taken somewhere.  The pattern and hypergraph sums, slow where there
-    # are many leaves, are compared inside the default guard with m <= 6
+    # rooting the second column at the root's stabiliser orbits, and keeping
+    # only the first and second columns that meet one vertex group, weighted
+    # by the overlap, change the leaves but no total: each count equals the
+    # one with either group choice switched off, and the one from the
+    # non-decreasing sweep of the other m - 1 columns; each choice is taken
+    # on some instance and skipped on another.  The pattern, hypergraph and
+    # enumerated counts, slow where there are many leaves, are compared
+    # inside the default guard with m <= 6
     instances = [(ds, DEFAULT_MAX_SPACE) for ds in canonical_battery(rs=(2, 3, 4, 5))
                  + random_guarded_instances(60, seed=20261022, rs=(2, 3, 4, 5))
                  + random_guarded_instances(200, seed=20261023, max_n=9,
@@ -773,17 +779,65 @@ def test_second_column_orbits_keep_every_total(monkeypatch):
             return report
         patterns = [pattern_expectation(ds, p, max_space=max_space) for p in Pattern
                     if report.count_b]
-        return report, patterns, hyper_class_profile(ds, max_space=max_space)
+        counts = [enumerate_bigraphs(ds, class_filter=f, max_space=max_space)
+                  for f in ClassFilter]
+        return report, patterns, hyper_class_profile(ds, max_space=max_space), counts
 
-    taken = []
-    pay = exact_oracle._second_columns_pay
-    monkeypatch.setattr(exact_oracle, "_second_columns_pay",
-                        lambda *args: taken.append(pay(*args)) or taken[-1])
+    # each chooser's answers, and the answer that switches its way off
+    choosers = {"_root_group": 0, "_second_group": 0, "_second_columns_pay": False}
+    taken = {name: [] for name in choosers}
+    for name, calls in taken.items():
+        monkeypatch.setattr(exact_oracle, name, lambda *args, choose=getattr(
+            exact_oracle, name), calls=calls: calls.append(choose(*args)) or calls[-1])
     rooted = [totals(*case) for case in instances]
-    assert True in taken and False in taken
-    monkeypatch.setattr(exact_oracle, "_second_columns_pay", lambda *args: False)
-    for case, want in zip(instances, rooted):
-        assert totals(*case) == want, case
+    for name, off in choosers.items():
+        assert off in taken[name] and any(taken[name]), name
+    # one way off at a time, then all three
+    for off in [{name: off} for name, off in choosers.items()] + [choosers]:
+        with monkeypatch.context() as patch:
+            for name, answer in off.items():
+                patch.setattr(exact_oracle, name, lambda *args, answer=answer: answer)
+            for case, want in zip(instances, rooted):
+                assert totals(*case) == want, (off, case)
+
+
+@pytest.mark.parametrize("k, r, match", [
+    ((2, 2, 1, 1, 1, 1), 4, "4 does not divide a rescaled total = 26"),
+    ((3,) + (2,) * 6, 3, "118400 from the column sweep != 111000"),
+])
+def test_corrupted_root_weight_is_an_identity_violation(monkeypatch, k, r, match):
+    # the first kept root's weight off by one: the rescaled totals are not
+    # whole (the rescale checks its division) or |B| is not the margin-class
+    # DP's, and ``exact`` exits 1
+    roots_of = exact_oracle._invariant_roots
+
+    def corrupted(ds):
+        ((mask, weight), *roots), num, den = roots_of(ds)
+        return [(mask, weight + 1), *roots], num, den
+
+    monkeypatch.setattr(exact_oracle, "_invariant_roots", corrupted)
+    with pytest.raises(InvariantViolation, match=match):
+        full_report(new_degree_sequence(k, r))
+    assert main(["exact", "-r", str(r), "-k", ",".join(map(str, k))]) == 1
+
+
+@pytest.mark.parametrize("k, r, most", [((3,) + (2,) * 6, 3, 44), ((2,) * 8, 4, 15)])
+def test_desk_sweeps_reach_few_leaves(monkeypatch, k, r, most):
+    # the benchmark's two ``exact`` instances: 211 and 50 leaves before the
+    # rooted columns had to meet a vertex group
+    leaves = 0
+    sweep = exact_oracle._sweep
+
+    def counting(ds, leaf, roots, **kw):
+        def counted(*args):
+            nonlocal leaves
+            leaves += 1
+            leaf(*args)
+        sweep(ds, counted, roots, **kw)
+
+    monkeypatch.setattr(exact_oracle, "_sweep", counting)
+    full_report(new_degree_sequence(k, r))
+    assert 0 < leaves <= most
 
 
 def _cols(*columns):
