@@ -4,18 +4,16 @@ This module is the ground truth everything else is tested against.  Every
 search runs through one backtracker, ``_sweep``: it fills the m = M/r
 incidence columns with r-subsets of the vertices of positive residual degree,
 each holding every vertex forced into all remaining columns.  It fixes the
-first column to each of a list of roots and fills the other m - 1 in
-non-decreasing candidate order (or, for counts invariant under relabeling
-equal-degree vertices, may fix the second column too; see below), so it
-visits each rooted multiset once, weighted by the orderings of its other
-columns: column order changes no count and no 4-cycle.  Residual
-feasibility is checked only at the root; below it the forced vertices keep
-every residual feasible.  Each column after the root holds the lowest
-vertex of positive residual, so the sweep tries only that range of
-candidates.  The residuals are kept as one vertex mask per residual value,
-and the last two columns are closed in one loop: with two columns left,
-each candidate for the first fixes the second, the set of vertices it
-leaves needing one column (see ``_sweep``).
+first one or two columns to each of a list of prefixes and fills the others
+in non-decreasing candidate order, so it visits each prefixed multiset once,
+weighted by the orderings of its other columns: column order changes no
+count and no 4-cycle.  Residual feasibility is checked only at the root, the
+first column; below it the forced vertices keep every residual feasible.
+Each column after the prefix holds the lowest vertex of positive residual,
+so the sweep tries only that range of candidates.  The residuals are kept as
+one vertex mask per residual value, and the last two columns are closed in
+one loop: with two columns left, each candidate for the first fixes the
+second, the set of vertices it leaves needing one column (see ``_sweep``).
 
 The sweep also carries each multiset's verdict under the property battery
 of ``bigraph_core`` down the recursion, so no leaf runs the battery: a
@@ -29,37 +27,11 @@ prefix inherit its failure, and leaves sharing a prefix share its
 the one whole-graph verdict builder.
 
 Every sweep leaves out the zero-degree vertices (``_without_zeros``),
-which enter no column.  Roots are column masks, and there are two root
-lists.  Counts invariant under relabeling equal-degree vertices
-(``full_report``, ``pattern_expectation``, ``hyper_class_profile`` and
-``enumerate_bigraphs`` without a visitor) root at one r-subset per orbit
-under those relabelings (``_orbit_roots``), weighted by the orbit's size
-prod C(|class|, t_class): on a single degree class, one root instead of
-C(n, r).  These callers go one level further (McKay 1998, "Isomorph-free
-exhaustive generation"): once the root R is fixed, every count is still
-invariant under R's stabiliser, which relabels the equal-degree vertices
-inside R among themselves and those outside it.  So where it is expected
-to reach fewer leaves (``_second_columns_pay``), the sweep fixes the second
-column to one representative per orbit of that stabiliser, weighted by the
-orbit's size, and sweeps the other m - 2 columns as a multiset.  Both
-rooted columns come from one orbit lister, ``_orbit_columns``, which builds
-each orbit's first column from its takes per vertex group and lists no
-subset.
-
-Both rooted columns keep only the orbits that meet one vertex group.  Let
-f, summed over labeled graphs, not change when columns are reordered (every
-invariant caller's value) and let K_S be the degree sum of a vertex set S.
-Every graph has K_S incidences in S, and over the orderings of a column
-multiset each column comes first equally often, so sum f = (m / K_S) sum f
-|c_1 & S|.  As S is a degree class (``_root_group``), |c_1 & S| is constant
-on each orbit: the roots that avoid S drop out, and a kept root R weighs
-its orbit's size times |R & S| (``_invariant_roots``).  Below R the same
-holds for the other m - 1 columns with their residuals, for S' one of R's
-stabiliser groups (``_second_group``) and K' = |S'| rho.  To keep weights
-whole, every weight is multiplied by one D that each K' divides
-(``_second_scale``); the totals, D K_S / m times the counts, are divided
-back (``_quotient``), where a remainder is an identity violation.
-
+which enter no column, and there are two prefix lists.  Counts invariant
+under relabeling equal-degree vertices (``full_report``,
+``pattern_expectation``, ``hyper_class_profile`` and ``enumerate_bigraphs``
+without a visitor) sweep from one prefix per orbit under those relabelings,
+with weights that divide back into the counts (``_invariant_prefixes``).
 Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
 ``_first_switchable``) share one helper, ``_labelled``: it roots at every
 candidate in turn, merges the orderings of the multisets it keeps
@@ -70,10 +42,10 @@ orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide either
 is an identity violation, and so is a failed inclusion between classes.
 The independent check is |B| against ``count_b_dp``, a dynamic program
 over residual-degree classes, one column per level, that lists no graph
-and shares no code with the sweep, so a wrong orbit or orbit weight, of
-the first column or the second, or a wrong rescale, is caught at run
-time.  A failed identity raises InvariantViolation, which always means an
-implementation bug rather than bad input.
+and shares no code with the sweep.  Every invariant count makes it
+(``_check_count_b``), so a wrong prefix, prefix weight or rescale is
+caught at run time.  A failed identity raises InvariantViolation, which
+always means an implementation bug rather than bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
 to 16 and up to 10 vertices of positive degree.  Exceeding the guard is an
@@ -211,19 +183,6 @@ def _push_verdict(cols, mask: int, state, n2: int):
     return pairs + (pair,), on_cycle | 1 << hit | 1 << len(cols)
 
 
-@functools.cache
-def _take_count(sizes: tuple[int, ...], r: int) -> int:
-    """The ways to take r vertices in all from groups of the given sizes, up
-    to relabeling within each group: the coefficient of x^r in
-    prod (1 + x + ... + x^size), one factor per group."""
-    ways = [1] + [0] * r
-    for size in sizes:
-        # ways[t] becomes ways[t - size] + ... + ways[t], a window of sums
-        sums = list(accumulate(ways, initial=0))
-        ways = [sums[t + 1] - sums[max(0, t - size)] for t in range(r + 1)]
-    return ways[r]
-
-
 def _stabiliser_groups(classes, root: int, m: int) -> tuple[int, list[int]]:
     """The vertex groups of the stabiliser of the first column ``root``:
     the forced vertices, as one mask, and the other groups, as a list of
@@ -259,9 +218,9 @@ def _orbit_columns(forced: int, groups: list[int], r: int) -> list[tuple[int, in
     Such a column holds the forced vertices and t vertices of each group;
     its orbit is fixed by the takes t and holds prod C(|group|, t) columns,
     the first of which, in candidate order, takes the first t vertices of
-    each group.  The first column's groups are the degree classes
-    (``_orbit_roots``), a root's second column's those of its stabiliser
-    (``_stabiliser_groups``).
+    each group.  The first column's groups are the degree classes below m,
+    with the class of degree m forced, and a root's second column's those
+    of its stabiliser (``_stabiliser_groups``); see ``_invariant_prefixes``.
     """
     # (column so far, orbit size, vertices still to take), one group at a time
     parts = [(forced, 1, r - forced.bit_count())]
@@ -273,25 +232,14 @@ def _orbit_columns(forced: int, groups: list[int], r: int) -> list[tuple[int, in
     return [(col, orbit) for col, orbit, left in parts if left == 0]
 
 
-def _orbit_roots(k, r: int) -> list[tuple[int, int]]:
-    """One first column per orbit of the r-subsets of positive-degree vertices
-    under permutations of equal-degree vertices, as (column mask, orbit
-    size): the ``_orbit_columns`` whose groups are the degree classes, with
-    nothing forced.  An orbit is fixed by how many vertices it takes from
-    each class, so no subset is listed.  The invariant sweeps keep those
-    that meet one class (``_invariant_roots``)."""
-    classes = [sum(1 << j for j, v in enumerate(k) if v == d) for d in set(k) if d > 0]
-    return _orbit_columns(0, classes, r)
-
-
-def _root_group(k, roots) -> int:
-    """S, the vertex group the invariant sweeps' roots must meet (see
-    ``_invariant_roots``), as a mask: the positive-degree class met by the
-    fewest of ``roots``, the lowest degree on a tie, or 0 (none) if every
-    class meets every root, as a single class does."""
+def _root_group(classes, roots) -> int:
+    """S, the vertex group the invariant roots must meet (see
+    ``_invariant_prefixes``), as a mask: of ``classes``, (degree, mask)
+    pairs by degree, the one met by the fewest of ``roots``, the lowest
+    degree on a tie, or 0 (none) if every class meets every root, as a
+    single class does."""
     group, met = 0, len(roots)
-    for d in sorted(set(k) - {0}):
-        mask = sum(1 << j for j, v in enumerate(k) if v == d)
+    for _, mask in classes:
         n_met = sum(1 for root, _ in roots if root & mask)
         if n_met < met:
             group, met = mask, n_met
@@ -306,20 +254,6 @@ def _second_scale(r: int, m: int) -> int:
     return math.lcm(*range(1, r * (m - 2) + 1)) if m >= 4 else 1
 
 
-def _invariant_roots(ds: DegreeSequence) -> tuple[list[tuple[int, int]], int, int]:
-    """The roots of an invariant sweep of ``ds`` (zero-free): the orbits of
-    ``_orbit_roots`` that meet S = ``_root_group``, weighted by size times
-    |R & S|, or all of them if there is no S; and the num and den that turn
-    the sweep's totals into counts (``_quotient``)."""
-    k, r, m = ds.k, ds.r, ds.edge_count()
-    roots = _orbit_roots(k, r)
-    group = _root_group(k, roots)
-    if not group:
-        return roots, 1, _second_scale(r, m)
-    kept = [(mask, orbit * (mask & group).bit_count()) for mask, orbit in roots if mask & group]
-    return kept, m, _second_scale(r, m) * sum(k[j] for j in _bits(group))
-
-
 def _second_group(groups: list[int], root: int, k) -> int:
     """S', the group a root's fixed second columns must meet: the stabiliser
     group inside ``root`` of lowest residual, or 0 if there is none.  Those
@@ -328,52 +262,94 @@ def _second_group(groups: list[int], root: int, k) -> int:
                default=0)
 
 
-def _second_columns_pay(forced: int, groups: list[int], m: int, r: int) -> bool:
-    """Whether sweeping from the ``_orbit_columns`` of a root's stabiliser
-    groups is expected to reach fewer leaves than sweeping from the root
-    alone.
+def _invariant_prefixes(ds: DegreeSequence):
+    """The prefixes of an invariant sweep of ``ds`` (zero-free), as (fixed
+    columns, scale) pairs, and the num and den that turn the sweep's totals
+    into counts (``_quotient``).
 
-    Each of the B orbits heads a sweep of the other m - 2 columns as a
-    multiset, where the root alone heads one of the other m - 1.  If the
-    root's completions spread evenly over its N feasible second columns,
-    the orbits' sweeps reach about (m - 1) B / N times as many leaves.  N =
-    C(f, need) for the f vertices of the groups and the ``need`` a column
-    takes besides the forced ones, and B is ``_take_count`` of the group
-    sizes, so the rule costs O(groups) and lists nothing.  It holds if
-    (m - 1) B < 0.85 N: near a ratio of 1 the two ways cost about the same.
+    Its callers sum over the leaves a value invariant under relabeling
+    equal-degree vertices and unchanged by reordering columns, so only the
+    weighted totals matter, not the leaves or their order.  The first
+    column, the root, is one column per orbit under those relabelings
+    (``_orbit_columns``), weighted by the orbit's size prod C(|class|,
+    t_class): on a single degree class, one root instead of C(n, r).  The
+    class of degree m is forced, so every root is feasible.  With m >= 4
+    the prefixes go one level further (McKay 1998, "Isomorph-free
+    exhaustive generation"): once the root R is fixed, every count is still
+    invariant under R's stabiliser, which relabels the equal-degree
+    vertices inside R among themselves and those outside it
+    (``_stabiliser_groups``).  So the second column is fixed to one column
+    per orbit of that stabiliser, weighted by the orbit's size, and the
+    sweep fills the other m - 2 columns as a multiset.
+
+    Both fixed columns keep only the orbits that meet one vertex group.
+    Let f, summed over labeled graphs, not change when columns are
+    reordered and let K_S be the degree sum of a vertex set S.  Every graph
+    has K_S incidences in S, and over the orderings of a column multiset
+    each column comes first equally often, so sum f = (m / K_S) sum f |c_1
+    & S|.  As S is a degree class (``_root_group``), |c_1 & S| is constant
+    on each orbit: the roots that avoid S drop out, and a kept root R
+    weighs its orbit's size times |R & S|.  Below R the same holds for the
+    other m - 1 columns with their residuals, for S' one of R's stabiliser
+    groups (``_second_group``) and K' = |S'| rho: a kept second column c
+    weighs its orbit's size times |c & S'| (m - 1) / K'.  Without S or S',
+    every orbit is kept at its size.  To keep weights whole, every weight
+    is multiplied by one D that each K' divides (``_second_scale``); the
+    totals, D K_S / m times the counts, are divided back, where a remainder
+    is an identity violation.
     """
-    sizes = tuple(map(int.bit_count, groups))
-    need = r - forced.bit_count()
-    return (m - 1) * _take_count(sizes, need) < 0.85 * math.comb(sum(sizes), need)
+    k, r, m = ds.k, ds.r, ds.edge_count()
+    if m == 0 or max(k) > m:
+        return [], 1, 1  # the sweep's one empty leaf, or no graph
+    level = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
+    classes = [(d, c) for d, c in enumerate(level) if d and c]
+    roots = _orbit_columns(level[m], [c for d, c in classes if d < m], r)
+    group = _root_group(classes, roots)
+    unit = _second_scale(r, m)
+    num, den = (m, unit * sum(k[j] for j in _bits(group))) if group else (1, unit)
+    prefixes = []
+    for root, orbit in roots:
+        weight = orbit * (root & group).bit_count() if group else orbit
+        if weight:
+            prefixes += (_second_prefixes(ds, classes, root, weight) if m >= 4
+                         else [((root,), weight)])
+    return prefixes, num, den
 
 
-def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
-    """Visit each rooted column multiset conforming to ``ds`` = (k, r) once,
-    with its weight and its battery verdict.
+def _second_prefixes(ds: DegreeSequence, classes, root: int, weight: int):
+    """The prefixes of the kept root ``root`` of weight ``weight`` at m >=
+    4: (root, c) for one second column c per orbit of the root's
+    stabiliser, if there is an S' only those that meet it, with their
+    scales (see ``_invariant_prefixes``)."""
+    k, r, m = ds.k, ds.r, ds.edge_count()
+    forced, groups = _stabiliser_groups(classes, root, m)
+    seconds = _orbit_columns(forced, groups, r)
+    second = _second_group(groups, root, k)
+    per = _second_scale(r, m)
+    if second:
+        # |c & S'| (m - 1) / K', K' = |S'| rho, in units of 1 / D
+        per = per // (second.bit_count() * (k[(second & -second).bit_length() - 1] - 1)) * (m - 1)
+        seconds = [(c, size * (c & second).bit_count()) for c, size in seconds if c & second]
+    return [((root, c), weight * size * per) for c, size in seconds]
+
+
+def _sweep(ds: DegreeSequence, leaf, prefixes) -> None:
+    """Visit each prefixed column multiset conforming to ``ds`` = (k, r)
+    once, with its weight and its battery verdict.
 
     Candidates are the r-subsets of range(len(k)) in lexicographic order.
-    ``roots`` yields (column mask, scale) pairs and is read lazily: the
-    first column is fixed to each root in turn, and the other m - 1 come in
-    non-decreasing candidate order from the first candidate on.
-    ``leaf(cols, weight, distinct, d)`` receives each multiset with its
-    weight, the scale times the (m - 1)!/prod(mult!) orderings of the
-    columns after the root, whether its columns are pairwise distinct, and
-    its verdict: d, the number of 4-cycles, if it is well-behaved (distinct
-    columns passing (i)-(v) with the cap n2 = ``ds.four_cycle_cap``), else
-    None.  With no column (m = 0) the one leaf is the empty graph.
-
-    With ``invariant``, the caller sums over the leaves a value invariant
-    under relabeling equal-degree vertices and unchanged by reordering
-    columns, so only the weighted totals are kept, not the leaves or their
-    order, and every weight is multiplied by D = ``_second_scale``.  Then,
-    with m >= 4, a root for which ``_second_columns_pay`` holds fixes the
-    second column as well, to each orbit of its stabiliser
-    (``_orbit_columns``) in turn: the leaves below it are the multisets of
-    the other m - 2 columns, weighted by the scale, the orbit's size and
-    their (m - 2)!/prod(mult!) orderings; if there is an S'
-    (``_second_group``), only those that meet it, times |col & S'| (m - 1) /
-    K' (see the module docstring).  The other roots, and every root without ``invariant``, keep the
-    non-decreasing sweep of the other m - 1.
+    ``prefixes`` yields (fixed columns, scale) pairs and is read lazily:
+    the first f = 1 or 2 columns are fixed to each prefix in turn, and the
+    other m - f come in non-decreasing candidate order from the first
+    candidate on.  ``leaf(cols, weight, distinct, d)`` receives each
+    multiset with its weight, the scale times the (m - f)!/prod(mult!)
+    orderings of the columns after the prefix, whether its columns are
+    pairwise distinct, and its verdict: d, the number of 4-cycles, if it is
+    well-behaved (distinct columns passing (i)-(v) with the cap n2 =
+    ``ds.four_cycle_cap``), else None.  With no column (m = 0) the one leaf
+    is the empty graph.  The labeled sweeps fix one column, each candidate
+    in turn (``_labelled``); the invariant counts fix one or two
+    (``_invariant_prefixes``).
 
     The weight, the distinctness and the verdict are carried down the
     recursion as each column is pushed; a repeated column equals the one
@@ -390,14 +366,16 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
     The residuals are kept as one vertex mask per value, ``level[v]`` for
     v = 0..remaining, where ``remaining`` counts the columns still to
     place: a push moves the column's vertices down one level, and no node
-    reads a per-vertex residual.  Feasibility is checked once, at the root:
-    a root is skipped if it leaves a residual below 0 (it holds a vertex of
-    residual 0, such as one of degree 0) or above m - 1.  Below the root
-    every residual lies in [0, remaining], and the residuals sum to
-    r * remaining, so at most r vertices sit at ``remaining``.  A pushed
-    column holds every such (forced) vertex, ``level[remaining]``, and no
-    vertex of ``level[0]``, which keeps the bound; so no push needs a
-    residual check.
+    reads a per-vertex residual.  Feasibility is checked once, at the root,
+    the first fixed column: a prefix is skipped if its root leaves a
+    residual below 0 (it holds a vertex of residual 0, such as one of
+    degree 0) or above m - 1; a second fixed column must be feasible below
+    the root, as ``_invariant_prefixes``'s are.  Below the prefix every
+    residual lies in [0, remaining], and the residuals sum to r *
+    remaining, so at most r vertices sit at ``remaining``.  A pushed column
+    holds every such (forced) vertex, ``level[remaining]``, and no vertex
+    of ``level[0]``, which keeps the bound; so no push needs a residual
+    check.
 
     A column of the multiset must have as its smallest vertex ``low``, the
     lowest vertex of positive residual: below ``low`` every residual is
@@ -408,10 +386,10 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
     own.  With two columns left every residual is 0, 1 or 2, so a candidate
     c for the first of them leaves residual 1 on exactly the r vertices of
     (level[1] - c) + level[2], which must be the last column; the pair is
-    kept if that column comes no earlier than c.  The root loop closes
-    m = 1 (the root is the graph) and m = 2 (the root leaves the last
-    column at level 1) itself.  The subtrees skipped hold no leaf, and the
-    leaves, weights and their order are unchanged.
+    kept if that column comes no earlier than c.  A prefix that leaves one
+    column closes it at once, as ``level[1]``, and one that leaves none is
+    the graph.  The subtrees skipped hold no leaf, and the leaves, weights
+    and their order are unchanged.
     """
     k, r, m, n2 = ds.k, ds.r, ds.edge_count(), ds.four_cycle_cap
     if m == 0:
@@ -425,7 +403,7 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
     cols: list[int] = []
 
     # ``level[v]``: the vertices of residual v, for v = 0..remaining; set by
-    # the root loop below: ``fixed``, the one or two fixed columns before
+    # the prefix loop below: ``fixed``, the one or two fixed columns before
     # the multiset, and ``scale``, their weight times the orderings of the
     # multiset's columns; ``div``: prod(mult!) over the multiset, ``run``:
     # the multiplicity of its last column (0 before its first),
@@ -481,46 +459,25 @@ def _sweep(ds: DegreeSequence, leaf, roots, *, invariant: bool = False) -> None:
 
     if max(k) > m:
         return  # a vertex would need more columns than there are
-    level = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
-    classes = [(d, c) for d, c in enumerate(level) if d and c]
-    unit = _second_scale(r, m) if invariant else 1
-    for mask, orbit in roots:
-        # feasible: it holds no vertex of degree 0 and every one of degree m
-        if mask & level[0] or mask & level[m] != level[m]:
+    top = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
+    for fixed, scale in prefixes:
+        # feasible: the root holds no vertex of degree 0 and every one of degree m
+        if fixed[0] & top[0] or fixed[0] & top[m] != top[m]:
             continue
-        cols.append(mask)
-        if m == 1:
-            leaf(cols, orbit, True, 0)
-        elif m == 2:
-            # the root leaves the r vertices of the last column at residual 1
-            last = level[1] & ~mask | level[2]
-            state = _push_verdict(cols, last, ((), 0), n2)
-            cols.append(last)
-            leaf(cols, orbit, last != mask, None if state is None else len(state[0]))
-            cols.pop()
+        level, distinct, state = top, True, ((), 0)
+        # the fixed columns, then the last one if it is all that is left
+        for i in range(len(fixed) + (m - len(fixed) == 1)):
+            col = fixed[i] if i < len(fixed) else level[1]
+            distinct = distinct and col not in cols
+            state = None if state is None else _push_verdict(cols, col, state, n2)
+            cols.append(col)
+            level = [a & ~col | b & col for a, b in zip(level, level[1:])]
+        if len(cols) == m:
+            leaf(cols, scale, distinct, None if state is None else len(state[0]))
         else:
-            after = [a & ~mask | b & mask for a, b in zip(level, level[1:])]
-            stabiliser = invariant and m >= 4 and _stabiliser_groups(classes, mask, m)
-            if stabiliser and _second_columns_pay(*stabiliser, m, r):
-                seconds = _orbit_columns(*stabiliser, r)
-                group = _second_group(stabiliser[1], mask, k)
-                per = unit * math.factorial(m - 2)
-                if group:
-                    # weighted by |col & S'| (m - 1) / K', K' = |S'| rho
-                    share = group.bit_count() * (k[(group & -group).bit_length() - 1] - 1)
-                    per = unit // share * math.factorial(m - 1)
-                    seconds = [(c, n * (c & group).bit_count()) for c, n in seconds if c & group]
-                for col, size in seconds:
-                    scale, fixed = orbit * size * per, (mask, col)
-                    state = _push_verdict(cols, col, ((), 0), n2)
-                    cols.append(col)
-                    rec(2, [a & ~col | b & col for a, b in zip(after, after[1:])],
-                        0, 1, 0, col != mask, state)
-                    cols.pop()
-            else:
-                scale, fixed = orbit * unit * math.factorial(m - 1), (mask,)
-                rec(1, after, 0, 1, 0, True, ((), 0))
-        cols.pop()
+            scale *= math.factorial(m - len(fixed))
+            rec(len(fixed), level, 0, 1, 0, distinct, state)
+        cols.clear()
 
 
 def _orderings(rooted: tuple[int, ...]):
@@ -610,7 +567,7 @@ def _report_branch(args) -> list[int]:
     """One task's weighted totals: |B|, |B0|, |B+|, then the well-behaved
     graphs by their number d of 4-cycles.  Their 4-cycles use disjoint right
     pairs (iii), so d <= min(n2, m // 2)."""
-    ds, roots = args
+    ds, prefixes = args
     totals = [0] * (min(ds.four_cycle_cap, ds.edge_count() // 2) + 4)
 
     def leaf(cols, weight: int, distinct: bool, d) -> None:
@@ -621,7 +578,7 @@ def _report_branch(args) -> list[int]:
             totals[2] += weight
             totals[3 + d] += weight
 
-    _sweep(ds, leaf, roots, invariant=True)
+    _sweep(ds, leaf, prefixes)
     return totals
 
 
@@ -629,11 +586,40 @@ def _quotient(count: int, divisor: int, what: str) -> int:
     """``count`` / ``divisor``, which must be whole, or an identity
     violation: labeled graphs with distinct columns as hypergraphs (m!
     column orders each), or an invariant sweep's totals, times num / den,
-    as the counts they stand for (``_invariant_roots``)."""
+    as the counts they stand for (``_invariant_prefixes``)."""
     quotient, rest = divmod(count, divisor)
     if rest:
         raise InvariantViolation(f"{divisor} does not divide {what} = {count}")
     return quotient
+
+
+def _check_count_b(ds: DegreeSequence, count_b: int) -> None:
+    """|B| from a sweep against ``count_b_dp``, the independent route."""
+    want = count_b_dp(ds)
+    if count_b != want:
+        raise InvariantViolation(
+            f"|B| = {count_b} from the column sweep != {want} from "
+            f"the margin-class DP on r={ds.r}, k={ds.k}"
+        )
+
+
+def _invariant_sweep(ds: DegreeSequence, leaf) -> tuple[int, int]:
+    """Sweep ``ds`` (zero-free) from its ``_invariant_prefixes`` in one
+    process, check the weight of all its leaves, rescaled, against |B|
+    (``_check_count_b``), and return the num and den that rescale the
+    caller's totals.  So a wrong prefix or weight raises
+    InvariantViolation here as it does in ``full_report``."""
+    prefixes, num, den = _invariant_prefixes(ds)
+    weights = 0
+
+    def counted(cols, weight: int, distinct: bool, d) -> None:
+        nonlocal weights
+        weights += weight
+        leaf(cols, weight, distinct, d)
+
+    _sweep(ds, counted, prefixes)
+    _check_count_b(ds, _quotient(weights * num, den, "the rescaled |B|"))
+    return num, den
 
 
 # whether a multiset passes each filter, from the distinctness and verdict
@@ -671,7 +657,7 @@ def _labelled(ds: DegreeSequence, keep, limit: int | None = None):
             graphs += weight
 
     # read lazily: no root is yielded once ``limit`` graphs are kept
-    _sweep(swept, leaf, ((mask, 1) for mask in masks if limit is None or graphs < limit))
+    _sweep(swept, leaf, (((mask,), 1) for mask in masks if limit is None or graphs < limit))
     # bit v of a swept column is the v-th positive-degree vertex of ``ds``
     positive = [j for j, v in enumerate(ds.k) if v]
     columns = masks if swept is ds else [sum(1 << positive[v] for v in _bits(c)) for c in masks]
@@ -692,8 +678,8 @@ def enumerate_bigraphs(
     Columns are labeled (ordered), so two graphs differing only in column
     order are distinct.  Returns the number of graphs passing the filter.
     No filter depends on column order, so each column multiset is tested
-    once and counted with its orderings, and the count sweeps from the kept
-    first-column orbits (``_invariant_roots``).  ``visitor``, if given, is
+    once and counted with its orderings, and the count sweeps from the
+    invariant prefixes (``_invariant_sweep``).  ``visitor``, if given, is
     then called with each passing BipartiteGraph, in lexicographic order of
     its columns' candidate indices (``_labelled``), and the count is the
     number of visits.
@@ -713,9 +699,7 @@ def enumerate_bigraphs(
         if keep(distinct, d):
             count += weight
 
-    swept = _without_zeros(ds)
-    roots, num, den = _invariant_roots(swept)
-    _sweep(swept, leaf, roots, invariant=True)
+    num, den = _invariant_sweep(_without_zeros(ds), leaf)
     return _quotient(count * num, den, "the rescaled count")
 
 
@@ -739,7 +723,7 @@ def hyper_class_profile(
     and have exactly d double links.  Multiplying entry d by (M/r)! must reproduce the bipartite
     4-cycle profile; that identity is exercised in the test-suite.  The
     rooted sweep of ``full_report`` visits the hypergraphs as labeled graphs
-    with distinct columns; their weights, rescaled (``_invariant_roots``),
+    with distinct columns; their weights, rescaled (``_invariant_sweep``),
     sum to (M/r)! per hypergraph.
     """
     m = ds.edge_count()
@@ -755,8 +739,7 @@ def hyper_class_profile(
         if not dual_failed_properties(hg, n2):
             profile[len(hyper_properties(hg).double_links)] += weight
 
-    roots, num, den = _invariant_roots(ds)
-    _sweep(ds, leaf, roots, invariant=True)
+    num, den = _invariant_sweep(ds, leaf)
     fact = math.factorial(m)
     return tuple(
         _quotient(c * num, den * fact, f"the rescaled weight of class C_{d}")
@@ -773,9 +756,9 @@ def full_report(
     """All exact counts in one orbit-rooted sweep (see the module docstring),
     with every identity asserted.
 
-    With ``workers > 1`` the sweep fans out over its roots, the kept
-    first-column orbits (``_invariant_roots``), dealt round-robin into
-    min(workers, roots) tasks run under the library's pool policy
+    With ``workers > 1`` the sweep fans out over its prefixes
+    (``_invariant_prefixes``), dealt round-robin into min(workers,
+    prefixes) tasks run under the library's pool policy
     (``_pool.map_tasks``); totals are merged by summation and do not depend
     on the worker count.
     """
@@ -784,11 +767,11 @@ def full_report(
     m = ds.edge_count()
     check_guard(ds, max_space)
 
-    # roots dealt round-robin, one sweep per task
+    # prefixes dealt round-robin, one sweep per task
     swept = _without_zeros(ds)
-    roots, num, den = _invariant_roots(swept)
-    n_tasks = max(1, min(workers, len(roots)))
-    tasks = [(swept, roots[w::n_tasks]) for w in range(n_tasks)]
+    prefixes, num, den = _invariant_prefixes(swept)
+    n_tasks = max(1, min(workers, len(prefixes)))
+    tasks = [(swept, prefixes[w::n_tasks]) for w in range(n_tasks)]
     parts = map_tasks(_report_branch, tasks, workers)
     b, b0, bplus, *cd = (_quotient(sum(totals) * num, den, "a rescaled total")
                          for totals in zip(*parts))
@@ -816,12 +799,7 @@ def count_hypergraphs(
 
 
 def _assert_report_invariants(report: OracleReport, ds: DegreeSequence) -> None:
-    count_b = count_b_dp(ds)
-    if report.count_b != count_b:
-        raise InvariantViolation(
-            f"|B| = {report.count_b} from the column sweep != {count_b} from "
-            f"the margin-class DP on r={ds.r}, k={ds.k}"
-        )
+    _check_count_b(ds, report.count_b)
     if sum(report.cd_profile) != report.count_bplus:
         raise InvariantViolation("4-cycle profile does not sum to |B+|")
     if not report.count_l <= report.count_h:
@@ -889,8 +867,8 @@ def pattern_expectation(
         graphs += weight
         total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
 
-    # both sums carry the same factor (``_invariant_roots``), which cancels
-    _sweep(ds, leaf, _invariant_roots(ds)[0], invariant=True)
+    # both sums carry the same factor (``_invariant_prefixes``), which cancels
+    _invariant_sweep(ds, leaf)
     if graphs == 0:
         raise InvalidArgument("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)

@@ -275,13 +275,13 @@ def test_spot_check_lister_stops_rooting_at_its_limit(monkeypatch):
     pulled = []
     sweep = exact_oracle._sweep
 
-    def counting(ds, leaf, roots):
-        sweep(ds, leaf, (pulled.append(root) or root for root in roots))
+    def counting(ds, leaf, prefixes):
+        sweep(ds, leaf, (pulled.append(prefix) or prefix for prefix in prefixes))
 
     monkeypatch.setattr(exact_oracle, "_sweep", counting)
     ds = new_degree_sequence((3, 3, 3, 2, 2, 2), 3)  # C(6, 3) = 20 candidates
     assert len(_first_switchable(ds, 10)) == 10
-    assert pulled == [(0b000111, 1), (0b001011, 1)]
+    assert pulled == [((0b000111,), 1), ((0b001011,), 1)]
 
 
 def test_spot_check_skips_only_non_switchings(monkeypatch):

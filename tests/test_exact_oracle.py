@@ -46,7 +46,7 @@ from linhyper.exact_oracle import (
     _first_orderings,
     _first_switchable,
     _occurrences_from_cols,
-    _orbit_roots,
+    _orbit_columns,
     _push_verdict,
 )
 
@@ -210,7 +210,7 @@ def test_workers_do_not_change_totals():
 
 def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
     sizes = pool_sizes
-    ds = new_degree_sequence((4, 3, 2, 2, 1), 3)  # 4 kept roots of 7 orbits
+    ds = new_degree_sequence((2, 3, 1, 2, 2, 2), 3)  # 4 prefixes
     serial = full_report(ds)
     for cpus, workers in ((3, 64), (64, 64), (64, 2), (None, 64), (64, 1)):
         monkeypatch.setattr(_pool.os, "cpu_count", lambda: cpus)
@@ -221,20 +221,29 @@ def test_pool_is_clamped_to_tasks_and_cpus(monkeypatch, pool_sizes):
 
 
 def test_workers_deal_roots_round_robin(monkeypatch, pool_sizes):
-    # min(workers, roots) tasks of one sweep each, so one worker is one
-    # sweep; the roots are the orbits that meet the class of degree 1
+    # min(workers, prefixes) tasks of one sweep each, so one worker is one
+    # sweep; the roots are the two orbits that meet the class of degree 1,
+    # each with the second columns that meet its lowest-residual group
     calls = []
     sweep = exact_oracle._sweep
-    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots, **kw: (
-        calls.append(roots), sweep(ds, leaf, roots, **kw)))
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, prefixes: (
+        calls.append(prefixes), sweep(ds, leaf, prefixes)))
     monkeypatch.setattr(_pool.os, "cpu_count", lambda: 64)
-    ds = new_degree_sequence((4, 3, 2, 2, 1), 3)  # 4 kept roots of 7 orbits
-    roots = exact_oracle._invariant_roots(ds)[0]
-    assert roots == [(0b10011, 1), (0b10101, 2), (0b10110, 2), (0b11100, 1)]
+    ds = new_degree_sequence((2, 3, 1, 2, 2, 2), 3)
+    prefixes = exact_oracle._invariant_prefixes(ds)[0]
+    assert prefixes == [((0b111, 0b1011), 2160), ((0b111, 0b11001), 2160),
+                        ((0b1101, 0b10011), 2160), ((0b1101, 0b1011), 1080)]
     for workers, n_tasks in ((1, 1), (3, 3), (64, 4)):
         calls.clear()
         full_report(ds, workers=workers)
-        assert calls == [roots[w::n_tasks] for w in range(n_tasks)], workers
+        assert calls == [prefixes[w::n_tasks] for w in range(n_tasks)], workers
+
+
+def orbit_roots(k, r):
+    """The first-column orbits under relabeling equal-degree vertices, with
+    no class forced: ``_orbit_columns`` with the degree classes as groups."""
+    return _orbit_columns(0, [sum(1 << j for j, v in enumerate(k) if v == d)
+                              for d in sorted(set(k) - {0})], r)
 
 
 def test_orbit_roots_partition_the_first_columns():
@@ -257,7 +266,7 @@ def test_orbit_roots_partition_the_first_columns():
             degrees = tuple(sorted(k[j] for j in combo))
             if degrees[0] > 0:
                 orbits.setdefault(degrees, [sum(1 << j for j in combo), 0])[1] += 1
-        roots = _orbit_roots(k, r)
+        roots = orbit_roots(k, r)
         assert sorted(roots) == sorted(tuple(orbit) for orbit in orbits.values()), (k, r)
         n_pos = sum(1 for v in k if v > 0)
         assert sum(size for _, size in roots) == math.comb(n_pos, r), (k, r)
@@ -269,8 +278,7 @@ def test_second_columns_partition_the_feasible_second_columns():
     # class's part inside the root and outside it.  For each feasible root:
     # each listed column is its orbit's first candidate, with the orbit's
     # size, so the sizes sum to the number of feasible second columns (no
-    # vertex of residual 0, every vertex of residual m - 1), and the count
-    # from the group sizes is the number of orbits
+    # vertex of residual 0, every vertex of residual m - 1)
     cases = [((2,) * 8, 4)] + [((2,) * i + (3,) + (2,) * (6 - i), 3) for i in range(7)]
     for r in range(2, 6):
         for base in ((3, 2, 2, 1, 1, 2, 1, 3), (1,) * 8, (2,) * 8, (4, 3, 2, 1),
@@ -305,7 +313,6 @@ def test_second_columns_partition_the_feasible_second_columns():
                              if 0 < v < m - 1)
             sizes = tuple(g.bit_count() for g in stabiliser[1])
             assert sorted(sizes) == sorted(groups.values()), (k, r, root)
-            assert exact_oracle._take_count(sizes, r - len(forced)) == len(got), (k, r, root)
             forced_seen += bool(forced)
             dropped_seen += any(k[j] == 1 for j in root)
     assert forced_seen and dropped_seen
@@ -316,9 +323,9 @@ def test_rooted_sweep_skips_infeasible_roots_at_one_column(k, r):
     # at m = 1 a root is the whole graph: only the candidate covering every
     # positive-degree vertex, once each, is a leaf
     leaves = []
-    roots = [(mask, 1) for mask in exact_oracle._subset_masks(len(k), r)]
+    prefixes = [((mask,), 1) for mask in exact_oracle._subset_masks(len(k), r)]
     exact_oracle._sweep(new_degree_sequence(k, r), lambda cols, w, distinct, d:
-                        leaves.append((list(cols), w, distinct, d)), roots=roots)
+                        leaves.append((list(cols), w, distinct, d)), prefixes)
     assert leaves == [([sum(1 << j for j, v in enumerate(k) if v)], 1, True, 0)]
 
 
@@ -335,8 +342,8 @@ def test_rooted_sweep_over_every_candidate_counts_b():
             nonlocal total
             total += weight
 
-        roots = [(mask, 1) for mask in exact_oracle._subset_masks(ds.n, ds.r)]
-        exact_oracle._sweep(ds, leaf, roots=roots)
+        prefixes = [((mask,), 1) for mask in exact_oracle._subset_masks(ds.n, ds.r)]
+        exact_oracle._sweep(ds, leaf, prefixes)
         assert total == count_b_dp(ds), ds
 
 
@@ -345,8 +352,8 @@ def test_orbit_rooted_sweeps_skip_zero_degree_vertices(monkeypatch):
     # the positive-degree vertices only, with the zero-free instance's counts
     swept_n = []
     sweep = exact_oracle._sweep
-    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots, **kw: (
-        swept_n.append(ds.n), sweep(ds, leaf, roots, **kw)))
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, prefixes: (
+        swept_n.append(ds.n), sweep(ds, leaf, prefixes)))
     k = (2, 1, 2, 1, 1, 2)
     padded = new_degree_sequence((0,) * 30 + k[:3] + (0,) * 5 + k[3:] + (0,) * 30, 3)
     plain = new_degree_sequence(k, 3)
@@ -386,26 +393,26 @@ def test_labeled_sweeps_skip_zero_degree_vertices(monkeypatch):
     # vertices, not at each of the C(103, 3) = 176,851 over all of them
     read = []
     sweep = exact_oracle._sweep
-    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, roots, **kw: sweep(
-        ds, leaf, (read.append(root) or root for root in roots), **kw))
+    monkeypatch.setattr(exact_oracle, "_sweep", lambda ds, leaf, prefixes: sweep(
+        ds, leaf, (read.append(prefix) or prefix for prefix in prefixes)))
     ds = new_degree_sequence((1, 1, 1) + (0,) * 100, 3)
     seen = []
     assert enumerate_bigraphs(ds, seen.append) == 1
     assert seen == [BipartiteGraph(103, 1, [0b111])]
     assert _first_switchable(ds, 10) == []
-    assert read == [(0b111, 1), (0b111, 1)]
+    assert read == [((0b111,), 1), ((0b111,), 1)]
 
 
 def test_no_column_instance_is_one_empty_leaf(monkeypatch):
-    # m = 0: whatever the roots, the sweep's one leaf is the empty graph
+    # m = 0: whatever the prefixes, the sweep's one leaf is the empty graph
     leaves = []
     sweep = exact_oracle._sweep
 
-    def recording(ds, leaf, roots, **kw):
+    def recording(ds, leaf, prefixes):
         def logged(cols, *rest):
             leaves.append((list(cols),) + rest)
             leaf(cols, *rest)
-        sweep(ds, logged, roots, **kw)
+        sweep(ds, logged, prefixes)
 
     monkeypatch.setattr(exact_oracle, "_sweep", recording)
     ds = new_degree_sequence((0, 0, 0), 3)
@@ -723,18 +730,18 @@ def test_sweep_leaves_match_unbounded_sweep():
     )
     assert any(ds.r == 5 for ds in instances)
     assert any(0 in ds.k for ds in instances)
-    # the root loop closes m = 1 and m = 2 itself
+    # the prefix loop closes m = 1 and m = 2 itself
     assert {1, 2} <= {ds.edge_count() for ds in instances}
     deep = []
     for ds in instances:
         m = ds.edge_count()
         every = [(mask, 1) for mask in exact_oracle._subset_masks(ds.n, ds.r)]
-        for roots in (_orbit_roots(ds.k, ds.r), every):
+        for roots in (orbit_roots(ds.k, ds.r), every):
             got, want = [], []
             exact_oracle._sweep(
                 ds,
                 lambda c, w, distinct, d: got.append((tuple(c), w, distinct, d)),
-                roots=roots,
+                [((mask,), scale) for mask, scale in roots],
             )
             reference_multiset_sweep(
                 ds.k, ds.r, m,
@@ -754,14 +761,15 @@ def test_sweep_leaves_match_unbounded_sweep():
 
 
 def test_second_column_orbits_keep_every_total(monkeypatch):
-    # rooting the second column at the root's stabiliser orbits, and keeping
-    # only the first and second columns that meet one vertex group, weighted
-    # by the overlap, change the leaves but no total: each count equals the
-    # one with either group choice switched off, and the one from the
-    # non-decreasing sweep of the other m - 1 columns; each choice is taken
-    # on some instance and skipped on another.  The pattern, hypergraph and
-    # enumerated counts, slow where there are many leaves, are compared
-    # inside the default guard with m <= 6
+    # fixing the second column to one column per orbit of the root's
+    # stabiliser, and keeping only the first and second columns that meet
+    # one vertex group, weighted by the overlap, change the leaves but no
+    # total: each count equals the one with either group choice switched
+    # off, and the one from one-column prefixes of the same kept roots,
+    # which sweep the other m - 1 columns as a multiset; each group choice
+    # is taken on some instance and skipped on another.  The pattern,
+    # hypergraph and enumerated counts, slow where there are many leaves,
+    # are compared inside the default guard with m <= 6
     instances = [(ds, DEFAULT_MAX_SPACE) for ds in canonical_battery(rs=(2, 3, 4, 5))
                  + random_guarded_instances(60, seed=20261022, rs=(2, 3, 4, 5))
                  + random_guarded_instances(200, seed=20261023, max_n=9,
@@ -772,6 +780,7 @@ def test_second_column_orbits_keep_every_total(monkeypatch):
                   (new_degree_sequence((2,) * 9, 3), 18),
                   (new_degree_sequence((2,) * 10, 4), 20)]
     assert any(0 in ds.k for ds, _ in instances)
+    assert {ds.edge_count() >= 4 for ds, _ in instances} == {False, True}
 
     def totals(ds, max_space):
         report = full_report(ds, max_space=max_space)
@@ -783,61 +792,129 @@ def test_second_column_orbits_keep_every_total(monkeypatch):
                   for f in ClassFilter]
         return report, patterns, hyper_class_profile(ds, max_space=max_space), counts
 
-    # each chooser's answers, and the answer that switches its way off
-    choosers = {"_root_group": 0, "_second_group": 0, "_second_columns_pay": False}
+    # each group chooser's answers; 0 switches its group off
+    choosers = ("_root_group", "_second_group")
     taken = {name: [] for name in choosers}
     for name, calls in taken.items():
         monkeypatch.setattr(exact_oracle, name, lambda *args, choose=getattr(
             exact_oracle, name), calls=calls: calls.append(choose(*args)) or calls[-1])
     rooted = [totals(*case) for case in instances]
-    for name, off in choosers.items():
-        assert off in taken[name] and any(taken[name]), name
+    for name in choosers:
+        assert 0 in taken[name] and any(taken[name]), name
+    # a kept root alone, its weight times D, for the two-column prefixes
+    # that ``_second_prefixes`` gives it at m >= 4
+    switches = {
+        "_root_group": lambda *args: 0,
+        "_second_group": lambda *args: 0,
+        "_second_prefixes": lambda ds, classes, root, weight: [
+            ((root,), weight * exact_oracle._second_scale(ds.r, ds.edge_count()))],
+    }
     # one way off at a time, then all three
-    for off in [{name: off} for name, off in choosers.items()] + [choosers]:
+    for off in [{name: switch} for name, switch in switches.items()] + [switches]:
         with monkeypatch.context() as patch:
-            for name, answer in off.items():
-                patch.setattr(exact_oracle, name, lambda *args, answer=answer: answer)
+            for name, switch in off.items():
+                patch.setattr(exact_oracle, name, switch)
             for case, want in zip(instances, rooted):
-                assert totals(*case) == want, (off, case)
+                assert totals(*case) == want, (list(off), case)
+
+
+def corrupted_prefixes(monkeypatch, at: int) -> None:
+    """Raise the weight of prefix ``at`` of every invariant sweep by one."""
+    prefixes_of = exact_oracle._invariant_prefixes
+
+    def corrupted(ds):
+        prefixes, num, den = prefixes_of(ds)
+        fixed, weight = prefixes[at]
+        return prefixes[:at] + [(fixed, weight + 1)] + prefixes[at + 1:], num, den
+
+    monkeypatch.setattr(exact_oracle, "_invariant_prefixes", corrupted)
 
 
 @pytest.mark.parametrize("k, r, match", [
-    ((2, 2, 1, 1, 1, 1), 4, "4 does not divide a rescaled total = 26"),
-    ((3,) + (2,) * 6, 3, "118400 from the column sweep != 111000"),
+    ((2, 2, 2, 2, 1, 1, 1, 1), 4, "4 does not divide a rescaled total = 1782"),
+    ((2, 2, 2, 2, 1), 3, "42 from the column sweep != 36"),
 ])
 def test_corrupted_root_weight_is_an_identity_violation(monkeypatch, k, r, match):
-    # the first kept root's weight off by one: the rescaled totals are not
+    # the first prefix's weight off by one: the rescaled totals are not
     # whole (the rescale checks its division) or |B| is not the margin-class
     # DP's, and ``exact`` exits 1
-    roots_of = exact_oracle._invariant_roots
-
-    def corrupted(ds):
-        ((mask, weight), *roots), num, den = roots_of(ds)
-        return [(mask, weight + 1), *roots], num, den
-
-    monkeypatch.setattr(exact_oracle, "_invariant_roots", corrupted)
+    corrupted_prefixes(monkeypatch, 0)
     with pytest.raises(InvariantViolation, match=match):
         full_report(new_degree_sequence(k, r))
     assert main(["exact", "-r", str(r), "-k", ",".join(map(str, k))]) == 1
+
+
+def test_corrupted_prefix_weight_fails_every_invariant_count(monkeypatch):
+    # the counts without a report of their own check the weight of all
+    # their leaves, rescaled, against |B| too: with one prefix's weight off
+    # by one, each raises wherever that changes the swept weight
+    counts = (enumerate_bigraphs, hyper_class_profile,
+              lambda ds: pattern_expectation(ds, Pattern.K32))
+    changed = 0
+    for ds in canonical_battery(rs=(3, 4)):
+        prefixes = exact_oracle._invariant_prefixes(ds)[0]
+        for at in {0, len(prefixes) // 2, len(prefixes) - 1} if prefixes else ():
+            weights = []
+            exact_oracle._sweep(ds, lambda c, w, distinct, d: weights.append(w),
+                                prefixes[at:at + 1])
+            if not weights:
+                continue
+            changed += 1
+            with monkeypatch.context() as patch:
+                corrupted_prefixes(patch, at)
+                for count in counts:
+                    with pytest.raises(InvariantViolation):
+                        count(ds)
+    assert changed >= 35
+
+
+def full_report_leaves(monkeypatch, instances) -> int:
+    """The leaves the sweeps of ``full_report`` reach on ``instances``."""
+    leaves = 0
+    sweep = exact_oracle._sweep
+
+    def counting(ds, leaf, prefixes):
+        def counted(*args):
+            nonlocal leaves
+            leaves += 1
+            leaf(*args)
+        sweep(ds, counted, prefixes)
+
+    monkeypatch.setattr(exact_oracle, "_sweep", counting)
+    for ds in instances:
+        full_report(ds)
+    return leaves
 
 
 @pytest.mark.parametrize("k, r, most", [((3,) + (2,) * 6, 3, 44), ((2,) * 8, 4, 15)])
 def test_desk_sweeps_reach_few_leaves(monkeypatch, k, r, most):
     # the benchmark's two ``exact`` instances: 211 and 50 leaves before the
     # rooted columns had to meet a vertex group
-    leaves = 0
-    sweep = exact_oracle._sweep
+    assert 0 < full_report_leaves(monkeypatch, [new_degree_sequence(k, r)]) <= most
 
-    def counting(ds, leaf, roots, **kw):
-        def counted(*args):
-            nonlocal leaves
-            leaves += 1
-            leaf(*args)
-        sweep(ds, counted, roots, **kw)
 
-    monkeypatch.setattr(exact_oracle, "_sweep", counting)
-    full_report(new_degree_sequence(k, r))
-    assert 0 < leaves <= most
+# every edge size of the batteries, and a random stream with zero degrees
+LEAF_GATE = canonical_battery(rs=(2, 3, 4, 5)) + random_guarded_instances(200, seed=1)
+
+
+def test_gate_sweeps_reach_few_leaves(monkeypatch):
+    # 1,477 leaves while a tuned rule chose the roots that fix a second
+    # column; every kept root fixes one at m >= 4 now
+    assert full_report_leaves(monkeypatch, LEAF_GATE) <= 1019
+
+
+def test_invariant_roots_hold_every_vertex_of_degree_m():
+    # the class of degree m is forced into every root, so every prefix is
+    # feasible; k=(4, 3, 2, 2, 1), r=3 had a root without vertex 0
+    held = 0
+    for ds in LEAF_GATE + [new_degree_sequence((4, 3, 2, 2, 1), 3)]:
+        swept = exact_oracle._without_zeros(ds)
+        m = swept.edge_count()
+        top = sum(1 << j for j, v in enumerate(swept.k) if v == m)
+        prefixes = exact_oracle._invariant_prefixes(swept)[0]
+        assert all(fixed[0] & top == top for fixed, _ in prefixes), ds
+        held += bool(top and prefixes)
+    assert held
 
 
 def _cols(*columns):
@@ -891,6 +968,6 @@ def test_sweep_verdict_on_hand_made_multisets(cols, r, n2, failed, verdict):
         exact_oracle._sweep(
             ds,
             lambda c, w, dist, d: leaves.setdefault(tuple(sorted(c)), (dist, d)),
-            [(mask, 1) for mask in exact_oracle._subset_masks(ds.n, r)],
+            [((mask,), 1) for mask in exact_oracle._subset_masks(ds.n, r)],
         )
         assert leaves[tuple(sorted(cols))] == (distinct, verdict)
