@@ -31,21 +31,23 @@ which enter no column, and there are two prefix lists.  Counts invariant
 under relabeling equal-degree vertices (``full_report``,
 ``pattern_expectation``, ``hyper_class_profile`` and ``enumerate_bigraphs``
 without a visitor) sweep from one prefix per orbit under those relabelings,
-with weights that divide back into the counts (``_invariant_prefixes``).
-Labeled graphs in order (``enumerate_bigraphs`` with a visitor,
-``_first_switchable``) share one helper, ``_labelled``: it roots at every
-candidate in turn, merges the orderings of the multisets it keeps
-(``_first_orderings``) and moves each column back onto the vertices of k.
+with weights that divide back into the counts (``_invariant_prefixes``),
+all through one driver, ``_invariant_totals``.  Labeled graphs in order
+(``enumerate_bigraphs`` with a visitor, ``_first_switchable``) share one
+helper, ``_labelled``: it roots at every candidate in turn, merges the
+orderings of the multisets it keeps (``_first_orderings``) and moves each
+column back onto the vertices of k.
 
 A labeled graph with distinct columns stands for one hypergraph per m!
 orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide either
 is an identity violation, and so is a failed inclusion between classes.
 The independent check is |B| against ``count_b_dp``, a dynamic program
 over residual-degree classes, one column per level, that lists no graph
-and shares no code with the sweep.  Every invariant count makes it
-(``_check_count_b``), so a wrong prefix, prefix weight or rescale is
-caught at run time.  A failed identity raises InvariantViolation, which
-always means an implementation bug rather than bad input.
+and shares no code with the sweep.  The driver makes it for every
+invariant count (``_check_count_b``), so a wrong prefix, prefix weight or
+rescale is caught at run time.  A failed identity raises
+InvariantViolation, which always means an implementation bug rather than
+bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
 to 16 and up to 10 vertices of positive degree.  Exceeding the guard is an
@@ -74,7 +76,7 @@ from .bigraph_core import (
     dual_failed_properties,
     hyper_properties,
 )
-from .degree_model import DegreeSequence
+from .degree_model import DegreeSequence, _as_int
 from .errors import InvalidArgument, InvalidR, InvariantViolation, TooLarge
 
 DEFAULT_MAX_SPACE = 16
@@ -125,6 +127,7 @@ def check_guard(ds: DegreeSequence, max_space: int = DEFAULT_MAX_SPACE) -> None:
     vertices are free: they never enter a column, and every sweep leaves
     them out.
     """
+    max_space = _as_int(max_space)
     n_pos = sum(1 for v in ds.k if v > 0)
     if ds.M > max_space:
         raise TooLarge(
@@ -603,32 +606,37 @@ def _check_count_b(ds: DegreeSequence, count_b: int) -> None:
         )
 
 
-def _invariant_sweep(ds: DegreeSequence, leaf) -> tuple[int, int]:
-    """Sweep ``ds`` (zero-free) from its ``_invariant_prefixes`` in one
-    process, check the weight of all its leaves, rescaled, against |B|
-    (``_check_count_b``), and return the num and den that rescale the
-    caller's totals.  So a wrong prefix or weight raises
-    InvariantViolation here as it does in ``full_report``."""
-    prefixes, num, den = _invariant_prefixes(ds)
-    weights = 0
-
-    def counted(cols, weight: int, distinct: bool, d) -> None:
-        nonlocal weights
-        weights += weight
-        leaf(cols, weight, distinct, d)
-
-    _sweep(ds, counted, prefixes)
-    _check_count_b(ds, _quotient(weights * num, den, "the rescaled |B|"))
-    return num, den
+def _invariant_totals(ds: DegreeSequence, tally, workers: int = 1) -> list[int]:
+    """The totals of ``tally`` over the graphs conforming to ``ds``, as
+    counts.  ``tally((swept, prefixes))``, module-level so that a worker
+    process can run it, sweeps ``swept`` (``ds`` without its zero-degree
+    vertices) from ``prefixes`` and returns weighted totals, entry 0 the
+    weight of every leaf.  The ``_invariant_prefixes`` are dealt
+    round-robin into min(workers, prefixes) tasks (``_pool.map_tasks``);
+    the summed totals are divided back (``_quotient``), and entry 0, |B|,
+    is checked against ``count_b_dp`` (``_check_count_b``)."""
+    workers = _as_int(workers)
+    if workers < 1:
+        raise InvalidArgument("workers must be >= 1")
+    swept = _without_zeros(ds)
+    prefixes, num, den = _invariant_prefixes(swept)
+    n_tasks = max(1, min(workers, len(prefixes)))
+    parts = map_tasks(tally, [(swept, prefixes[w::n_tasks]) for w in range(n_tasks)], workers)
+    totals = [_quotient(sum(t) * num, den, "a rescaled total") for t in zip(*parts)]
+    _check_count_b(ds, totals[0])
+    return totals
 
 
 # whether a multiset passes each filter, from the distinctness and verdict
-# ``_sweep`` gives it; for r >= 2 a repeated column or a failed property
-# means a 4-cycle
+# ``_sweep`` gives it, for the labelled sweep; for r >= 2 a repeated column
+# or a failed property means a 4-cycle
 _KEEPS = {ClassFilter.ALL: lambda distinct, d: True,
           ClassFilter.B0: lambda distinct, d: distinct,
           ClassFilter.BPLUS: lambda distinct, d: d is not None,
           ClassFilter.NO_FOUR_CYCLE: lambda distinct, d: d == 0}
+# the entry of ``_report_branch``'s totals that counts each filter
+_ENTRIES = {ClassFilter.ALL: 0, ClassFilter.B0: 1, ClassFilter.BPLUS: 2,
+            ClassFilter.NO_FOUR_CYCLE: 3}
 
 
 def _labelled(ds: DegreeSequence, keep, limit: int | None = None):
@@ -677,30 +685,24 @@ def enumerate_bigraphs(
 
     Columns are labeled (ordered), so two graphs differing only in column
     order are distinct.  Returns the number of graphs passing the filter.
-    No filter depends on column order, so each column multiset is tested
-    once and counted with its orderings, and the count sweeps from the
-    invariant prefixes (``_invariant_sweep``).  ``visitor``, if given, is
-    then called with each passing BipartiteGraph, in lexicographic order of
-    its columns' candidate indices (``_labelled``), and the count is the
-    number of visits.
+    No filter depends on column order, so without a visitor the count is
+    the filter's entry of ``full_report``'s totals (``_report_branch``,
+    through ``_invariant_totals``).  ``visitor``, if given, is called with
+    each passing BipartiteGraph, in lexicographic order of its columns'
+    candidate indices (``_labelled``), and the count is the number of
+    visits.  A filter that is not a ClassFilter is InvalidArgument.
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
-    keep = _KEEPS[class_filter]
+    if not isinstance(class_filter, ClassFilter):
+        raise InvalidArgument(f"unknown class filter {class_filter!r}")
+    if visitor is None:
+        return _invariant_totals(ds, _report_branch)[_ENTRIES[class_filter]]
     count = 0
-    if visitor is not None:
-        for cols in _labelled(ds, keep):
-            visitor(BipartiteGraph(ds.n, m, cols))
-            count += 1
-        return count
-
-    def leaf(cols, weight: int, distinct: bool, d) -> None:
-        nonlocal count
-        if keep(distinct, d):
-            count += weight
-
-    num, den = _invariant_sweep(_without_zeros(ds), leaf)
-    return _quotient(count * num, den, "the rescaled count")
+    for cols in _labelled(ds, _KEEPS[class_filter]):
+        visitor(BipartiteGraph(ds.n, m, cols))
+        count += 1
+    return count
 
 
 def _first_switchable(
@@ -713,6 +715,25 @@ def _first_switchable(
     return list(_labelled(ds, lambda distinct, d: bool(d), limit))
 
 
+def _hyper_branch(args) -> list[int]:
+    """One task's weighted totals for ``hyper_class_profile``: the weight of
+    every leaf, then the well-behaved hypergraphs by their number d of
+    double links, d <= n2."""
+    ds, prefixes = args
+    n2 = ds.four_cycle_cap
+    totals = [0] * (n2 + 2)
+
+    def leaf(masks, weight: int, distinct: bool, d) -> None:
+        totals[0] += weight
+        if distinct:
+            hg = Hypergraph(ds.n, [tuple(_bits(mask)) for mask in masks])
+            if not dual_failed_properties(hg, n2):
+                totals[1 + len(hyper_properties(hg).double_links)] += weight
+
+    _sweep(ds, leaf, prefixes)
+    return totals
+
+
 def hyper_class_profile(
     ds: DegreeSequence, *, max_space: int = DEFAULT_MAX_SPACE
 ) -> tuple[int, ...]:
@@ -720,31 +741,18 @@ def hyper_class_profile(
 
     Entry d is the number of simple hypergraphs with degree sequence k that
     pass the hypergraph-side property battery (``dual_failed_properties``)
-    and have exactly d double links.  Multiplying entry d by (M/r)! must reproduce the bipartite
-    4-cycle profile; that identity is exercised in the test-suite.  The
-    rooted sweep of ``full_report`` visits the hypergraphs as labeled graphs
-    with distinct columns; their weights, rescaled (``_invariant_sweep``),
-    sum to (M/r)! per hypergraph.
+    and have exactly d double links.  Multiplying entry d by (M/r)! must
+    reproduce the bipartite 4-cycle profile; that identity is exercised in
+    the test-suite.  The invariant sweep (``_invariant_totals``) visits the
+    hypergraphs as labeled graphs with distinct columns, (M/r)! per
+    hypergraph (``_hyper_branch``).
     """
     m = ds.edge_count()
     check_guard(ds, max_space)
-    ds = _without_zeros(ds)
-    n2 = ds.four_cycle_cap
-    profile = [0] * (n2 + 1)
-
-    def leaf(masks, weight: int, distinct: bool, d) -> None:
-        if not distinct:
-            return
-        hg = Hypergraph(ds.n, [tuple(_bits(mask)) for mask in masks])
-        if not dual_failed_properties(hg, n2):
-            profile[len(hyper_properties(hg).double_links)] += weight
-
-    num, den = _invariant_sweep(ds, leaf)
+    _, *profile = _invariant_totals(ds, _hyper_branch)
     fact = math.factorial(m)
-    return tuple(
-        _quotient(c * num, den * fact, f"the rescaled weight of class C_{d}")
-        for d, c in enumerate(profile)
-    )
+    return tuple(_quotient(c, fact, f"the rescaled weight of class C_{d}")
+                 for d, c in enumerate(profile))
 
 
 def full_report(
@@ -756,26 +764,13 @@ def full_report(
     """All exact counts in one orbit-rooted sweep (see the module docstring),
     with every identity asserted.
 
-    With ``workers > 1`` the sweep fans out over its prefixes
-    (``_invariant_prefixes``), dealt round-robin into min(workers,
-    prefixes) tasks run under the library's pool policy
-    (``_pool.map_tasks``); totals are merged by summation and do not depend
-    on the worker count.
+    The totals are ``_report_branch``'s, through ``_invariant_totals``,
+    which checks |B|; with ``workers > 1`` it fans the sweep out over its
+    prefixes, and the counts do not depend on the worker count.
     """
-    if workers < 1:
-        raise InvalidArgument("workers must be >= 1")
     m = ds.edge_count()
     check_guard(ds, max_space)
-
-    # prefixes dealt round-robin, one sweep per task
-    swept = _without_zeros(ds)
-    prefixes, num, den = _invariant_prefixes(swept)
-    n_tasks = max(1, min(workers, len(prefixes)))
-    tasks = [(swept, prefixes[w::n_tasks]) for w in range(n_tasks)]
-    parts = map_tasks(_report_branch, tasks, workers)
-    b, b0, bplus, *cd = (_quotient(sum(totals) * num, den, "a rescaled total")
-                         for totals in zip(*parts))
-
+    b, b0, bplus, *cd = _invariant_totals(ds, _report_branch, workers)
     fact = math.factorial(m)
     report = OracleReport(
         count_b=b,
@@ -785,7 +780,7 @@ def full_report(
         count_l=_quotient(cd[0], fact, "|C0|"),
         cd_profile=tuple(cd) + (0,) * (ds.four_cycle_cap + 1 - len(cd)),
     )
-    _assert_report_invariants(report, ds)
+    _assert_report_invariants(report)
     return report
 
 
@@ -798,8 +793,7 @@ def count_hypergraphs(
     return report.count_h, report.count_l
 
 
-def _assert_report_invariants(report: OracleReport, ds: DegreeSequence) -> None:
-    _check_count_b(ds, report.count_b)
+def _assert_report_invariants(report: OracleReport) -> None:
     if sum(report.cd_profile) != report.count_bplus:
         raise InvariantViolation("4-cycle profile does not sum to |B+|")
     if not report.count_l <= report.count_h:
@@ -851,6 +845,20 @@ def _occurrences_from_cols(n_left: int, cols: tuple[int, ...], pattern: Pattern)
     raise InvalidArgument(f"unknown pattern {pattern!r}")
 
 
+def _pattern_branch(pattern: Pattern, args) -> list[int]:
+    """One task's weighted totals for ``pattern_expectation``: the weight of
+    every leaf, then its labeled occurrences of ``pattern``."""
+    ds, prefixes = args
+    totals = [0, 0]
+
+    def leaf(cols, weight: int, distinct: bool, d) -> None:
+        totals[0] += weight
+        totals[1] += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
+
+    _sweep(ds, leaf, prefixes)
+    return totals
+
+
 def pattern_expectation(
     ds: DegreeSequence, pattern: Pattern, *, max_space: int = DEFAULT_MAX_SPACE
 ) -> Fraction:
@@ -858,17 +866,7 @@ def pattern_expectation(
     uniformly random conforming bipartite graph."""
     ds.edge_count()
     check_guard(ds, max_space)
-    ds = _without_zeros(ds)
-    total = 0
-    graphs = 0
-
-    def leaf(cols, weight: int, distinct: bool, d) -> None:
-        nonlocal total, graphs
-        graphs += weight
-        total += weight * _occurrences_from_cols(ds.n, tuple(cols), pattern)
-
-    # both sums carry the same factor (``_invariant_prefixes``), which cancels
-    _invariant_sweep(ds, leaf)
+    graphs, total = _invariant_totals(ds, functools.partial(_pattern_branch, pattern))
     if graphs == 0:
         raise InvalidArgument("no conforming graphs exist; expectation undefined")
     return Fraction(total, graphs)

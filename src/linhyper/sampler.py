@@ -20,7 +20,7 @@ import numpy as np
 from ._pool import map_tasks
 from .asymptotics import girth6_probability
 from .bigraph_core import BipartiteGraph, _classification, _cycles_of_rows, _neighbour_lists
-from .degree_model import DegreeSequence
+from .degree_model import DegreeSequence, _as_int
 from .errors import (
     InvalidArgument,
     NotASwitching,
@@ -254,7 +254,12 @@ def monte_carlo_girth(
     changes the substream split and hence the estimate.  The substreams
     run under the library's pool policy (``_pool.map_tasks``); each gets
     ``ds`` itself, so its degrees are validated once, not once per worker.
+    ``seed``, ``trials`` and ``workers`` are read as ints (``_as_int``); a
+    negative seed is InvalidArgument.
     """
+    seed, trials, workers = _as_int(seed), _as_int(trials), _as_int(workers)
+    if seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     if trials < 1:
         raise PreconditionFailed(f"trials must be >= 1, got {trials}")
     if workers < 1:

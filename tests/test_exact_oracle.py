@@ -32,7 +32,7 @@ from linhyper import (
 from linhyper import _pool, exact_oracle
 from linhyper.bigraph_core import _classification, _four_cycles
 from linhyper.cli import main
-from linhyper.exact_oracle import DEFAULT_MAX_SPACE
+from linhyper.exact_oracle import DEFAULT_MAX_SPACE, check_guard
 from linhyper.errors import (
     InvalidArgument,
     InvalidR,
@@ -552,6 +552,18 @@ def test_argument_errors_are_library_errors():
         lambda: Hypergraph(2, [(0, 2)]),
         lambda: pattern_expectation(ds, "k33"),
         lambda: pattern_upper_bound(ds, "k33"),
+        # a count that is not an int, an unknown filter or a negative seed:
+        # once a bare TypeError, KeyError or ValueError, or accepted as given
+        lambda: full_report(ds, workers=2.5),
+        lambda: full_report(ds, workers=1.5),
+        lambda: check_guard(ds, max_space="16"),
+        lambda: check_guard(ds, max_space=16.5),
+        lambda: enumerate_bigraphs(ds, class_filter="b0"),
+        lambda: monte_carlo_girth(ds, seed=1, trials=2.5),
+        lambda: monte_carlo_girth(ds, seed=1, trials=4, workers=1.5),
+        lambda: monte_carlo_girth(ds, seed=1.5, trials=4),
+        lambda: monte_carlo_girth(ds, seed=-1, trials=4),
+        lambda: monte_carlo_girth(ds, seed=1, trials=True),
     ]
     for call in calls:
         with pytest.raises(LinhyperError) as info:

@@ -4,9 +4,10 @@ name a library module defines is read somewhere in the library.  A name read
 only inside a quoted annotation counts as unused; the modules use ``from
 __future__ import annotations`` instead.  Every private name the library's
 text or README.md quotes in double backticks is still defined.  No library
-module but the CLI's argv parser truncates a value with ``int(name)``.  Also
-the lazy package: what a fresh interpreter loads, and that every export
-resolves."""
+module but the CLI's argv parser truncates a value with ``int(name)``.  In
+``exact_oracle`` only ``_invariant_totals`` reads the invariant prefixes,
+the pool and the |B| check.  Also the lazy package: what a fresh
+interpreter loads, and that every export resolves."""
 import ast
 import importlib
 import json
@@ -187,6 +188,40 @@ def test_truncating_int_check_sees_only_bare_names():
                          ids=lambda p: p.name)
 def test_no_truncating_ints(path):
     assert truncating_ints(path.read_text()) == [], path.name
+
+
+def readers(source: str, names) -> dict[str, set[str]]:
+    """For each of ``names``, the top-level functions of ``source`` that
+    read it as a bare name, a call included (``<module>`` for a read
+    outside every function)."""
+    found = {name: set() for name in names}
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in found:
+                found[n.id].add(owner)
+    return found
+
+
+def test_readers_check_sees_nested_and_module_level_reads():
+    source = (
+        "from ._pool import map_tasks\n"
+        "def _driver(fn):\n    def inner():\n        return map_tasks(fn, [], 1)\n"
+        "    return inner\n"
+        "def other():\n    return _driver\n"
+        "RUN = map_tasks\n"
+    )
+    assert readers(source, ["map_tasks", "_driver", "_absent"]) == {
+        "map_tasks": {"_driver", "<module>"}, "_driver": {"other"}, "_absent": set(),
+    }
+
+
+def test_one_invariant_driver():
+    # the prefixes, the pool and the |B| check of the invariant counts
+    # belong to ``_invariant_totals`` alone, so a second driver cannot grow
+    source = (Path(linhyper.__file__).parent / "exact_oracle.py").read_text()
+    names = ("_invariant_prefixes", "map_tasks", "_check_count_b")
+    assert readers(source, names) == {name: {"_invariant_totals"} for name in names}
 
 
 def test_fresh_imports_load_no_submodule_numpy_or_pool():
