@@ -341,6 +341,14 @@ def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) 
     (``_forward_tuples``) up to the first switching.  A candidate that is
     not a switching is skipped.  Returns the number of round trips; raises
     InvariantViolation if one fails to restore its graph.
+
+    A switching trades two edges of a 4-cycle for edges w1-g1 and w2-g2 to
+    two distinct columns on no 4-cycle.  The d 4-cycles of a well-behaved
+    graph have pairwise disjoint right pairs (iii), so m - 2d of its columns
+    are free, and a graph with d > (m - 2) / 2 yields no candidate.
+    ``cmd_verify`` therefore calls this only where some well-behaved graph
+    has 1 <= d <= (m - 2) / 2 (its ``cd_profile`` says so); graphs with no
+    room among the ``limit`` are not skipped, they just add no round trip.
     """
     m = ds.edge_count()
     checks = 0
@@ -388,8 +396,10 @@ def cmd_verify(args) -> int:
             row["ratio_c1_c0"] = (c1 / c0) if c0 > 0 else None
             row["switching_ratio_d1"] = switching_ratio(ds, 1)
         rows.append(row)
-        # the spot check's graphs are the well-behaved ones with a 4-cycle
-        if report.count_bplus > report.cd_profile[0]:
+        # only a well-behaved graph with 1 <= d <= (m - 2) / 2 keeps the two
+        # columns off its 4-cycles that a switching needs (m - 2d are free)
+        m = ds.edge_count()
+        if any(report.cd_profile[1 : (m - 2) // 2 + 1]):
             spot_checks += _involution_spot_check(ds, args.max_space)
     out = {
         "instances": len(rows),

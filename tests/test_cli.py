@@ -17,7 +17,7 @@ from linhyper.exact_oracle import (
 )
 from linhyper.degree_model import new_degree_sequence
 from linhyper.errors import NonConforming, NotASwitching
-from linhyper.switching_engine import apply_forward, forward_candidates
+from linhyper.switching_engine import _forward_tuples, apply_forward, forward_candidates
 from support import reference_spot_graphs
 
 
@@ -223,12 +223,14 @@ def test_negative_seed_exit_2(capsys, command):
 
 
 def test_verify_spot_check_counts_pinned(capsys):
-    # the spot check skips instances with no well-behaved graph carrying a
-    # 4-cycle and stops at its tenth graph; neither may change the count
+    # the spot check skips instances with no well-behaved graph it could
+    # switch and stops at its tenth graph; neither may change the count
     for argv, want in (
+        (("-r", "2"), 0),
         (("-r", "3", "--ratio-check"), 8),
         (("-r", "3"), 8),
         (("-r", "4"), 0),
+        (("-r", "5"), 0),
     ):
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0 and json.loads(out)["involution_spot_checks"] == want
@@ -355,13 +357,17 @@ def test_verify_builds_each_candidate_list_once(capsys):
 
 
 @pytest.mark.parametrize("argv, digest", [
+    (("-r", "2"),
+     "6528cc9fb974beabba953a8d12e8f32204c3616b08db30e268cafc30bdcdd4e4"),
     (("-r", "3", "--ratio-check"),
      "6971c2e4980dbeccb075b3e99110c4e3803e191e5947aece602e365a1352b157"),
     (("-r", "3", "--format", "csv"),
      "fcae0615d203cfd9ff5c47df1b3d16a6f994ba30908d155c8ad94168e3d173dd"),
     (("-r", "4"),
      "eec2b22fa3cb0c72adcb372b3f1e7f2311cac76934298c47753869876dd0853e"),
-], ids=["r3-json-ratio", "r3-csv", "r4-json"])
+    (("-r", "5"),
+     "e5b3762bf20cadf092f64dbf287c0ba1d230412bbc0a864c39154187b21fc21b"),
+], ids=["r2-json", "r3-json-ratio", "r3-csv", "r4-json", "r5-json"])
 def test_verify_stdout_pinned(capsys, argv, digest):
     # byte for byte: every count, estimate, ratio and the spot-check count
     code, out, _ = run_cli(capsys, "verify", *argv)
@@ -384,9 +390,16 @@ def test_sample_stdout_pinned(capsys, k, seed, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def has_room(ds, report):
+    """Whether some well-behaved graph has d >= 1 4-cycles and, their right
+    pairs being disjoint, at least two of its m columns off them."""
+    m = ds.edge_count()
+    return any(count and m - 2 * d >= 2 for d, count in enumerate(report.cd_profile) if d)
+
+
 def test_verify_spot_checks_only_switchable_instances(monkeypatch, capsys):
-    # verify sweeps for spot-check graphs only where |B+| > |C0|, that is
-    # where some well-behaved graph has a 4-cycle
+    # verify sweeps for spot-check graphs only where some well-behaved graph
+    # has a 4-cycle and two free columns to switch its edges to
     calls = []
 
     def recording(ds, limit, max_space=DEFAULT_MAX_SPACE):
@@ -395,15 +408,41 @@ def test_verify_spot_checks_only_switchable_instances(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_first_switchable", recording)
     # (r, spot checks, switchable instances of the battery's 28 and 21)
-    for r, want, n_switchable in ((3, 8, 8), (4, 0, 1)):
+    for r, want, n_switchable in ((3, 8, 1), (4, 0, 0)):
         calls.clear()
         code, out, _ = run_cli(capsys, "verify", "-r", str(r))
         assert code == 0 and json.loads(out)["involution_spot_checks"] == want
         switchable = [
             ds for ds in canonical_battery(rs=(r,))
-            if (rep := exact_oracle.full_report(ds)).count_bplus > rep.cd_profile[0]
+            if has_room(ds, exact_oracle.full_report(ds))
         ]
         assert calls == switchable and len(calls) == n_switchable, r
+
+
+def test_instances_verify_skips_have_no_switching():
+    # where some well-behaved graph has a 4-cycle but none has room, every
+    # spot-check graph has fewer than two columns off its 4-cycles, so it
+    # has no forward tuple and the skipped spot check would round-trip none
+    space = 20
+    instances = canonical_battery(rs=(2, 3, 4, 5)) + random_guarded_instances(
+        8000, seed=20261021, max_n=8, k_max=4, rs=(2, 3, 4, 5), max_space=space
+    )
+    skipped, graphs = set(), 0
+    for ds in instances:
+        report = exact_oracle.full_report(ds, max_space=space)
+        if report.count_bplus == report.cd_profile[0] or has_room(ds, report):
+            continue
+        skipped.add((ds.k, ds.r))
+        assert _involution_spot_check(ds, space) == 0, ds
+        m = ds.edge_count()
+        for cols in _first_switchable(ds, 10, space):
+            graph = BipartiteGraph(ds.n, m, cols)
+            cycles = graph.four_cycles()
+            assert m - len({i for c in cycles for i in c.right_pair}) < 2, ds
+            assert next(_forward_tuples(graph, cycles), None) is None, ds
+            graphs += 1
+    # the check is not vacuous: 81 distinct skipped instances, 668 graphs
+    assert (len(skipped), graphs) == (81, 668)
 
 
 def test_cached_parser_matches_fresh_parser(capsys):
