@@ -8,6 +8,13 @@ estimate also reports ``error_scale``, the magnitude of the relative-error
 argument that governs how seriously the number should be taken on the given
 instance.  It is purely a diagnostic: the asymptotic validity condition is a
 statement about sequences and cannot be checked at a single instance.
+
+The rational exponents and scales are exact: each is kept as an int pair
+(numerator, denominator), lambda_loop as ``degree_model._loop_exponent``
+gives it, and becomes a float by one int / int true division.  Python rounds
+that division correctly, so the float is the one ``float(Fraction(num,
+den))`` gives, bit for bit; a zero exponent negated stays -0.0.  Only
+``mckay_upper_bound`` returns a Fraction.
 """
 from __future__ import annotations
 
@@ -80,15 +87,17 @@ def estimate_linear(ds: DegreeSequence) -> Estimate:
     most one, making the formula exact there.
     """
     lead = log_leading_term(ds)
-    loop = _loop_exponent(ds)
-    corrections = {"loop_term": -float(loop), "double_link_term": -float(loop**2)}
+    num, den = _loop_exponent(ds)
+    corrections = {"loop_term": -(num / den),
+                   "double_link_term": -(num * num / (den * den))}
     return _estimate(lead, corrections, _error_scale(ds, 4, extra=True))
 
 
 def estimate_simple(ds: DegreeSequence) -> Estimate:
     """Estimated number of simple uniform hypergraphs with degrees k."""
     lead = log_leading_term(ds)
-    corrections = {"loop_term": -float(_loop_exponent(ds))}
+    num, den = _loop_exponent(ds)
+    corrections = {"loop_term": -(num / den)}
     return _estimate(lead, corrections, _error_scale(ds, 3, extra=False))
 
 
@@ -100,7 +109,7 @@ def estimate_bigraph(ds: DegreeSequence) -> Estimate:
     """
     m = ds.edge_count()
     base = estimate_simple(ds)
-    err = float(Fraction(ds.r**2 * ds.k_max**2, ds.M)) if ds.M else 0.0
+    err = ds.r**2 * ds.k_max**2 / ds.M if ds.M else 0.0
     return _estimate(base.leading_log + math.lgamma(m + 1), base.corrections, err)
 
 
@@ -108,7 +117,8 @@ def girth6_probability(ds: DegreeSequence) -> Estimate:
     """Estimated probability that a uniform conforming bipartite graph has no
     4-cycle, i.e. girth at least six: exp(-lambda_double)."""
     ds.edge_count()
-    corrections = {"double_link_term": -float(_loop_exponent(ds) ** 2)}
+    num, den = _loop_exponent(ds)
+    corrections = {"double_link_term": -(num * num / (den * den))}
     return _estimate(None, corrections, _error_scale(ds, 4, extra=True))
 
 
@@ -155,11 +165,13 @@ def switching_ratio(ds: DegreeSequence, d: int) -> float:
     graphs with d-1 four-cycles is non-empty, since otherwise the ratio is
     undefined.
     """
+    d = _as_int(d)
     if d < 1:
         raise InvalidArgument(f"d must be >= 1, got {d}")
     if ds.M == 0:
         raise InvalidArgument("degree sum must be positive")
-    return float(_loop_exponent(ds) ** 2 / d)
+    num, den = _loop_exponent(ds)
+    return num * num / (den * den * d)
 
 
 def sum_bounds(A, C, c_hat: float):

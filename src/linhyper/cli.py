@@ -342,6 +342,13 @@ def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) 
     not a switching is skipped.  Returns the number of round trips; raises
     InvariantViolation if one fails to restore its graph.
 
+    Nothing the sweep or the lister hands over is checked again.  The
+    sweep's columns conform to ``ds``, so each is an r-subset of its n left
+    vertices and the graph is built with ``BipartiteGraph._unchecked``; the
+    tuples ``_forward_tuples`` yields are suitable by construction
+    (``SwitchTuple``).  ``apply_forward`` and ``apply_reverse`` still check
+    the range of each tuple and the presence of its edges.
+
     A switching trades two edges of a 4-cycle for edges w1-g1 and w2-g2 to
     two distinct columns on no 4-cycle.  The d 4-cycles of a well-behaved
     graph have pairwise disjoint right pairs (iii), so m - 2d of its columns
@@ -353,7 +360,7 @@ def _involution_spot_check(ds: DegreeSequence, max_space: int, limit: int = 10) 
     m = ds.edge_count()
     checks = 0
     for cols in _first_switchable(ds, limit, max_space):
-        graph = BipartiteGraph(ds.n, m, cols)
+        graph = BipartiteGraph._unchecked(ds.n, m, tuple(cols))
         for t in _forward_tuples(graph, graph.four_cycles()):
             try:
                 switched = apply_forward(graph, t)

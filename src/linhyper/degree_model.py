@@ -3,14 +3,15 @@
 A degree sequence is the pair (r, k): the uniform edge size r and the vector k
 of per-vertex degrees.  All derived quantities are computed in exact integer
 arithmetic; the values M_2^2 and M_2^2 * M_4 appearing in the thresholds can
-exceed 64 bits for degree sums in the 10^9 range.
+exceed 64 bits for degree sums in the 10^9 range.  A rational quantity is
+kept as an int pair (numerator, denominator), and a float made from it by one
+int / int true division, which Python rounds correctly.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegenerateM, InvalidArgument, InvalidR, NegativeDegree, NotDivisible
@@ -104,19 +105,20 @@ class DegreeSequence:
         if m_sum < 2:
             raise DegenerateM(f"thresholds need M >= 2, got {m_sum}")
         # the q2 term (r-1)^4 M_2^2 M_4 / M^4 is lambda_loop^2 times
-        # 4 (r-1)^2 M_4 / M^2
-        lam2 = _loop_exponent(self) ** 2
-        q2_factor = Fraction(4 * (self.r - 1) ** 2 * self.moment(4), m_sum**2)
+        # 4 (r-1)^2 M_4 / M^2, rounded up in integers
+        num, den = _loop_exponent(self)
+        q2_term = -(-num * num * 4 * (self.r - 1) ** 2 * self.moment(4)
+                    // (den * den * m_sum**2))
         q1 = _q1(self)
-        q2 = max(math.ceil(math.log(m_sum)), math.ceil(lam2 * q2_factor))
+        q2 = max(math.ceil(math.log(m_sum)), q2_term)
         return Thresholds(n2=3 * q1, q1=q1, q2=q2,
                           sparsity_indicator=_error_scale(self, 4, extra=True))
 
     @cached_property
     def four_cycle_cap(self) -> int:
         """The well-behaved cap on 4-cycles, ``thresholds().n2`` = 3 q1
-        (``_q1``), or 0 if M < 2.  It builds no Fraction, no M_4 and no
-        sparsity indicator."""
+        (``_q1``), or 0 if M < 2.  It builds no M_4 and no sparsity
+        indicator."""
         return 3 * _q1(self) if self.M >= 2 else 0
 
     def to_json_dict(self) -> dict:
@@ -131,12 +133,13 @@ def _q1(ds: DegreeSequence) -> int:
                -(-2 * (ds.r - 1) ** 2 * m2 * m2 // (m_sum * m_sum)))
 
 
-def _loop_exponent(ds: DegreeSequence) -> Fraction:
-    """The loop exponent lambda_loop = (r-1) M_2 / (2M), exactly (0 if M = 0).
-    The double-link exponent is its square, lambda_double = lambda_loop^2."""
+def _loop_exponent(ds: DegreeSequence) -> tuple[int, int]:
+    """The loop exponent lambda_loop = (r-1) M_2 / (2M) as the exact int pair
+    (numerator, denominator), not reduced; (0, 1) if M = 0.  The double-link
+    exponent is its square, lambda_double = lambda_loop^2."""
     if ds.M == 0:
-        return Fraction(0)
-    return Fraction((ds.r - 1) * ds.moment(2), 2 * ds.M)
+        return 0, 1
+    return (ds.r - 1) * ds.moment(2), 2 * ds.M
 
 
 def _error_scale(ds: DegreeSequence, k_power: int, extra: bool) -> float:
@@ -146,7 +149,7 @@ def _error_scale(ds: DegreeSequence, k_power: int, extra: bool) -> float:
     num = ds.r**4 * ds.k_max**k_power
     if extra:
         num *= ds.k_max + ds.r
-    return float(Fraction(num, ds.M))
+    return num / ds.M
 
 
 def new_degree_sequence(k, r: int) -> DegreeSequence:

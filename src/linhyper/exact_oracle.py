@@ -147,6 +147,15 @@ def _subset_masks(n: int, r: int) -> tuple[int, ...]:
     return tuple(sum(1 << v for v in combo) for combo in combinations(range(n), r))
 
 
+@functools.cache
+def _slice_starts(n: int, r: int) -> tuple[int, ...]:
+    """Entry j: the index in ``_subset_masks(n, r)`` of the first candidate
+    whose smallest vertex is j or above, as C(n - 1 - j, r - 1) candidates
+    have smallest vertex j; entry n is their number.  Built once per (n, r)
+    and shared by every sweep, as the masks are."""
+    return tuple(accumulate((math.comb(n - 1 - j, r - 1) for j in range(n)), initial=0))
+
+
 def _without_zeros(ds: DegreeSequence) -> DegreeSequence:
     """``ds`` without its zero-degree vertices.  They enter no column, so no
     count depends on them and a sweep of ``ds``'s graphs is a sweep of this
@@ -399,10 +408,8 @@ def _sweep(ds: DegreeSequence, leaf, prefixes) -> None:
         leaf([], 1, True, 0)
         return
     n = len(k)
-    masks = _subset_masks(n, r)
-    # first[j]: the index of the first candidate whose smallest vertex is j
-    # or above, as C(n - 1 - j, r - 1) candidates have smallest vertex j
-    first = list(accumulate((math.comb(n - 1 - j, r - 1) for j in range(n)), initial=0))
+    # first[j]: where the slice of candidates with smallest vertex j starts
+    masks, first = _subset_masks(n, r), _slice_starts(n, r)
     cols: list[int] = []
 
     # ``level[v]``: the vertices of residual v, for v = 0..remaining; set by

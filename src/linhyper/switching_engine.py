@@ -46,7 +46,15 @@ _FIELDS = ("u1", "u2", "w1", "w2", "f1", "f2", "g1", "g2")
 @dataclass(frozen=True)
 class SwitchTuple:
     """Suitable 8-tuple: four distinct left and four distinct right vertices,
-    each a nonnegative integer."""
+    each a nonnegative integer.
+
+    The constructor checks all of that.  The candidate listers build their
+    tuples with ``_unchecked``, which skips the checks: ``_forward_tuples``
+    and ``_CandidateIndex.__getitem__`` take u1, u2 and f1, f2 from a
+    4-cycle (two distinct pairs of vertices of the graph), and w1-g1, w2-g2
+    from its free edges, with w1 and w2 off the cycle's left pair, g1 and g2
+    on no 4-cycle (so off its right pair), w2 != w1 and g2 != g1.  Every
+    field is then a distinct in-range int, as the checks would find."""
 
     u1: int
     u2: int
@@ -65,6 +73,14 @@ class SwitchTuple:
             object.__setattr__(self, name, v)
         if len(set(values[:4])) != 4 or len(set(values[4:])) != 4:
             raise InvalidArgument(f"switch tuple vertices must be distinct: {self}")
+
+    @classmethod
+    def _unchecked(cls, *fields: int) -> "SwitchTuple":
+        """The tuple of ``fields``, eight ints in ``_FIELDS`` order already
+        known to be suitable: the checks of ``__post_init__`` are skipped."""
+        t = cls.__new__(cls)
+        t.__dict__.update(zip(_FIELDS, fields))
+        return t
 
 
 @dataclass(frozen=True)
@@ -168,7 +184,7 @@ def _forward_tuples(graph: BipartiteGraph, cycles):
             for w1, g1 in edges:
                 for w2, g2 in edges:
                     if w2 != w1 and g2 != g1:
-                        yield SwitchTuple(u1, u2, w1, w2, f1, f2, g1, g2)
+                        yield SwitchTuple._unchecked(u1, u2, w1, w2, f1, f2, g1, g2)
 
 
 class _CandidateIndex:
@@ -262,7 +278,7 @@ class _CandidateIndex:
         partners = ((w, g) for w, g in edges if w != w1 and g != g1)
         w2, g2 = next(islice(partners, i - cum[e], None))
         u1, u2, f1, f2 = _orientations(self.cycles[c])[block]
-        return SwitchTuple(u1, u2, w1, w2, f1, f2, g1, g2)
+        return SwitchTuple._unchecked(u1, u2, w1, w2, f1, f2, g1, g2)
 
 
 def forward_candidates(graph: BipartiteGraph, cls: Classification):

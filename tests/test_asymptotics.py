@@ -17,9 +17,11 @@ from linhyper import (
     log_leading_term,
     mckay_upper_bound,
     new_degree_sequence,
+    random_guarded_instances,
     sum_bounds,
     switching_ratio,
 )
+from linhyper.asymptotics import _estimate
 from linhyper.errors import (
     DegenerateM,
     InvalidArgument,
@@ -284,6 +286,49 @@ def test_formulas_pinned_bit_for_bit(k, r, want):
                 call()
         else:
             assert repr(call()) == repr(expected)
+
+
+def fraction_reference(ds):
+    """The four estimates, switching_ratio for d = 1, 2, 3 and thresholds()
+    worked out in Fraction arithmetic, each float made by float()."""
+    m = ds.edge_count()
+    lam = Fraction((ds.r - 1) * ds.moment(2), 2 * ds.M) if ds.M else Fraction(0)
+
+    def scale(num):
+        return float(Fraction(num, ds.M)) if ds.M else 0.0
+
+    lead = log_leading_term(ds)
+    err4 = scale(ds.r**4 * ds.k_max**4 * (ds.k_max + ds.r))
+    loop, dlink = {"loop_term": -float(lam)}, {"double_link_term": -float(lam**2)}
+    simple = _estimate(lead, loop, scale(ds.r**4 * ds.k_max**3))
+    log_m = math.log(ds.M)
+    q2_factor = Fraction(4 * (ds.r - 1) ** 2 * ds.moment(4), ds.M**2)
+    q1 = max(math.ceil(log_m), math.ceil(8 * lam**2))
+    return [
+        _estimate(lead, loop | dlink, err4),
+        simple,
+        _estimate(lead + math.lgamma(m + 1), simple.corrections,
+                  scale(ds.r**2 * ds.k_max**2)),
+        _estimate(None, dlink, err4),
+        *(float(lam**2 / d) for d in (1, 2, 3)),
+        Thresholds(3 * q1, q1, max(math.ceil(log_m), math.ceil(lam**2 * q2_factor)), err4),
+    ]
+
+
+def test_formulas_equal_their_fraction_reference():
+    # the int-pair evaluation is the Fraction one, bit for bit: every
+    # correction, scale, ratio and threshold by repr, so -0.0 stays -0.0;
+    # the battery has no degree above 3, so only the mixed sequence's M_4 > 0
+    # puts the q2 term above ln M
+    instances = canonical_battery(rs=(2, 3, 4, 5)) + random_guarded_instances(200, 1) + [
+        new_degree_sequence((2,) * 3000, 3),
+        new_degree_sequence((0, 8, 0, 2, 2, 1, 0, 3, 1, 1, 2, 4), 3),
+    ]
+    for ds in instances:
+        got = [estimate_linear(ds), estimate_simple(ds), estimate_bigraph(ds),
+               girth6_probability(ds), *(switching_ratio(ds, d) for d in (1, 2, 3)),
+               ds.thresholds()]
+        assert list(map(repr, got)) == list(map(repr, fraction_reference(ds))), ds
 
 
 def test_sparsity_indicator_is_the_linear_error_scale():

@@ -1,15 +1,17 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linhyper import cli, exact_oracle, switching_engine
+from linhyper import asymptotics, cli, exact_oracle, switching_engine
 from linhyper.bigraph_core import BipartiteGraph, classify
 from linhyper.cli import _involution_spot_check, build_parser, main
 from linhyper.exact_oracle import (
     DEFAULT_MAX_SPACE,
     _first_switchable,
+    _slice_starts,
     _subset_masks,
     _without_zeros,
     canonical_battery,
@@ -347,13 +349,37 @@ def test_spot_check_builds_no_index_and_classifies_nothing(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["involution_spot_checks"] == 8
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "-r", "3", "--ratio-check"),
+    ("estimate", "-r", "3", "-k", "0,8,0,2,2,1,0,3,1,1,2,4"),
+    ("estimate", "-r", "4", "-k", "1,1,1,1", "--format", "csv"),
+    ("girth", "-r", "3", "-k", ",".join(["2"] * 30), "--seed", "5", "--trials", "40"),
+], ids=["verify-ratio", "estimate-json", "estimate-csv", "girth"])
+def test_closed_forms_build_no_fraction(monkeypatch, capsys, argv):
+    # the closed forms are int pairs divided once: no Fraction is built on
+    # these commands' paths, and their output is what it is without the guard
+    _, want, _ = run_cli(capsys, *argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Fraction, "__new__", refuse)
+        patched.setattr(asymptotics, "Fraction", refuse)
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out == want and not err
+
+
 def test_verify_builds_each_candidate_list_once(capsys):
-    # the candidate masks are shared by every sweep of one (n, r)
+    # the candidate masks and their slice starts are shared by every sweep
+    # of one (n, r)
     _subset_masks.cache_clear()
+    _slice_starts.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "-r", "3")
     assert code == 0
     shapes = {(_without_zeros(ds).n, ds.r) for ds in canonical_battery(rs=(3,))}
     assert _subset_masks.cache_info().misses == len(shapes)
+    assert _slice_starts.cache_info().misses == len(shapes)
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -417,6 +443,32 @@ def test_verify_spot_checks_only_switchable_instances(monkeypatch, capsys):
             if has_room(ds, exact_oracle.full_report(ds))
         ]
         assert calls == switchable and len(calls) == n_switchable, r
+
+
+def test_spot_check_graphs_are_the_checked_ones(monkeypatch):
+    # the spot check builds its graphs without the constructor's checks;
+    # each must equal the checked graph on the sweep's columns
+    swept, built = [], []
+
+    def listing(ds, limit, max_space=DEFAULT_MAX_SPACE):
+        found = _first_switchable(ds, limit, max_space)
+        swept.extend((ds, cols) for cols in found)
+        return found
+
+    def recording(graph, cycles):
+        built.append(graph)
+        return _forward_tuples(graph, cycles)
+
+    monkeypatch.setattr(cli, "_first_switchable", listing)
+    monkeypatch.setattr(cli, "_forward_tuples", recording)
+    for ds in canonical_battery(rs=(2, 3, 4, 5)):
+        if has_room(ds, exact_oracle.full_report(ds)):
+            _involution_spot_check(ds, DEFAULT_MAX_SPACE)
+    assert len(built) == len(swept) == 10
+    for (ds, cols), graph in zip(swept, built):
+        checked = BipartiteGraph(ds.n, ds.edge_count(), cols)
+        assert graph == checked and graph.n_right == checked.n_right
+        assert type(graph.cols) is tuple and {type(c) for c in graph.cols} == {int}
 
 
 def test_instances_verify_skips_have_no_switching():

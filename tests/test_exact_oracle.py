@@ -564,6 +564,7 @@ def test_argument_errors_are_library_errors():
         lambda: monte_carlo_girth(ds, seed=1.5, trials=4),
         lambda: monte_carlo_girth(ds, seed=-1, trials=4),
         lambda: monte_carlo_girth(ds, seed=1, trials=True),
+        lambda: switching_ratio(ds, 1.5),
     ]
     for call in calls:
         with pytest.raises(LinhyperError) as info:

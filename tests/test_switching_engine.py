@@ -39,6 +39,7 @@ from linhyper import sampler
 from linhyper.exact_oracle import DEFAULT_MAX_SPACE, _first_switchable
 from linhyper.sampler import _forward_step, _uniform_order
 from linhyper.switching_engine import (
+    _FIELDS,
     _CandidateIndex,
     _forward_tuples,
     _free_edges,
@@ -579,12 +580,27 @@ def test_girth_stream_pinned_on_benchmark_and_degree4_rows():
         assert (est.p_hat, est.rejections) == (p_hat, rejections)
 
 
+MIXED_R3 = (3, (3, 3, 2, 2, 1, 1, 0, 2, 3, 2, 3, 3, 3, 2, 0, 4, 1,
+               2, 2, 2, 1, 2, 3, 3, 3, 1, 2, 3, 2, 2, 1, 4, 2, 2), 4)
+R4 = (4, (2,) * 16 + (4,) * 4, 4)
+
+
+def well_behaved_with_cycles(ds, rng, count):
+    """(graph, classification) of the first ``count`` pairing draws that are
+    well-behaved with a 4-cycle."""
+    while count:
+        graph = pairing_sample(ds, rng).graph
+        cls = classify(graph, ds)
+        if cls.in_bplus and cls.d:
+            count -= 1
+            yield graph, cls
+
+
 @pytest.mark.parametrize("r, k, count", [
     (3, (3,) * 30, 2),
     (3, (2,) * 90, 2),
-    (3, (3, 3, 2, 2, 1, 1, 0, 2, 3, 2, 3, 3, 3, 2, 0, 4, 1,
-         2, 2, 2, 1, 2, 3, 3, 3, 1, 2, 3, 2, 2, 1, 4, 2, 2), 4),
-    (4, (2,) * 16 + (4,) * 4, 4),
+    MIXED_R3,
+    R4,
 ], ids=["3^30", "2^90", "mixed-r3", "r4"])
 def test_candidate_index_matches_generator(r, k, count):
     # the walk draws from the counted view; it must be the generator's
@@ -593,12 +609,7 @@ def test_candidate_index_matches_generator(r, k, count):
 
     ds = new_degree_sequence(k, r)
     rng = np.random.default_rng(sum(k) + r)
-    while count:
-        graph = pairing_sample(ds, rng).graph
-        cls = classify(graph, ds)
-        if not cls.in_bplus or cls.d == 0:
-            continue
-        count -= 1
+    for graph, cls in well_behaved_with_cycles(ds, rng, count):
         index = _CandidateIndex(graph, cls)
         size = len(index)
         picks = set(range(size)) if size <= 2000 else set(
@@ -611,6 +622,24 @@ def test_candidate_index_matches_generator(r, k, count):
         assert seen == size > 0
         with pytest.raises(IndexError):
             index[size]
+
+
+@pytest.mark.parametrize("r, k, count", [MIXED_R3, R4], ids=["mixed-r3", "r4"])
+def test_unchecked_candidates_are_suitable(r, k, count):
+    # the listers build their tuples without the constructor's checks; each
+    # must be one the checking constructor accepts and equals, of int
+    # vertices inside the graph
+    ds = new_degree_sequence(k, r)
+    rng = np.random.default_rng(sum(k) + r + 1)
+    for graph, cls in well_behaved_with_cycles(ds, rng, count):
+        index = _CandidateIndex(graph, cls)
+        listed = list(_forward_tuples(graph, cls.four_cycles))
+        assert len(listed) == len(index) > 0
+        for t in listed + [index[i] for i in range(len(index))]:
+            fields = [getattr(t, name) for name in _FIELDS]
+            assert SwitchTuple(*fields) == t, (graph.cols, t)
+            assert {type(v) for v in fields} == {int}
+            assert max(fields[:4]) < graph.n_left and max(fields[4:]) < graph.n_right
 
 
 def test_candidate_index_empty_and_no_cycle(demo_graph, demo_ds):
