@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .errors import DegenerateM, InvalidArgument, InvalidR, NegativeDegree, NotDivisible
 
@@ -56,13 +57,16 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Validated degree sequence: edge size ``r`` and degree vector ``k``."""
+    """Validated degree sequence: edge size ``r`` and degree vector ``k``.
+
+    Validation also sets the degree sum ``M`` and the largest degree
+    ``k_max`` (0 for an empty k), which almost every count reads."""
 
     r: int
     k: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        r, k = _as_int(self.r), tuple(_as_int(v) for v in self.k)
+        r, k = _as_int(self.r), tuple(map(_as_int, self.k))
         if r < 2:
             raise InvalidR(f"edge size r must be >= 2, got {r}")
         object.__setattr__(self, "r", r)
@@ -70,24 +74,19 @@ class DegreeSequence:
         for v in k:
             if v < 0:
                 raise NegativeDegree(f"degree {v} is negative")
+        object.__setattr__(self, "M", sum(k))
+        object.__setattr__(self, "k_max", max(k, default=0))
 
     @property
     def n(self) -> int:
         return len(self.k)
 
-    @cached_property
-    def M(self) -> int:
-        return sum(self.k)
-
-    @cached_property
-    def k_max(self) -> int:
-        return max(self.k, default=0)
-
     def moment(self, t: int) -> int:
-        """t-th falling-factorial moment: sum of k_i (k_i - 1) ... (k_i - t + 1)."""
+        """t-th falling-factorial moment: sum of k_i (k_i - 1) ... (k_i - t + 1),
+        each term the permutation count P(k_i, t), 0 when t > k_i."""
         if t < 1:
             raise InvalidArgument(f"moment order must be >= 1, got {t}")
-        return sum(_falling(v, t) for v in self.k)
+        return sum(map(math.perm, self.k, repeat(t)))
 
     def edge_count(self) -> int:
         """Number of edges M/r; raises NotDivisible when r does not divide M."""

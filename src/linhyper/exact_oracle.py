@@ -11,9 +11,11 @@ count and no 4-cycle.  Residual feasibility is checked only at the root, the
 first column; below it the forced vertices keep every residual feasible.
 Each column after the prefix holds the lowest vertex of positive residual,
 so the sweep tries only that range of candidates.  The residuals are kept as
-one vertex mask per residual value, and the last two columns are closed in
-one loop: with two columns left, each candidate for the first fixes the
-second, the set of vertices it leaves needing one column (see ``_sweep``).
+one vertex mask per residual value, built once per instance in one pass
+over k (``_degree_masks``, which also gives the invariant prefixes their
+degree classes), and the last two columns are closed in one loop: with two
+columns left, each candidate for the first fixes the second, the set of
+vertices it leaves needing one column (see ``_sweep``).
 
 The sweep also carries each multiset's verdict under the property battery
 of ``bigraph_core`` down the recursion, so no leaf runs the battery: a
@@ -42,12 +44,13 @@ A labeled graph with distinct columns stands for one hypergraph per m!
 orderings, so |H| = |B0|/m! and |L| = |C0|/m!; m! failing to divide either
 is an identity violation, and so is a failed inclusion between classes.
 The independent check is |B| against ``count_b_dp``, a dynamic program
-over residual-degree classes, one column per level, that lists no graph
-and shares no code with the sweep.  The driver makes it for every
-invariant count (``_check_count_b``), so a wrong prefix, prefix weight or
-rescale is caught at run time.  A failed identity raises
-InvariantViolation, which always means an implementation bug rather than
-bad input.
+over residual-degree classes, one column per level down to the last two,
+which it closes in one step (``count_matrices_by_classes``); it lists no
+graph and shares no code with the sweep, not even the degree masks.  The
+driver makes it for every invariant count (``_check_count_b``), so a wrong
+prefix, prefix weight or rescale is caught at run time.  A failed identity
+raises InvariantViolation, which always means an implementation bug rather
+than bad input.
 
 Instances are admitted through a resource guard: by default degree sums up
 to 16 and up to 10 vertices of positive degree.  Exceeding the guard is an
@@ -58,7 +61,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -128,7 +130,7 @@ def check_guard(ds: DegreeSequence, max_space: int = DEFAULT_MAX_SPACE) -> None:
     them out.
     """
     max_space = _as_int(max_space)
-    n_pos = sum(1 for v in ds.k if v > 0)
+    n_pos = ds.n - ds.k.count(0)
     if ds.M > max_space:
         raise TooLarge(
             f"degree sum M={ds.M} exceeds the search guard ({max_space}); "
@@ -154,6 +156,17 @@ def _slice_starts(n: int, r: int) -> tuple[int, ...]:
     have smallest vertex j; entry n is their number.  Built once per (n, r)
     and shared by every sweep, as the masks are."""
     return tuple(accumulate((math.comb(n - 1 - j, r - 1) for j in range(n)), initial=0))
+
+
+def _degree_masks(k, m: int) -> list[int]:
+    """Entry d: the mask of the vertices of degree d in ``k``, for d =
+    0..m, built in one pass; every degree lies in 0..m.  It gives ``_sweep``
+    its starting residual levels and ``_invariant_prefixes`` its degree
+    classes."""
+    level = [0] * (m + 1)
+    for j, v in enumerate(k):
+        level[v] |= 1 << j
+    return level
 
 
 def _without_zeros(ds: DegreeSequence) -> DegreeSequence:
@@ -222,26 +235,41 @@ def _stabiliser_groups(classes, root: int, m: int) -> tuple[int, list[int]]:
     return forced, groups
 
 
+def _takes(group: int) -> list[tuple[int, int]]:
+    """Entry t: the mask of the first t vertices of the vertex mask
+    ``group`` and C(|group|, t), for t = 0..|group|."""
+    takes, rest, size = [(0, 1)], group, group.bit_count()
+    for t in range(1, size + 1):
+        rest &= rest - 1  # ``group`` less its first t vertices
+        takes.append((group ^ rest, math.comb(size, t)))
+    return takes
+
+
 def _orbit_columns(forced: int, groups: list[int], r: int) -> list[tuple[int, int]]:
     """One column per orbit of the r-subsets holding every ``forced``
-    vertex, under permutations within each of the vertex masks ``groups``,
-    as (mask, orbit size).
+    vertex (at most r), under permutations within each of the vertex masks
+    ``groups``, as (mask, orbit size).
 
     Such a column holds the forced vertices and t vertices of each group;
     its orbit is fixed by the takes t and holds prod C(|group|, t) columns,
     the first of which, in candidate order, takes the first t vertices of
-    each group.  The first column's groups are the degree classes below m,
-    with the class of degree m forced, and a root's second column's those
-    of its stabiliser (``_stabiliser_groups``); see ``_invariant_prefixes``.
+    each group (``_takes``).  The first column's groups are the degree
+    classes below m, with the class of degree m forced, and a root's second
+    column's those of its stabiliser (``_stabiliser_groups``); see
+    ``_invariant_prefixes``.
     """
     # (column so far, orbit size, vertices still to take), one group at a time
     parts = [(forced, 1, r - forced.bit_count())]
+    # the last group takes every vertex still to take (a group of no vertex
+    # if there is none)
+    *groups, last = groups or [0]
     for group in groups:
-        heads = list(accumulate((1 << v for v in _bits(group)), operator.or_, initial=0))
-        size = len(heads) - 1
-        parts = [(col | heads[t], orbit * math.comb(size, t), left - t)
-                 for col, orbit, left in parts for t in range(min(size, left) + 1)]
-    return [(col, orbit) for col, orbit, left in parts if left == 0]
+        takes = _takes(group)
+        parts = [(col | head, orbit * ways, left - t) for col, orbit, left in parts
+                 for t, (head, ways) in enumerate(takes[:left + 1])]
+    takes = _takes(last)
+    return [(col | takes[left][0], orbit * takes[left][1])
+            for col, orbit, left in parts if left < len(takes)]
 
 
 def _root_group(classes, roots) -> int:
@@ -266,12 +294,12 @@ def _second_scale(r: int, m: int) -> int:
     return math.lcm(*range(1, r * (m - 2) + 1)) if m >= 4 else 1
 
 
-def _second_group(groups: list[int], root: int, k) -> int:
+def _second_group(groups: list[int], root: int) -> int:
     """S', the group a root's fixed second columns must meet: the stabiliser
     group inside ``root`` of lowest residual, or 0 if there is none.  Those
-    groups come from distinct classes, so no two share a residual."""
-    return min((g for g in groups if g & root), key=lambda g: k[(g & -g).bit_length() - 1],
-               default=0)
+    groups come from distinct classes, so no two share a residual, and
+    ``_stabiliser_groups`` lists them by degree, so the first is the one."""
+    return next((g for g in groups if g & root), 0)
 
 
 def _invariant_prefixes(ds: DegreeSequence):
@@ -313,12 +341,14 @@ def _invariant_prefixes(ds: DegreeSequence):
     k, r, m = ds.k, ds.r, ds.edge_count()
     if m == 0 or max(k) > m:
         return [], 1, 1  # the sweep's one empty leaf, or no graph
-    level = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
+    level = _degree_masks(k, m)
     classes = [(d, c) for d, c in enumerate(level) if d and c]
     roots = _orbit_columns(level[m], [c for d, c in classes if d < m], r)
     group = _root_group(classes, roots)
     unit = _second_scale(r, m)
-    num, den = (m, unit * sum(k[j] for j in _bits(group))) if group else (1, unit)
+    num, den = 1, unit
+    if group:  # K_S = d |S| for S the class of degree d
+        num, den = m, unit * k[(group & -group).bit_length() - 1] * group.bit_count()
     prefixes = []
     for root, orbit in roots:
         weight = orbit * (root & group).bit_count() if group else orbit
@@ -336,7 +366,7 @@ def _second_prefixes(ds: DegreeSequence, classes, root: int, weight: int):
     k, r, m = ds.k, ds.r, ds.edge_count()
     forced, groups = _stabiliser_groups(classes, root, m)
     seconds = _orbit_columns(forced, groups, r)
-    second = _second_group(groups, root, k)
+    second = _second_group(groups, root)
     per = _second_scale(r, m)
     if second:
         # |c & S'| (m - 1) / K', K' = |S'| rho, in units of 1 / D
@@ -469,7 +499,7 @@ def _sweep(ds: DegreeSequence, leaf, prefixes) -> None:
 
     if max(k) > m:
         return  # a vertex would need more columns than there are
-    top = [sum(1 << j for j, v in enumerate(k) if v == d) for d in range(m + 1)]
+    top = _degree_masks(k, m)
     for fixed, scale in prefixes:
         # feasible: the root holds no vertex of degree 0 and every one of degree m
         if fixed[0] & top[0] or fixed[0] & top[m] != top[m]:
@@ -524,7 +554,7 @@ def _first_orderings(rooted, limit: int | None = None):
 def count_matrices_by_classes(classes: Counter, r: int, m: int) -> int:
     """0-1 matrices with given row-sum classes (residual -> row count) and m
     columns of sum r, counted by dynamic programming over residual classes,
-    one column per level.
+    one column per level down to the last two.
 
     ``ways`` maps each state to the number of ways to fill the columns
     before it; a state holds the row counts at residuals 1..min(k_max,
@@ -535,42 +565,52 @@ def count_matrices_by_classes(classes: Counter, r: int, m: int) -> int:
     being equal).  So both are checked once, up front; then each column
     holds every row at residual ``left`` and takes from each residual below
     only what the residuals under it cannot make up.  No infeasible state
-    is built, and with one column left every state is the r rows at
-    residual 1, which fill it in one way.
+    is built, and the last two columns are closed in one step: with two
+    left, the c_2 rows at residual 2 lie in both, and the first takes r -
+    c_2 of the c_1 rows at residual 1, the second the others, in C(c_1, r -
+    c_2) ways.  With fewer than two columns a feasible state fills them in
+    one way.
     """
     top = max((res for res, cnt in classes.items() if cnt > 0), default=0)
     counts = tuple(classes[res] for res in range(1, top + 1))
     if sum(res * c for res, c in enumerate(counts, 1)) != r * m or top > m:
         return 0
+    if m < 2:
+        return 1
     ways = {counts: 1}
-    for left in range(m, 1, -1):
+    for left in range(m, 2, -1):
         step: dict[tuple[int, ...], int] = {}
         for state, w in ways.items():
             forced = state[-1] if len(state) == left else 0
             free = state[:left - 1]
             below = list(accumulate(free, initial=0))
             # the column is filled from the top residual down: a part is
-            # (the next state's counts so far, top first; rows still to
+            # (the next state's counts above this residual; rows still to
             # take; rows taken one residual up, which land here; ways)
             parts = [((), r - forced, forced, w)]
-            for i in range(len(free) - 1, -1, -1):
+            for i in range(len(free) - 1, 0, -1):
                 c = free[i]
-                parts = [(nxt + (c - t + up,), need - t, t, v * math.comb(c, t))
+                parts = [((c - t + up,) + nxt, need - t, t, v * math.comb(c, t))
                          for nxt, need, up, v in parts
                          for t in range(max(0, need - below[i]), min(c, need) + 1)]
-            for nxt, _, _, v in parts:
-                nxt = nxt[::-1]
-                step[nxt] = step.get(nxt, 0) + v
+            # the rows at residual 1 take the rest
+            c = free[0]
+            for nxt, need, up, v in parts:
+                if need <= c:
+                    nxt = (c - need + up,) + nxt
+                    step[nxt] = step.get(nxt, 0) + v * math.comb(c, need)
         ways = step
-    return sum(ways.values())
+    total = 0
+    for state, w in ways.items():
+        c1, c2 = state if len(state) == 2 else (state[0], 0)
+        total += w * math.comb(c1, r - c2)
+    return total
 
 
 def count_b_dp(ds: DegreeSequence) -> int:
     """|B| by the margin-class dynamic program: a route independent of the
     column sweep, cheap far past the search guard."""
-    return count_matrices_by_classes(
-        Counter(v for v in ds.k if v > 0), ds.r, ds.edge_count()
-    )
+    return count_matrices_by_classes(Counter(ds.k), ds.r, ds.edge_count())
 
 
 def _report_branch(args) -> list[int]:

@@ -225,8 +225,10 @@ def sample_no4cycle(
 
 
 def _girth_worker(args) -> tuple[int, int]:
-    ds, seed, worker_index, workers, trials, max_retries = args
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(workers)[worker_index])
+    # the substream is child ``worker_index`` of ``SeedSequence(seed)``, as
+    # ``spawn`` would make it, without spawning its siblings
+    ds, seed, worker_index, trials, max_retries = args
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(worker_index,)))
     kernel = _PairingKernel(ds)
     hits = rejections = 0
     for _ in range(trials):
@@ -266,7 +268,7 @@ def monte_carlo_girth(
         raise InvalidArgument("workers must be >= 1")
     predicted = girth6_probability(ds).value
     base, extra = divmod(trials, workers)
-    tasks = [(ds, seed, w, workers, share, max_retries)
+    tasks = [(ds, seed, w, share, max_retries)
              for w in range(workers) if (share := base + (w < extra)) > 0]
     hits, rejections = map(sum, zip(*map_tasks(_girth_worker, tasks, workers)))
     p_hat = hits / trials

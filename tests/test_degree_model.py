@@ -13,6 +13,7 @@ from linhyper import (
     new_degree_sequence,
     random_guarded_instances,
 )
+from linhyper.degree_model import _falling
 from linhyper.errors import (
     DegenerateM, InvalidArgument, InvalidR, NegativeDegree, NotDivisible,
 )
@@ -76,6 +77,8 @@ def test_moment_examples():
 )
 def test_moment_properties(k, t):
     ds = DegreeSequence(r=3, k=tuple(k))
+    # the falling-factorial loop is the reference for the permutation counts
+    assert ds.moment(t) == sum(_falling(v, t) for v in ds.k)
     assert ds.moment(1) == ds.M
     assert ds.moment(t) <= ds.k_max * ds.moment(t - 1)
     if t > ds.k_max:

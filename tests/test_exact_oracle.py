@@ -190,6 +190,45 @@ def test_margin_dp_edge_cases_and_pins():
     )
 
 
+def matrices_by_rows(classes: Counter, r: int, m: int) -> int:
+    """0-1 matrices with the row sums ``classes`` gives and m columns of sum
+    r, by listing every row's set of columns."""
+    rows = [res for res, cnt in classes.items() for _ in range(cnt)]
+
+    def fill(i, sums):
+        if i == len(rows):
+            return all(s == r for s in sums)
+        return sum(fill(i + 1, [s + (j in cols) for j, s in enumerate(sums)])
+                   for cols in combinations(range(m), rows[i]))
+
+    return fill(0, [0] * m)
+
+
+@pytest.mark.parametrize("classes, r, m, want", [
+    # one column: the r rows at residual 1, or nothing
+    (Counter({1: 3}), 3, 1, 1),
+    (Counter({1: 2, 0: 4}), 2, 1, 1),
+    (Counter({1: 2}), 3, 1, 0),
+    (Counter({2: 1, 1: 1}), 3, 1, 0),  # residual sum r m, but a row needs two
+    # two columns: C(c_1, r - c_2), every row at residual 2 in both
+    (Counter({1: 4}), 2, 2, 6),
+    (Counter({2: 1, 1: 2}), 2, 2, 2),
+    (Counter({2: 2}), 2, 2, 1),
+    (Counter({1: 6}), 3, 2, 20),
+    (Counter({2: 1, 1: 4}), 3, 2, 6),
+    (Counter({2: 2, 1: 2, 0: 3}), 3, 2, 2),
+    (Counter({2: 3}), 3, 2, 1),
+    # infeasible two-column states: a wrong residual sum, or a row needing
+    # three columns while the residual sum is r m
+    (Counter({2: 2, 1: 1}), 2, 2, 0),
+    (Counter({2: 3, 1: 1}), 3, 2, 0),
+    (Counter({3: 1, 1: 1}), 2, 2, 0),
+])
+def test_margin_dp_closes_the_last_two_columns(classes, r, m, want):
+    assert exact_oracle.count_matrices_by_classes(classes, r, m) == want
+    assert matrices_by_rows(classes, r, m) == want
+
+
 def test_hyper_class_profile_matches_bipartite_profile():
     for ds in canonical_battery(max_n=5, max_space=12):
         rep = full_report(ds)

@@ -6,7 +6,8 @@ __future__ import annotations`` instead.  Every private name the library's
 text or README.md quotes in double backticks is still defined.  No library
 module but the CLI's argv parser truncates a value with ``int(name)``.  In
 ``exact_oracle`` only ``_invariant_totals`` reads the invariant prefixes,
-the pool and the |B| check.  Also the lazy package: what a fresh
+the pool and the |B| check, and the margin-class DP behind that check
+reads no other library function.  Also the lazy package: what a fresh
 interpreter loads, and that every export resolves."""
 import ast
 import importlib
@@ -222,6 +223,23 @@ def test_one_invariant_driver():
     source = (Path(linhyper.__file__).parent / "exact_oracle.py").read_text()
     names = ("_invariant_prefixes", "map_tasks", "_check_count_b")
     assert readers(source, names) == {name: {"_invariant_totals"} for name in names}
+
+
+def test_margin_dp_reads_no_other_library_function():
+    # the |B| check stays a route independent of the sweep: the margin-class
+    # DP reads no function ``exact_oracle`` defines or imports from the
+    # library (cached ones included), but ``count_b_dp`` its own counter
+    from linhyper import exact_oracle
+
+    source = Path(exact_oracle.__file__).read_text()
+    names = [name for name, obj in vars(exact_oracle).items()
+             if callable(obj) and not isinstance(obj, type)
+             and getattr(obj, "__module__", "").startswith("linhyper.")]
+    assert {"_degree_masks", "_sweep", "_subset_masks", "_bits", "map_tasks"} <= set(names)
+    dp = {"count_matrices_by_classes", "count_b_dp"}
+    read = {name: owners & dp for name, owners in readers(source, names).items()}
+    assert {name: owners for name, owners in read.items() if owners} == {
+        "count_matrices_by_classes": {"count_b_dp"}}
 
 
 def test_fresh_imports_load_no_submodule_numpy_or_pool():

@@ -35,7 +35,7 @@ from linhyper.errors import (
     RetryLimitExceeded,
     StepLimit,
 )
-from linhyper import sampler
+from linhyper import _pool, sampler
 from linhyper.exact_oracle import DEFAULT_MAX_SPACE, _first_switchable
 from linhyper.sampler import _forward_step, _uniform_order
 from linhyper.switching_engine import (
@@ -566,6 +566,31 @@ def test_girth_stream_pinned_on_mixed_degrees():
     for workers, p_hat, rejections in ((1, 0.0525, 1632), (2, 0.0725, 1647)):
         est = monte_carlo_girth(ds, seed=2024, trials=400, workers=workers)
         assert (est.p_hat, est.rejections) == (p_hat, rejections)
+
+
+def test_girth_substreams_are_spawned_children_without_spawning(monkeypatch):
+    # each girth task seeds child ``w`` of SeedSequence(seed) directly: the
+    # stream ``spawn(workers)[w]`` gives, with no sibling built
+    spawning = np.random.SeedSequence
+
+    class NoSpawn(spawning):
+        def spawn(self, n_children):
+            raise AssertionError("a girth task spawned its siblings")
+
+    seeds = []
+    make_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    monkeypatch.setattr(np.random, "default_rng", lambda s: seeds.append(s) or make_rng(s))
+    monkeypatch.setattr(_pool.os, "cpu_count", lambda: 1)  # every task in-process
+    ds = new_degree_sequence((2,) * 12, 3)
+    for workers, index in ((1, 0), (4, 3), (7, 2)):
+        seeds.clear()
+        monte_carlo_girth(ds, seed=2024, trials=40, workers=workers)
+        assert len(seeds) == workers
+        child = spawning(2024).spawn(workers)[index]
+        assert seeds[index].spawn_key == child.spawn_key == (index,)
+        assert (make_rng(seeds[index]).integers(2**62, size=8)
+                == make_rng(child).integers(2**62, size=8)).all()
 
 
 def test_girth_stream_pinned_on_benchmark_and_degree4_rows():
